@@ -23,7 +23,7 @@ from .bt import (
 from .dsl import ScenarioScript, parse_scenario, parse_tree, print_tree
 from .errors import ConfigurationError, ParseError, SimError, ValidationError
 from .fsm import State, StateMachine, Timeout, Transition, add_timeout, count_elements, step
-from .groups import GroupCluster, cluster_groups, interaction_group_size
+from .groups import GroupCluster, cluster_groups, engaged_group_size, interaction_group_size
 from .interaction import (
     ANNOUNCE_TEXT,
     FAREWELL_TEXT,
@@ -69,7 +69,7 @@ __all__ = [
     "Transition", "ValidationError", "add_timeout", "apply_events",
     "build_photographer_bt", "build_photographer_fsm", "cluster_groups",
     "compare", "count_elements", "default_catalogue", "emit", "end_tick",
-    "flatten_emissions", "greeting_text", "interaction_group_size",
+    "engaged_group_size", "flatten_emissions", "greeting_text", "interaction_group_size",
     "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
     "print_tree", "reset", "run", "serialize_trace", "step",
     "structural_economy_report", "structural_signature", "tick",

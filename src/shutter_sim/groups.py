@@ -1,10 +1,25 @@
-"""Proximity-based grouping of tracked persons around the robot."""
+"""Proximity-based grouping of tracked persons around the robot.
+
+Two persons link when ``math.hypot(a.x - b.x, a.y - b.y) <= dist_threshold``;
+groups are the connected components of that relation.  Neighbours are found by
+a sweep over the persons sorted by ``x``: from each person the scan walks
+outward in that order and stops each way at the first person whose ``x`` gap
+exceeds the threshold.  The sweep is exact, not an approximation: float
+subtraction is monotone, so every later person in the scan has a gap at least
+as large, and ``hypot(u, v) >= |u|``, so no pruned pair could have linked.
+(A grid of ``dist_threshold``-wide cells is not exact: it bins by
+``floor(x / d)``, and ``(-1e-17, 0)`` and ``(1.5, 0)`` fall two cells apart
+although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
+``world.apply_events`` enforces.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .world import PersonObservation
 
@@ -20,6 +35,48 @@ class GroupCluster:
     includes_robot: bool = False
 
 
+def _sorted_by_x(
+    persons: Iterable[PersonObservation],
+) -> tuple[list[PersonObservation], list[float], list[float]]:
+    people = sorted(persons, key=attrgetter("x"))
+    return people, [p.x for p in people], [p.y for p in people]
+
+
+def _components(
+    xs: list[float], ys: list[float], dist_threshold: float, seeds: Iterable[int]
+) -> Iterator[list[int]]:
+    """The component of each seed not already reached, as indices into ``xs``/``ys``.
+
+    ``xs`` must be sorted; ``seeds`` are indices into it.
+    """
+    n = len(xs)
+    reached = [False] * n
+    for seed in seeds:
+        if reached[seed]:
+            continue
+        reached[seed] = True
+        component = [seed]
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            xi, yi = xs[i], ys[i]
+            j = i + 1
+            while j < n and xs[j] - xi <= dist_threshold:
+                if not reached[j] and math.hypot(xi - xs[j], yi - ys[j]) <= dist_threshold:
+                    reached[j] = True
+                    component.append(j)
+                    frontier.append(j)
+                j += 1
+            j = i - 1
+            while j >= 0 and xi - xs[j] <= dist_threshold:
+                if not reached[j] and math.hypot(xi - xs[j], yi - ys[j]) <= dist_threshold:
+                    reached[j] = True
+                    component.append(j)
+                    frontier.append(j)
+                j -= 1
+        yield component
+
+
 def cluster_groups(
     persons: Iterable[PersonObservation],
     dist_threshold: float = DEFAULT_DIST_THRESHOLD,
@@ -28,36 +85,37 @@ def cluster_groups(
 
     Returns clusters ordered by their smallest member id.
     """
-    people = sorted(persons, key=lambda p: p.person_id)
-    parent = {p.person_id: p.person_id for p in people}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # attach the larger root id under the smaller for determinism
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    for i, a in enumerate(people):
-        for b in people[i + 1:]:
-            if math.hypot(a.x - b.x, a.y - b.y) <= dist_threshold:
-                union(a.person_id, b.person_id)
-
-    by_root: dict[int, set[int]] = {}
-    for p in people:
-        by_root.setdefault(find(p.person_id), set()).add(p.person_id)
-    return [
-        GroupCluster(members=frozenset(members))
-        for _, members in sorted(by_root.items(), key=lambda kv: min(kv[1]))
+    people, xs, ys = _sorted_by_x(persons)
+    groups = [
+        frozenset(people[i].person_id for i in component)
+        for component in _components(xs, ys, dist_threshold, range(len(people)))
     ]
+    return [GroupCluster(members=members) for members in sorted(groups, key=min)]
+
+
+def engaged_group_size(
+    persons: Iterable[PersonObservation],
+    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
+    zone_radius: float = DEFAULT_ZONE_RADIUS,
+) -> int:
+    """Size of the group engaged with the robot, or 0 when none qualifies.
+
+    Equal to ``interaction_group_size(cluster_groups(persons, dist_threshold),
+    persons, zone_radius)``, but only the groups reaching into the zone are
+    grown, and nothing is mutated.
+    """
+    people, xs, ys = _sorted_by_x(persons)
+    # hypot(x, y) >= |x|, so only persons with |x| <= zone_radius can stand in the zone
+    window = range(bisect_left(xs, -zone_radius), bisect_right(xs, zone_radius))
+    seeds = [i for i in window if math.hypot(xs[i], ys[i]) <= zone_radius]
+    best_key: tuple[float, int] | None = None
+    best_size = 0
+    for component in _components(xs, ys, dist_threshold, seeds):
+        nearest = min(math.hypot(xs[i], ys[i]) for i in component)
+        key = (nearest, min(people[i].person_id for i in component))
+        if best_key is None or key < best_key:
+            best_key, best_size = key, len(component)
+    return best_size
 
 
 def interaction_group_size(

@@ -14,7 +14,7 @@ from . import bt
 from .bt import NodeStatus
 from .errors import ConfigurationError
 from .fsm import State, StateMachine, Transition
-from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, cluster_groups, interaction_group_size
+from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, engaged_group_size
 from .world import (
     ACTION_HALT,
     ACTION_IDLE,
@@ -130,11 +130,11 @@ def default_catalogue(
     cat = Catalogue()
 
     def group_size(ctx: InteractionContext) -> int:
-        clusters = cluster_groups(ctx.persons.values(), dist_threshold)
-        return interaction_group_size(clusters, ctx.persons.values(), zone_radius)
+        return engaged_group_size(ctx.persons.values(), dist_threshold, zone_radius)
 
     def person_detected(ctx: InteractionContext) -> bool:
-        return group_size(ctx) >= 1 and ctx.clock >= ctx.cooldown_until
+        # the cheap cooldown test first: no perception while cooling down
+        return ctx.clock >= ctx.cooldown_until and group_size(ctx) >= 1
 
     cat.register_condition("person_detected", person_detected)
     cat.register_condition("no_person", lambda ctx: not person_detected(ctx))

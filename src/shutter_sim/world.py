@@ -23,17 +23,6 @@ ACTIONS = frozenset({ACTION_SAY, ACTION_TAKE_PHOTO, ACTION_SHOW_PHOTO, ACTION_HA
 
 BUTTONS = ("yes", "no", "aux")
 
-EVENT_KINDS = frozenset({
-    "person_appear",
-    "person_move",
-    "person_leave",
-    "button_press",
-    "hazard_on",
-    "hazard_off",
-    "network_down",
-    "network_up",
-})
-
 
 @dataclass(frozen=True)
 class PersonObservation:
@@ -127,9 +116,18 @@ def _require_position(ev: Event) -> None:
 
 
 def emit(ctx: InteractionContext, emission: ActionEmission) -> InteractionContext:
-    """Record one emission; its tick must match the current clock."""
+    """Record one emission; its tick must match the current clock.
+
+    The action must be in ``ACTIONS``.  A text payload may hold no ``;`` and no
+    line boundary, so that the serialized trace reads back (``sim.parse_trace``).
+    """
     if emission.tick != ctx.clock:
         raise ValueError(f"emission stamped tick {emission.tick} at clock {ctx.clock}")
+    if emission.action not in ACTIONS:
+        raise ValueError(f"unknown action {emission.action!r} at clock {ctx.clock}")
+    payload = emission.payload
+    if isinstance(payload, str) and (";" in payload or payload.splitlines() not in ([], [payload])):
+        raise ValueError(f"payload {payload!r} of {emission.action} holds ';' or a line break")
     ctx.emissions_this_tick.append(emission)
     return ctx
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from shutter_sim import PersonObservation, cluster_groups, interaction_group_size
+import math
+import random
+
+from shutter_sim import PersonObservation, cluster_groups, engaged_group_size, interaction_group_size
 
 
 def p(pid, x, y):
@@ -73,3 +76,82 @@ def test_custom_threshold_and_radius():
     assert members(cluster_groups(people, dist_threshold=3.0)) == [{1, 2}]
     clusters = cluster_groups(people, dist_threshold=3.0)
     assert interaction_group_size(clusters, people, zone_radius=1.0) == 2
+
+
+# --- exactness of the sorted sweep against all pairs -----------------------------
+
+
+def reference_components(persons, dist_threshold):
+    """All-pairs connected components, each as a set of ids."""
+    remaining = {q.person_id: q for q in persons}
+    components = []
+    while remaining:
+        _, start = remaining.popitem()
+        component, frontier = {start.person_id}, [start]
+        while frontier:
+            a = frontier.pop()
+            linked = [
+                b for b in remaining.values()
+                if math.hypot(a.x - b.x, a.y - b.y) <= dist_threshold
+            ]
+            for b in linked:
+                del remaining[b.person_id]
+                component.add(b.person_id)
+                frontier.append(b)
+        components.append(component)
+    return sorted(components, key=min)
+
+
+def reference_engaged_size(persons, dist_threshold, zone_radius):
+    distance = {q.person_id: math.hypot(q.x, q.y) for q in persons}
+    keyed = [
+        ((min(distance[m] for m in comp), min(comp)), len(comp))
+        for comp in reference_components(persons, dist_threshold)
+        if min(distance[m] for m in comp) <= zone_radius
+    ]
+    return min(keyed)[1] if keyed else 0
+
+
+# values at which a rounding slip, a sign slip or a strict/inclusive mix-up shows
+EDGE_VALUES = (
+    0.0, -0.0, 1.5, -1.5, 3.0, -3.0, 2.5, -2.5, 1e-17, -1e-17, 5e-324, -5e-324,
+    1.4999999999999998, 1.5000000000000002, 0.1 + 0.2, 4.5,
+)
+
+
+def edge_coordinate(rng):
+    pick = rng.random()
+    if pick < 0.35:
+        return rng.uniform(-4.0, 4.0)
+    if pick < 0.6:
+        return rng.choice(EDGE_VALUES)
+    if pick < 0.8:
+        return 1.5 * rng.randint(-4, 4)
+    # far out, where the spacing of floats is coarse but neighbours can still link
+    magnitude = rng.choice((1e6, -1e6, 1e12, -1e12))
+    return magnitude + rng.choice((0.0, 1.5, -1.5, 3.0, rng.uniform(-2.0, 2.0)))
+
+
+def test_pinned_case_that_a_floor_grid_gets_wrong():
+    # hypot(-1e-17 - 1.5, 0) rounds to exactly 1.5, so the two persons link,
+    # though floor(x / 1.5) puts them two cells apart
+    people = [p(1, -1e-17, 0.0), p(2, 1.5, 0.0)]
+    assert engaged_group_size(people) == 2
+    assert members(cluster_groups(people)) == [{1, 2}]
+
+
+def test_sweep_matches_all_pairs_on_adversarial_rosters():
+    rng = random.Random(20231)
+    rosters = 2000
+    for _ in range(rosters):
+        n = rng.randint(0, 60)
+        ids = rng.sample(range(1, 500), n)
+        persons = [p(i, edge_coordinate(rng), edge_coordinate(rng)) for i in ids]
+        dist_threshold = rng.choice((1.5, 1.5, 3.0, 0.0))
+        zone_radius = rng.choice((2.5, 2.5, 1.5, 0.0, 2e12))
+        expected = reference_components(persons, dist_threshold)
+        clusters = cluster_groups(persons, dist_threshold)
+        assert members(clusters) == expected
+        engaged = engaged_group_size(persons, dist_threshold, zone_radius)
+        assert engaged == reference_engaged_size(persons, dist_threshold, zone_radius)
+        assert engaged == interaction_group_size(clusters, persons, zone_radius)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from shutter_sim import (
@@ -14,10 +16,12 @@ from shutter_sim import (
     PersonObservation,
     build_photographer_bt,
     build_photographer_fsm,
+    cluster_groups,
     compare,
     default_catalogue,
     flatten_emissions,
     greeting_text,
+    interaction_group_size,
     node_count,
     parse_scenario,
     praise_text,
@@ -97,6 +101,34 @@ def test_person_detected_ignores_groups_outside_the_zone():
     cat = default_catalogue()
     ctx = ctx_with_persons((8.0, 8.0))
     assert not cat.condition("person_detected")(ctx)
+
+
+def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
+    # person_detected tests the cooldown before it looks at the crowd; the
+    # answers must be those of clustering the whole crowd, on either side of
+    # the edge and on it
+    cat = default_catalogue()
+    detected, vacant = cat.condition("person_detected"), cat.condition("no_person")
+    greet = cat.behavior("greet").step_fn
+    rng = random.Random(8117)
+    cooldown_until = 20
+    for _ in range(300):
+        positions = [(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(rng.randint(0, 25))]
+        for clock in (cooldown_until - 1, cooldown_until, cooldown_until + 1):
+            ctx = ctx_with_persons(*positions, clock=clock)
+            ctx.cooldown_until = cooldown_until
+            persons = list(ctx.persons.values())
+            expected = interaction_group_size(cluster_groups(persons), persons)
+            present = expected >= 1 and clock >= cooldown_until
+            assert detected(ctx) is present
+            assert vacant(ctx) is not present
+            if expected == 0:
+                with pytest.raises(ValueError):
+                    greet(ctx, 0)
+                continue
+            greet(ctx, 0)
+            assert ctx.greeting_group_size == expected
+            assert ctx.emissions_this_tick[-1].payload == greeting_text(expected)
 
 
 def test_button_conditions_read_the_current_tick_only():

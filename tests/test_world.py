@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
-from shutter_sim import ActionEmission, Event, InteractionContext, ValidationError
+from shutter_sim import (
+    ActionEmission,
+    Event,
+    InteractionContext,
+    TickRecord,
+    ValidationError,
+    flatten_emissions,
+    parse_trace,
+    serialize_trace,
+)
 from shutter_sim.world import apply_events, emit, end_tick
 
 
@@ -83,3 +93,56 @@ def test_emission_must_carry_the_current_tick():
     ctx = InteractionContext()
     with pytest.raises(ValueError, match="stamped tick 2 at clock 0"):
         emit(ctx, ActionEmission(2, "say", "late"))
+
+
+# every character str.splitlines treats as a line boundary (all lie below U+2030)
+LINE_BOUNDARIES = [chr(c) for c in range(0x2030) if len(f"a{chr(c)}b".splitlines()) == 2]
+
+
+def test_line_boundaries_cover_the_known_breaks():
+    assert {"\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\u2029"} <= set(LINE_BOUNDARIES)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["a;b", ";", "a\r\nb", "trailing\n"] + [f"a{c}b" for c in LINE_BOUNDARIES],
+)
+def test_emit_rejects_payloads_a_trace_cannot_read_back(payload):
+    ctx = InteractionContext()
+    with pytest.raises(ValueError, match="holds ';' or a line break"):
+        emit(ctx, ActionEmission(0, "say", payload))
+    assert ctx.emissions_this_tick == []
+
+
+def test_emit_rejects_actions_outside_the_vocabulary():
+    ctx = InteractionContext()
+    with pytest.raises(ValueError, match="unknown action 'dance' at clock 0"):
+        emit(ctx, ActionEmission(0, "dance"))
+    assert ctx.emissions_this_tick == []
+
+
+def _round_trip(emissions):
+    record = TickRecord(0, "bt", "Running", tuple(emissions), 1, False, True)
+    return flatten_emissions(parse_trace(serialize_trace([record])))
+
+
+@pytest.mark.parametrize("payload", ["a) c] x", "a(b", "x] persons=1 hazard=0 net=1", " emit=[", 7, None])
+def test_accepted_payloads_round_trip(payload):
+    ctx = InteractionContext()
+    emit(ctx, ActionEmission(0, "say", payload))
+    assert _round_trip(ctx.emissions_this_tick) == [("say", "" if payload is None else str(payload))]
+
+
+def test_random_accepted_payloads_round_trip():
+    rng = random.Random(3301)
+    alphabet = "ab ()[]=;\\\t\n\x0c\u2028-"
+    for _ in range(2000):
+        ctx = InteractionContext()
+        for _ in range(rng.randint(1, 3)):
+            payload = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            try:
+                emit(ctx, ActionEmission(0, "say", payload))
+            except ValueError:
+                assert ";" in payload or len(f"a{payload}b".splitlines()) > 1
+        expected = [("say", e.payload) for e in ctx.emissions_this_tick]
+        assert _round_trip(ctx.emissions_this_tick) == expected
