@@ -23,7 +23,7 @@ from .bt import (
 from .dsl import ScenarioScript, parse_scenario, parse_tree, print_tree
 from .errors import ConfigurationError, ParseError, SimError, ValidationError
 from .fsm import State, StateMachine, Timeout, Transition, add_timeout, count_elements, step
-from .groups import GroupCluster, cluster_groups, engaged_group_size, interaction_group_size
+from .groups import GroupCluster, cluster_groups, engaged_group_size, interaction_group_size, someone_in_zone
 from .interaction import (
     ANNOUNCE_TEXT,
     FAREWELL_TEXT,
@@ -71,7 +71,7 @@ __all__ = [
     "compare", "count_elements", "default_catalogue", "emit", "end_tick",
     "engaged_group_size", "flatten_emissions", "greeting_text", "interaction_group_size",
     "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
-    "print_tree", "reset", "run", "serialize_trace", "step",
+    "print_tree", "reset", "run", "serialize_trace", "someone_in_zone", "step",
     "structural_economy_report", "structural_signature", "tick",
     "validate_tree",
 ]

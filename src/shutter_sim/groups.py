@@ -118,6 +118,20 @@ def engaged_group_size(
     return best_size
 
 
+def someone_in_zone(
+    persons: Iterable[PersonObservation],
+    zone_radius: float = DEFAULT_ZONE_RADIUS,
+) -> bool:
+    """Whether anyone stands within ``zone_radius`` of the origin.
+
+    Equal to ``engaged_group_size(persons, d, zone_radius) >= 1`` for every
+    ``d``: a person in the zone makes their own group qualify, and a group
+    qualifies only through such a person.  No grouping is needed, so the cost
+    does not depend on how the crowd stands.
+    """
+    return any(math.hypot(p.x, p.y) <= zone_radius for p in persons)
+
+
 def interaction_group_size(
     clusters: list[GroupCluster],
     persons: Iterable[PersonObservation],

@@ -14,7 +14,7 @@ from . import bt
 from .bt import NodeStatus
 from .errors import ConfigurationError
 from .fsm import State, StateMachine, Transition
-from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, engaged_group_size
+from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, engaged_group_size, someone_in_zone
 from .world import (
     ACTION_HALT,
     ACTION_IDLE,
@@ -133,8 +133,9 @@ def default_catalogue(
         return engaged_group_size(ctx.persons.values(), dist_threshold, zone_radius)
 
     def person_detected(ctx: InteractionContext) -> bool:
-        # the cheap cooldown test first: no perception while cooling down
-        return ctx.clock >= ctx.cooldown_until and group_size(ctx) >= 1
+        # the cheap cooldown test first: no perception while cooling down; and
+        # group_size(ctx) >= 1 exactly when someone is in the zone
+        return ctx.clock >= ctx.cooldown_until and someone_in_zone(ctx.persons.values(), zone_radius)
 
     cat.register_condition("person_detected", person_detected)
     cat.register_condition("no_person", lambda ctx: not person_detected(ctx))

@@ -5,7 +5,13 @@ from __future__ import annotations
 import math
 import random
 
-from shutter_sim import PersonObservation, cluster_groups, engaged_group_size, interaction_group_size
+from shutter_sim import (
+    PersonObservation,
+    cluster_groups,
+    engaged_group_size,
+    interaction_group_size,
+    someone_in_zone,
+)
 
 
 def p(pid, x, y):
@@ -155,3 +161,11 @@ def test_sweep_matches_all_pairs_on_adversarial_rosters():
         engaged = engaged_group_size(persons, dist_threshold, zone_radius)
         assert engaged == reference_engaged_size(persons, dist_threshold, zone_radius)
         assert engaged == interaction_group_size(clusters, persons, zone_radius)
+        assert someone_in_zone(persons, zone_radius) is (engaged >= 1)
+
+
+def test_presence_counts_the_zone_edge_and_nothing_beyond():
+    assert someone_in_zone([p(1, 1.5, 2.0)])  # hypot is exactly 2.5
+    assert not someone_in_zone([p(1, 1.5, 2.0000000000000004)])
+    assert not someone_in_zone([])
+    assert someone_in_zone([p(1, -0.0, 0.0)], 0.0)

@@ -103,6 +103,13 @@ def test_person_detected_ignores_groups_outside_the_zone():
     assert not cat.condition("person_detected")(ctx)
 
 
+def test_person_detected_uses_the_catalogue_zone_radius():
+    ctx = ctx_with_persons((1.2, 1.6))  # 2 m from the robot
+    assert not default_catalogue(zone_radius=1.5).condition("person_detected")(ctx)
+    assert default_catalogue(zone_radius=2.0).condition("person_detected")(ctx)
+    assert default_catalogue(zone_radius=3.0).condition("person_detected")(ctx)
+
+
 def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
     # person_detected tests the cooldown before it looks at the crowd; the
     # answers must be those of clustering the whole crowd, on either side of
