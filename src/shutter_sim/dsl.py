@@ -8,6 +8,10 @@ Scenario files are line oriented::
     # a comment
     @30 person_leave id=1
 
+Spaces and tabs between the tokens of a scenario line are optional, as long as
+two words do not run together (``@5person_appear id=1x=1.0y=2.0`` is valid);
+numbers use the ASCII digits ``0-9`` only.
+
 Tree files are brace structured and whitespace insensitive::
 
     fallback root {
@@ -26,7 +30,9 @@ first offending character; referential problems raise ValidationError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import bt
 from .errors import ParseError, ValidationError
@@ -100,7 +106,7 @@ class _LineScanner:
     def integer(self, what: str) -> int:
         self.skip_spaces()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError(self.line, start + 1, f"expected {what}", expected="integer")
@@ -112,14 +118,14 @@ class _LineScanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             raise ParseError(self.line, start + 1, f"expected {what}", expected="number")
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.pos += 1
             frac = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
             if self.pos == frac:
                 raise ParseError(self.line, self.column, "expected digits after decimal point",
@@ -136,6 +142,24 @@ class _LineScanner:
             raise self.fail("unexpected trailing input", expected="end of line")
 
 
+# One event line, as _LineScanner reads it: spacing between tokens is
+# optional, digits are ASCII, and an event or switch word must not run on into
+# another word character (``person_appearid`` and ``yes7`` are single words).
+_SP = r"[ \t]*"
+_INT = r"([0-9]+)"
+_NUM = r"(-?[0-9]+(?:\.[0-9]+)?)"
+_EVENT_LINE = re.compile(
+    rf"{_SP}@{_SP}{_INT}{_SP}(?:"
+    rf"(person_appear|person_move)(?!\w){_SP}id{_SP}={_SP}{_INT}"
+    rf"{_SP}x{_SP}={_SP}{_NUM}{_SP}y{_SP}={_SP}{_NUM}"
+    rf"|person_leave(?!\w){_SP}id{_SP}={_SP}{_INT}"
+    rf"|button(?!\w){_SP}(yes|no|aux)(?!\w)"
+    rf"|hazard(?!\w){_SP}(on|off)(?!\w)"
+    rf"|network(?!\w){_SP}(down|up)(?!\w)"
+    rf"){_SP}"
+)
+
+
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse and validate a scenario; events come back stably sorted by tick."""
     lines = text.split("\n")
@@ -150,41 +174,58 @@ def parse_scenario(text: str) -> ScenarioScript:
     header.end()
 
     events: list[Event] = []
+    append = events.append
+    match = _EVENT_LINE.fullmatch
     for line_no, raw in enumerate(lines[first + 1:], start=first + 2):
-        scanner = _LineScanner(raw, line_no)
-        scanner.skip_spaces()
-        if scanner.pos >= len(raw) or raw[scanner.pos] == "#":
-            continue
-        scanner.expect_char("@")
-        at_tick = scanner.integer("tick")
-        kind = scanner.choice(tuple(_EVENT_WORDS.split("|")), "event")
-        if kind in ("person_appear", "person_move"):
-            scanner.key("id")
-            pid = scanner.integer("person id")
-            scanner.key("x")
-            x = scanner.floating("x coordinate")
-            scanner.key("y")
-            y = scanner.floating("y coordinate")
-            events.append(Event(at_tick, kind, person_id=pid, x=x, y=y))
-        elif kind == "person_leave":
-            scanner.key("id")
-            pid = scanner.integer("person id")
-            events.append(Event(at_tick, kind, person_id=pid))
-        elif kind == "button":
-            button = scanner.choice(("yes", "no", "aux"), "button")
-            events.append(Event(at_tick, "button_press", button=button))
-        elif kind == "hazard":
-            word = scanner.choice(("on", "off"), "hazard switch")
-            events.append(Event(at_tick, f"hazard_{word}"))
-        else:  # network
-            word = scanner.choice(("down", "up"), "network switch")
-            events.append(Event(at_tick, "network_down" if word == "down" else "network_up"))
-        scanner.end()
+        m = match(raw)
+        if m is None:
+            body = raw.lstrip(" \t")
+            if not body or body[0] == "#":
+                continue
+            _raise_event_error(raw, line_no)
+        tick, moved, pid, x, y, left, button, hazard, network = m.groups()
+        at_tick = int(tick)
+        if moved is not None:
+            append(Event(at_tick, moved, int(pid), float(x), float(y)))
+        elif left is not None:
+            append(Event(at_tick, "person_leave", person_id=int(left)))
+        elif button is not None:
+            append(Event(at_tick, "button_press", button=button))
+        elif hazard is not None:
+            append(Event(at_tick, f"hazard_{hazard}"))
+        else:
+            append(Event(at_tick, f"network_{network}"))
 
     events.sort(key=lambda ev: ev.at_tick)  # stable: file order within a tick
     script = ScenarioScript(name, duration, tuple(events))
     _validate_scenario(script)
     return script
+
+
+def _raise_event_error(raw: str, line_no: int) -> NoReturn:
+    """Walk a line ``_EVENT_LINE`` rejected and raise the located ParseError."""
+    scanner = _LineScanner(raw, line_no)
+    scanner.expect_char("@")
+    scanner.integer("tick")
+    kind = scanner.choice(tuple(_EVENT_WORDS.split("|")), "event")
+    if kind in ("person_appear", "person_move"):
+        scanner.key("id")
+        scanner.integer("person id")
+        scanner.key("x")
+        scanner.floating("x coordinate")
+        scanner.key("y")
+        scanner.floating("y coordinate")
+    elif kind == "person_leave":
+        scanner.key("id")
+        scanner.integer("person id")
+    elif kind == "button":
+        scanner.choice(("yes", "no", "aux"), "button")
+    elif kind == "hazard":
+        scanner.choice(("on", "off"), "hazard switch")
+    else:  # network
+        scanner.choice(("down", "up"), "network switch")
+    scanner.end()
+    raise AssertionError(f"line {line_no}: the scanner accepts a line _EVENT_LINE rejects")
 
 
 def _validate_scenario(script: ScenarioScript) -> None:
@@ -235,10 +276,10 @@ def _tokenize_tree(text: str) -> list[_Token]:
                 i += 1
                 col += 1
             tokens.append(_Token("ident", text[start:i], line, start_col))
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             start = i
             start_col = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
                 col += 1
             tokens.append(_Token("int", text[start:i], line, start_col))

@@ -15,7 +15,15 @@ from . import bt
 from .dsl import ScenarioScript
 from .errors import ValidationError
 from .fsm import StateMachine
-from .world import ACTION_HALT, ACTION_IDLE, ActionEmission, InteractionContext, apply_events, end_tick
+from .world import (
+    ACTION_HALT,
+    ACTION_IDLE,
+    ACTION_PAYLOADS,
+    ActionEmission,
+    InteractionContext,
+    apply_events,
+    end_tick,
+)
 
 PADDING_ACTIONS = frozenset({ACTION_IDLE, ACTION_HALT})
 
@@ -90,7 +98,11 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
 
 
 def parse_trace(text: str) -> list[TickRecord]:
-    """Read a serialized trace back; payloads come back as strings."""
+    """Read a serialized trace back, each payload typed as ``ACTION_PAYLOADS`` declares.
+
+    An action outside that table, or one declared without a payload, reads back
+    its payload text, or None when the text is empty.
+    """
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -107,8 +119,7 @@ def parse_trace(text: str) -> list[TickRecord]:
                     action, _, payload = item.partition("(")
                     if not payload.endswith(")"):
                         raise ValueError("unterminated emission")
-                    payload = payload[:-1]
-                    emissions.append(ActionEmission(tick, action, payload if payload else None))
+                    emissions.append(ActionEmission(tick, action, _read_payload(action, payload[:-1])))
             records.append(TickRecord(
                 tick=tick,
                 controller=_field(ctl_part, "ctl"),
@@ -121,6 +132,18 @@ def parse_trace(text: str) -> list[TickRecord]:
         except ValueError as exc:
             raise ValidationError(f"bad trace line {line_no}: {exc}") from None
     return records
+
+
+def _read_payload(action: str, text: str) -> str | int | None:
+    declared = ACTION_PAYLOADS.get(action)
+    if declared is str:
+        return text
+    if declared is int:
+        value = int(text)
+        if str(value) != text:
+            raise ValueError(f"{action} payload {text!r} is not an integer")
+        return value
+    return text or None
 
 
 def _field(part: str, key: str) -> str:

@@ -19,7 +19,14 @@ ACTION_TAKE_PHOTO = "take_photo"
 ACTION_SHOW_PHOTO = "show_photo"
 ACTION_HALT = "halt_motion_hold"
 ACTION_IDLE = "idle"
-ACTIONS = frozenset({ACTION_SAY, ACTION_TAKE_PHOTO, ACTION_SHOW_PHOTO, ACTION_HALT, ACTION_IDLE})
+# The payload type each action carries; None means it carries no payload.
+ACTION_PAYLOADS: dict[str, type | None] = {
+    ACTION_SAY: str,
+    ACTION_TAKE_PHOTO: int,
+    ACTION_SHOW_PHOTO: int,
+    ACTION_HALT: None,
+    ACTION_IDLE: None,
+}
 
 BUTTONS = ("yes", "no", "aux")
 
@@ -118,14 +125,20 @@ def _require_position(ev: Event) -> None:
 def emit(ctx: InteractionContext, emission: ActionEmission) -> InteractionContext:
     """Record one emission; its tick must match the current clock.
 
-    The action must be in ``ACTIONS``.  A text payload may hold no ``;`` and no
-    line boundary, so that the serialized trace reads back (``sim.parse_trace``).
+    The action must be in ``ACTION_PAYLOADS`` and its payload of exactly the
+    declared type (a ``bool`` is not an ``int``).  A text payload may hold no
+    ``;`` and no line boundary, so that the serialized trace reads back
+    (``sim.parse_trace``).
     """
     if emission.tick != ctx.clock:
         raise ValueError(f"emission stamped tick {emission.tick} at clock {ctx.clock}")
-    if emission.action not in ACTIONS:
+    if emission.action not in ACTION_PAYLOADS:
         raise ValueError(f"unknown action {emission.action!r} at clock {ctx.clock}")
     payload = emission.payload
+    declared = ACTION_PAYLOADS[emission.action]
+    if type(payload) is not (type(None) if declared is None else declared):
+        wanted = "no payload" if declared is None else f"a {declared.__name__} payload"
+        raise ValueError(f"{emission.action} takes {wanted}, got {payload!r}")
     if isinstance(payload, str) and (";" in payload or payload.splitlines() not in ([], [payload])):
         raise ValueError(f"payload {payload!r} of {emission.action} holds ';' or a line break")
     ctx.emissions_this_tick.append(emission)

@@ -111,6 +111,31 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,located", [
+    ("scenario s ticks \u00b2\n", "line 1, column 18: expected tick count"),
+    ("scenario s ticks 5\n@\u00b2 button yes\n", "line 2, column 2: expected tick"),
+    ("scenario s ticks 5\n@0 person_appear id=1 x=1.\u00b2 y=0.0\n",
+     "line 2, column 27: expected digits after decimal point"),
+    ("scenario s ticks 5\n@0 person_appear id=\u0663 x=1.0 y=0.0\n",
+     "line 2, column 21: expected person id"),
+], ids=["header-tick", "event-tick", "fraction", "arabic-indic-id"])
+def test_non_ascii_digits_in_a_scenario_exit_2_with_a_location(tmp_path, capsys, text, located):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {located}")
+
+
+@pytest.mark.parametrize("duration,column", [("\u00b2", 19), ("1\u0663", 20)],
+                         ids=["superscript", "arabic-indic"])
+def test_non_ascii_digits_in_a_tree_exit_2_with_a_location(tmp_path, capsys, duration, column):
+    bad = tmp_path / "bad.tree"
+    bad.write_text(f"sequence s {{\n  action idle dur={duration}\n}}\n", encoding="utf-8")
+    assert main(["check", "--scenario", SOLO, "--tree", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: line 2, column {column}: unexpected character {duration[-1]!r}")
+
+
 def test_compare_equivalent_traces(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     main(["run", "--controller", "bt", "--scenario", SOLO, "--out", str(a)])

@@ -20,7 +20,7 @@ from shutter_sim import (
     structural_signature,
 )
 
-from conftest import SCENARIO_DIR, TREE_FILE
+from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE
 
 
 # --- scenario format ------------------------------------------------------------
@@ -106,6 +106,72 @@ def test_scenario_syntax_errors_carry_position_and_expectation():
         parse_scenario("scenario s ticks 10\n@2 person_appear id=1 y=0.0 x=0.0\n")
     assert err.value.line == 2
     assert err.value.expected == "x"
+
+
+_EVENT_WORDS = "person_appear|person_move|person_leave|button|hazard|network"
+_NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
+
+# (line, column, message, expected) of every file in tests/data/malformed/
+MALFORMED_FILES = {
+    "bad_button.scn": (3, 11, "unknown button 'maybe'", "yes|no|aux"),
+    "bad_duration.tree": (2, 19, "expected a duration", "integer"),
+    "bad_float.scn": (2, 25, "expected x coordinate", "number"),
+    "bad_header.scn": (1, 1, "expected 'scenario', got 'scene'", "scenario"),
+    "bad_key.scn": (2, 23, "expected 'x', got 'z'", "x"),
+    "bad_tick.scn": (2, 2, "expected tick", "integer"),
+    "empty_composite.tree": (2, 1, "composite requires at least one child", _NODE_WORDS),
+    "guard_no_parens.tree": (1, 7, "expected '('", "("),
+    "missing_at.scn": (2, 1, "expected '@'", "@"),
+    "missing_ticks.scn": (1, 12, "expected keyword 'ticks'", "identifier"),
+    "trailing_junk.scn": (2, 14, "unexpected trailing input", "end of line"),
+    "two_roots.tree": (4, 1, "unexpected input after tree", "end of input"),
+    "unknown_event.scn": (2, 4, "unknown event 'person_dance'", _EVENT_WORDS),
+}
+
+
+def test_the_malformed_table_covers_every_file():
+    assert sorted(MALFORMED_FILES) == sorted(p.name for p in MALFORMED_DIR.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_files_fail_at_a_pinned_location(name):
+    path = MALFORMED_DIR / name
+    parse = parse_scenario if path.suffix == ".scn" else parse_tree
+    with pytest.raises(ParseError) as err:
+        parse(path.read_text(encoding="utf-8"))
+    e = err.value
+    assert (e.line, e.column, e.message, e.expected) == MALFORMED_FILES[name]
+
+
+# event-line defects, each on line 2 after a valid header
+EVENT_LINE_DEFECTS = [
+    ("@5 person_appearid=1 x=1.0 y=2.0", 4, "unknown event 'person_appearid'", _EVENT_WORDS),
+    ("@5 button yes7", 11, "unknown button 'yes7'", "yes|no|aux"),
+    ("@5 person_appear id=1 x=1. y=2.0", 27, "expected digits after decimal point", "digit"),
+    ("@5 person_appear id=1 x=1.0.5 y=2.0", 28, "expected keyword 'y'", "identifier"),
+    ("@5 person_leave id=1a", 21, "unexpected trailing input", "end of line"),
+    ("@5 person_leave idx=1", 17, "expected 'id', got 'idx'", "id"),
+    ("@5 person_leave idx=", 17, "expected 'id', got 'idx'", "id"),
+    ("@5 person_leave id=", 20, "expected person id", "integer"),
+    ("@5 person_move id=1 x=1.0 y=", 29, "expected y coordinate", "number"),
+    ("@5 person_appear id=1 x=- y=0", 25, "expected x coordinate", "number"),
+    ("5 button yes", 1, "expected '@'", "@"),
+    ("@5 hazard on extra", 14, "unexpected trailing input", "end of line"),
+    ("@5 button yes # c", 15, "unexpected trailing input", "end of line"),
+    ("@5\tbutton\tmaybe", 11, "unknown button 'maybe'", "yes|no|aux"),
+    ("\t@5 hazard on\tmore", 15, "unexpected trailing input", "end of line"),
+    ("@ 5", 4, "expected event", "identifier"),
+    ("@5 hazard", 10, "expected hazard switch", "identifier"),
+    ("@5 network sideways", 12, "unknown network switch 'sideways'", "down|up"),
+]
+
+
+@pytest.mark.parametrize("line,column,message,expected", EVENT_LINE_DEFECTS)
+def test_event_line_defects_fail_at_a_pinned_location(line, column, message, expected):
+    with pytest.raises(ParseError) as err:
+        parse_scenario("scenario s ticks 10\n" + line + "\n")
+    e = err.value
+    assert (e.line, e.column, e.message, e.expected) == (2, column, message, expected)
 
 
 # --- tree format ------------------------------------------------------------------

@@ -77,6 +77,30 @@ def test_trace_round_trip_is_stable():
     assert serialize_trace(parse_trace(text)) == text
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
+def test_trace_records_round_trip_with_typed_payloads(name):
+    scenario = parse_scenario((SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8"))
+    controllers = [build_photographer_bt()] + [
+        build_photographer_fsm(mode) for mode in ("none", "transitions", "timeouts")
+    ]
+    for controller in controllers:
+        records = run(controller, scenario)
+        assert parse_trace(serialize_trace(records)) == records
+
+
+def test_parse_trace_restores_int_payloads():
+    records = [record(3, ("take_photo", 1), ("show_photo", 12), ("say", "1"), ("say", ""), ("idle", None))]
+    parsed = parse_trace(serialize_trace(records))
+    assert parsed == records
+    assert [type(e.payload) for e in parsed[0].emissions] == [int, int, str, str, type(None)]
+
+
+@pytest.mark.parametrize("emitted", ["take_photo()", "take_photo(x)", "show_photo(01)", "show_photo(+1)"])
+def test_parse_trace_rejects_a_malformed_int_payload(emitted):
+    with pytest.raises(ValidationError, match="bad trace line 1"):
+        parse_trace(f"tick=0 ctl=bt status=Running emit=[{emitted}] persons=0 hazard=0 net=1\n")
+
+
 def test_parse_trace_reports_the_bad_line():
     good = "tick=0 ctl=bt status=Success emit=[] persons=0 hazard=0 net=1\n"
     with pytest.raises(ValidationError, match="bad trace line 2"):

@@ -17,7 +17,7 @@ from shutter_sim import (
     parse_trace,
     serialize_trace,
 )
-from shutter_sim.world import apply_events, emit, end_tick
+from shutter_sim.world import ACTION_PAYLOADS, apply_events, emit, end_tick
 
 
 def test_person_events_update_the_roster():
@@ -126,11 +126,33 @@ def _round_trip(emissions):
     return flatten_emissions(parse_trace(serialize_trace([record])))
 
 
+# an action that takes each payload type
+ACTION_FOR = {str: "say", int: "take_photo", type(None): "idle"}
+
+
 @pytest.mark.parametrize("payload", ["a) c] x", "a(b", "x] persons=1 hazard=0 net=1", " emit=[", 7, None])
 def test_accepted_payloads_round_trip(payload):
     ctx = InteractionContext()
-    emit(ctx, ActionEmission(0, "say", payload))
-    assert _round_trip(ctx.emissions_this_tick) == [("say", "" if payload is None else str(payload))]
+    emit(ctx, ActionEmission(0, ACTION_FOR[type(payload)], payload))
+    record = TickRecord(0, "bt", "Running", tuple(ctx.emissions_this_tick), 1, False, True)
+    assert parse_trace(serialize_trace([record])) == [record]
+
+
+@pytest.mark.parametrize("action,payload", [
+    ("say", 7), ("say", None), ("take_photo", "1"), ("take_photo", True), ("show_photo", 1.0),
+    ("show_photo", None), ("idle", "x"), ("idle", 0), ("halt_motion_hold", ""),
+])
+def test_emit_rejects_a_payload_of_the_wrong_type(action, payload):
+    ctx = InteractionContext()
+    with pytest.raises(ValueError, match=f"^{action} takes "):
+        emit(ctx, ActionEmission(0, action, payload))
+    assert ctx.emissions_this_tick == []
+
+
+def test_every_action_declares_its_payload_type():
+    assert ACTION_PAYLOADS == {
+        "say": str, "take_photo": int, "show_photo": int, "idle": None, "halt_motion_hold": None,
+    }
 
 
 def test_random_accepted_payloads_round_trip():
