@@ -15,14 +15,13 @@ from .bt import (
     Parallel,
     Sequence,
     node_count,
-    reset,
     structural_signature,
     tick,
     validate_tree,
 )
 from .dsl import ScenarioScript, parse_scenario, parse_tree, print_tree
 from .errors import ConfigurationError, ParseError, SimError, ValidationError
-from .fsm import State, StateMachine, Timeout, Transition, add_timeout, count_elements, step
+from .fsm import State, StateMachine, Timeout, Transition
 from .groups import GroupCluster, cluster_groups, engaged_group_size, interaction_group_size, someone_in_zone
 from .interaction import (
     ANNOUNCE_TEXT,
@@ -52,7 +51,6 @@ from .world import (
     Event,
     InteractionContext,
     PersonObservation,
-    apply_events,
     emit,
     end_tick,
 )
@@ -66,12 +64,12 @@ __all__ = [
     "InteractionContext", "Node", "NodeStatus", "PRAISE_TEXTS",
     "Parallel", "ParseError", "PersonObservation", "ScenarioScript",
     "Sequence", "SimError", "State", "StateMachine", "TickRecord", "Timeout",
-    "Transition", "ValidationError", "add_timeout", "apply_events",
+    "Transition", "ValidationError",
     "build_photographer_bt", "build_photographer_fsm", "cluster_groups",
-    "compare", "count_elements", "default_catalogue", "emit", "end_tick",
+    "compare", "default_catalogue", "emit", "end_tick",
     "engaged_group_size", "flatten_emissions", "greeting_text", "interaction_group_size",
     "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
-    "print_tree", "reset", "run", "serialize_trace", "someone_in_zone", "step",
+    "print_tree", "run", "serialize_trace", "someone_in_zone",
     "structural_economy_report", "structural_signature", "tick",
     "validate_tree",
 ]

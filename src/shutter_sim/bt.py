@@ -66,74 +66,68 @@ class Node:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class Sequence(Node):
+class _Chain(Node):
+    """Ticks children left to right until one breaks the chain.
+
+    A child breaks the chain by returning ``stop_on`` or Running, and the
+    chain returns that status; when no child breaks it, the chain returns
+    ``otherwise``.
+    """
+
+    stop_on: NodeStatus
+    otherwise: NodeStatus
+
+    def __init__(self, name: str, children: list[Node], memory: bool = False):
+        super().__init__(name, children)
+        self.memory = memory
+        self.resume_index = 0
+        self.last_running: int | None = None
+
+    def _tick(self, ctx: InteractionContext) -> NodeStatus:
+        start = self.resume_index if self.memory else 0
+        running_child: int | None = None
+        for i in range(start, len(self.children)):
+            status = self.children[i].tick(ctx)
+            if status is NodeStatus.RUNNING:
+                running_child = i
+                break
+            if status is self.stop_on:
+                break
+        else:
+            status = self.otherwise
+
+        prev = self.last_running
+        if status is NodeStatus.RUNNING:
+            if prev is not None and prev != running_child:
+                self.children[prev].reset()
+            self.last_running = running_child
+        else:
+            if prev is not None:
+                self.children[prev].reset()
+            self.last_running = None
+        if self.memory:
+            self.resume_index = running_child if status is NodeStatus.RUNNING else 0
+        return status
+
+    def _reset_self(self) -> None:
+        self.resume_index = 0
+        self.last_running = None
+
+
+class Sequence(_Chain):
     """Ticks children left to right; fails fast, succeeds when all succeed."""
 
     kind = "sequence"
-
-    def __init__(self, name: str, children: list[Node], memory: bool = False):
-        super().__init__(name, children)
-        self.memory = memory
-        self.resume_index = 0
-        self.last_running: int | None = None
-
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        return _tick_chain(self, ctx, stop_on=NodeStatus.FAILURE, otherwise=NodeStatus.SUCCESS)
-
-    def _reset_self(self) -> None:
-        self.resume_index = 0
-        self.last_running = None
+    stop_on = NodeStatus.FAILURE
+    otherwise = NodeStatus.SUCCESS
 
 
-class Fallback(Node):
+class Fallback(_Chain):
     """Ticks children left to right; succeeds fast, fails when all fail."""
 
     kind = "fallback"
-
-    def __init__(self, name: str, children: list[Node], memory: bool = False):
-        super().__init__(name, children)
-        self.memory = memory
-        self.resume_index = 0
-        self.last_running: int | None = None
-
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        return _tick_chain(self, ctx, stop_on=NodeStatus.SUCCESS, otherwise=NodeStatus.FAILURE)
-
-    def _reset_self(self) -> None:
-        self.resume_index = 0
-        self.last_running = None
-
-
-def _tick_chain(
-    node: Sequence | Fallback,
-    ctx: InteractionContext,
-    stop_on: NodeStatus,
-    otherwise: NodeStatus,
-) -> NodeStatus:
-    start = node.resume_index if node.memory else 0
-    status = otherwise
-    running_child: int | None = None
-    for i in range(start, len(node.children)):
-        child_status = node.children[i].tick(ctx)
-        if child_status is otherwise:
-            continue
-        status = child_status
-        if child_status is NodeStatus.RUNNING:
-            running_child = i
-        break
-
-    prev = node.last_running
-    if status is NodeStatus.RUNNING:
-        if prev is not None and prev != running_child:
-            node.children[prev].reset()
-        node.last_running = running_child
-    else:
-        if prev is not None:
-            node.children[prev].reset()
-        node.last_running = None
-    if node.memory:
-        node.resume_index = running_child if status is NodeStatus.RUNNING else 0
-    return status
+    stop_on = NodeStatus.SUCCESS
+    otherwise = NodeStatus.FAILURE
 
 
 class Parallel(Node):
@@ -261,10 +255,6 @@ def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
     return root.tick(ctx)
 
 
-def reset(node: Node) -> None:
-    node.reset()
-
-
 def validate_tree(root: Node, catalogue) -> Node:
     """Check structure, assign node ids, and resolve names against a catalogue.
 
@@ -273,16 +263,11 @@ def validate_tree(root: Node, catalogue) -> Node:
     missing: list[str] = []
     for node_id, node in enumerate(root.iter_nodes()):
         node.node_id = node_id
-        if isinstance(node, (Sequence, Fallback, Parallel)) and not node.children:
+        if isinstance(node, (_Chain, Parallel)) and not node.children:
             raise ConfigurationError(f"composite {node.name!r} must have at least one child")
-        if isinstance(node, Guard):
-            if len(node.children) != 1:
-                raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
-            if catalogue.has_condition(node.condition_name):
-                node._predicate = catalogue.condition(node.condition_name)
-            else:
-                missing.append(f"condition {node.condition_name!r}")
-        if isinstance(node, Condition):
+        if isinstance(node, Guard) and len(node.children) != 1:
+            raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
+        if isinstance(node, (Guard, Condition)):
             if catalogue.has_condition(node.condition_name):
                 node._predicate = catalogue.condition(node.condition_name)
             else:

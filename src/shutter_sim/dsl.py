@@ -32,23 +32,70 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import NoReturn
 
 from . import bt
 from .errors import ParseError, ValidationError
-from .world import Event
+from .world import BUTTONS, Event
 
 _EVENT_WORDS = "person_appear|person_move|person_leave|button|hazard|network"
+_SWITCH_KINDS = ("hazard_on", "hazard_off", "network_down", "network_up")
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
+# Python's default limit for converting a digit string to int; a longer run
+# of digits is a located syntax error instead of a ValueError from int().
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """A named, fixed-duration stimulus timeline, events sorted by tick."""
+    """A named, fixed-duration stimulus timeline, events sorted by tick.
+
+    Construction checks every rule a run relies on, however the script was
+    made, and raises ValidationError on the first event that breaks one: a
+    positive duration; ticks in ``0..duration-1`` and in order; a known kind
+    and a button from ``world.BUTTONS``; finite coordinates on every
+    appearance and move; and a roster where a person appears only while absent
+    and moves or leaves only while present.  ``world.apply_events`` relies on
+    this and checks nothing.
+    """
 
     name: str
     duration: int
     events: tuple[Event, ...]
+
+    def __post_init__(self) -> None:
+        duration = self.duration
+        if duration < 1:
+            raise ValidationError(f"scenario {self.name!r} needs a positive duration")
+        present: set[int] = set()
+        last = 0
+        for ev in self.events:
+            tick, kind, pid = ev.at_tick, ev.kind, ev.person_id
+            if tick >= duration:
+                raise ValidationError(f"event at {tick} beyond duration {duration}")
+            if tick < last:
+                where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
+                raise ValidationError(f"event at {tick} {where}")
+            last = tick
+            if kind == "person_appear":
+                if pid in present:
+                    raise ValidationError(f"person {pid} already present at tick {tick}")
+                present.add(pid)
+            elif kind == "person_move" or kind == "person_leave":
+                if pid not in present:
+                    raise ValidationError(f"unknown person {pid} at tick {tick}")
+                if kind == "person_leave":
+                    present.remove(pid)
+            elif kind == "button_press":
+                if ev.button not in BUTTONS:
+                    raise ValidationError(f"unknown button {ev.button!r} at tick {tick}")
+            elif kind not in _SWITCH_KINDS:
+                raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
+            if (kind == "person_appear" or kind == "person_move") and (
+                ev.x is None or ev.y is None or not (isfinite(ev.x) and isfinite(ev.y))
+            ):
+                raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
 
 
 # --- scenario format ---------------------------------------------------------
@@ -110,6 +157,9 @@ class _LineScanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(self.line, start + 1, f"expected {what}", expected="integer")
+        if self.pos - start > _MAX_DIGITS:
+            raise ParseError(self.line, start + 1, f"{what} too long",
+                             expected=f"at most {_MAX_DIGITS} digits")
         return int(self.text[start:self.pos])
 
     def floating(self, what: str) -> float:
@@ -146,7 +196,7 @@ class _LineScanner:
 # optional, digits are ASCII, and an event or switch word must not run on into
 # another word character (``person_appearid`` and ``yes7`` are single words).
 _SP = r"[ \t]*"
-_INT = r"([0-9]+)"
+_INT = rf"([0-9]{{1,{_MAX_DIGITS}}})"
 _NUM = r"(-?[0-9]+(?:\.[0-9]+)?)"
 _EVENT_LINE = re.compile(
     rf"{_SP}@{_SP}{_INT}{_SP}(?:"
@@ -197,9 +247,7 @@ def parse_scenario(text: str) -> ScenarioScript:
             append(Event(at_tick, f"network_{network}"))
 
     events.sort(key=lambda ev: ev.at_tick)  # stable: file order within a tick
-    script = ScenarioScript(name, duration, tuple(events))
-    _validate_scenario(script)
-    return script
+    return ScenarioScript(name, duration, tuple(events))
 
 
 def _raise_event_error(raw: str, line_no: int) -> NoReturn:
@@ -226,24 +274,6 @@ def _raise_event_error(raw: str, line_no: int) -> NoReturn:
         scanner.choice(("down", "up"), "network switch")
     scanner.end()
     raise AssertionError(f"line {line_no}: the scanner accepts a line _EVENT_LINE rejects")
-
-
-def _validate_scenario(script: ScenarioScript) -> None:
-    if script.duration < 1:
-        raise ValidationError(f"scenario {script.name!r} needs a positive duration")
-    present: set[int] = set()
-    for ev in script.events:
-        if ev.at_tick >= script.duration:
-            raise ValidationError(f"event at {ev.at_tick} beyond duration {script.duration}")
-        if ev.kind == "person_appear":
-            if ev.person_id in present:
-                raise ValidationError(f"person {ev.person_id} already present at tick {ev.at_tick}")
-            present.add(ev.person_id)
-        elif ev.kind in ("person_move", "person_leave"):
-            if ev.person_id not in present:
-                raise ValidationError(f"unknown person {ev.person_id} at tick {ev.at_tick}")
-            if ev.kind == "person_leave":
-                present.discard(ev.person_id)
 
 
 # --- tree format -------------------------------------------------------------
@@ -282,6 +312,9 @@ def _tokenize_tree(text: str) -> list[_Token]:
             while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
                 col += 1
+            if i - start > _MAX_DIGITS:
+                raise ParseError(line, start_col, "number too long",
+                                 expected=f"at most {_MAX_DIGITS} digits")
             tokens.append(_Token("int", text[start:i], line, start_col))
         else:
             raise ParseError(line, col, f"unexpected character {ch!r}", expected=_NODE_WORDS)

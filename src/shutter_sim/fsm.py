@@ -113,7 +113,7 @@ class StateMachine:
             raise ConfigurationError("timeout after_ticks must be positive")
         self.timeouts[state] = Timeout(state, after_ticks, target)
 
-    def step(self, ctx: InteractionContext) -> StateMachine:
+    def step(self, ctx: InteractionContext) -> None:
         """Advance one tick: fire the first eligible transition or run on_tick."""
         for tr in self._outgoing[self.current]:
             if tr.require_origin is not None and self.return_slot != tr.require_origin:
@@ -122,16 +122,15 @@ class StateMachine:
                 if tr.record_origin:
                     self.return_slot = self.current
                 self._enter(tr.target, ctx)
-                return self
+                return
         self.ticks_in_state += 1
         timeout = self.timeouts.get(self.current)
         if timeout is not None and self.ticks_in_state >= timeout.after_ticks:
             self._enter(timeout.target, ctx)
-            return self
+            return
         state = self.states[self.current]
         if state.on_tick is not None:
             self._run(state.on_tick, ctx, self.ticks_in_state)
-        return self
 
     def _enter(self, target: str, ctx: InteractionContext) -> None:
         self.current = target
@@ -156,15 +155,3 @@ class StateMachine:
             "n_transitions": len(self.transitions),
             "n_timeouts": len(self.timeouts),
         }
-
-
-def step(machine: StateMachine, ctx: InteractionContext) -> StateMachine:
-    return machine.step(ctx)
-
-
-def add_timeout(machine: StateMachine, state: str, after_ticks: int, target: str) -> None:
-    machine.add_timeout(state, after_ticks, target)
-
-
-def count_elements(machine: StateMachine) -> dict[str, int]:
-    return machine.count_elements()

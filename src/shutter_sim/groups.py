@@ -10,7 +10,7 @@ as large, and ``hypot(u, v) >= |u|``, so no pruned pair could have linked.
 (A grid of ``dist_threshold``-wide cells is not exact: it bins by
 ``floor(x / d)``, and ``(-1e-17, 0)`` and ``(1.5, 0)`` fall two cells apart
 although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
-``world.apply_events`` enforces.
+``dsl.ScenarioScript`` checks.
 """
 
 from __future__ import annotations

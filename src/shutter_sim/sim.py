@@ -76,7 +76,7 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
         persons = len(ctx.persons)
         hazard = ctx.hazard_hand_near_arm
         network = ctx.network_ok
-        ctx, emissions = end_tick(ctx)
+        emissions = end_tick(ctx)
         records.append(TickRecord(t, label, status, tuple(emissions), persons, hazard, network))
     return records
 

@@ -136,6 +136,41 @@ def test_non_ascii_digits_in_a_tree_exit_2_with_a_location(tmp_path, capsys, dur
         f"error: line 2, column {column}: unexpected character {duration[-1]!r}")
 
 
+LONG = "1" * 5000  # past Python's 4300-digit limit for int strings
+
+
+@pytest.mark.parametrize("text,located", [
+    (f"scenario s ticks {LONG}\n", "line 1, column 18: tick count too long"),
+    (f"scenario s ticks 5\n@{LONG} button yes\n", "line 2, column 2: tick too long"),
+    (f"scenario s ticks 5\n@0 person_leave id={LONG}\n", "line 2, column 20: person id too long"),
+    (f"scenario s ticks 5\n@{LONG} dance\n", "line 2, column 2: tick too long"),
+], ids=["header-tick", "event-tick", "person-id", "tick-of-a-bad-line"])
+def test_overlong_digit_runs_in_a_scenario_exit_2_with_a_location(tmp_path, capsys, text, located):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {located} (expected at most 4300 digits)\n"
+
+
+def test_an_overlong_tree_duration_exits_2_with_a_location(tmp_path, capsys):
+    bad = tmp_path / "bad.tree"
+    bad.write_text(f"sequence s {{\n  action idle dur={LONG}\n}}\n", encoding="utf-8")
+    assert main(["check", "--scenario", SOLO, "--tree", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2, column 19: number too long (expected at most 4300 digits)\n")
+
+
+@pytest.mark.parametrize("command", [["check"], ["run", "--controller", "bt"]])
+def test_an_overflowing_coordinate_exits_2(tmp_path, capsys, command):
+    # a 401-digit literal reads as float('inf')
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"scenario s ticks 5\n@0 person_appear id=1 x=1{'0' * 400} y=0.0\n",
+                   encoding="utf-8")
+    assert main([*command, "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: event person_appear at tick 0 needs finite coordinates\n")
+
+
 def test_compare_equivalent_traces(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     main(["run", "--controller", "bt", "--scenario", SOLO, "--out", str(a)])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from shutter_sim import ConfigurationError, InteractionContext, State, StateMachine, Transition
-from shutter_sim import fsm
 
 from conftest import LeafScript
 
@@ -201,11 +200,11 @@ def test_reset_returns_to_the_initial_state():
     assert (m.current, m.ticks_in_state, m.return_slot) == ("A", 0, None)
 
 
-def test_count_elements_and_module_wrappers():
+def test_count_elements_after_add_timeout_and_step():
     script = LeafScript()
     m = simple(script)
-    fsm.add_timeout(m, "C", 5, "A")
-    assert fsm.count_elements(m) == {"n_states": 3, "n_transitions": 3, "n_timeouts": 1}
+    m.add_timeout("C", 5, "A")
+    assert m.count_elements() == {"n_states": 3, "n_transitions": 3, "n_timeouts": 1}
     script.flags[:2] = [False, False]
-    fsm.step(m, InteractionContext())
+    m.step(InteractionContext())
     assert m.ticks_in_state == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
+import shutter_sim
 from shutter_sim import (
     ActionEmission,
     Divergence,
@@ -147,3 +150,11 @@ def test_run_starts_every_invocation_fresh():
 
     machine = build_photographer_fsm()
     assert serialize_trace(run(machine, scenario)) == serialize_trace(run(machine, scenario))
+
+
+def test_the_package_exports_its_public_names_and_no_removed_wrappers():
+    public = [name for name, value in vars(shutter_sim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(shutter_sim.__all__) == sorted(public)
+    removed = {"step", "add_timeout", "count_elements", "reset", "apply_events"}
+    assert removed.isdisjoint(shutter_sim.__all__)

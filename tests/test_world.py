@@ -11,6 +11,7 @@ from shutter_sim import (
     ActionEmission,
     Event,
     InteractionContext,
+    ScenarioScript,
     TickRecord,
     ValidationError,
     flatten_emissions,
@@ -30,31 +31,32 @@ def test_person_events_update_the_roster():
     assert ctx.persons == {}
 
 
+def _appear(pid, x=0.0, y=0.0):
+    return Event(0, "person_appear", person_id=pid, x=x, y=y)
+
+
 def test_duplicate_appearance_is_rejected():
-    ctx = InteractionContext()
-    apply_events(ctx, [Event(0, "person_appear", person_id=7, x=0.0, y=0.0)])
     with pytest.raises(ValidationError, match="person 7 already present at tick 0"):
-        apply_events(ctx, [Event(0, "person_appear", person_id=7, x=1.0, y=1.0)])
+        ScenarioScript("s", 5, (_appear(7), _appear(7, x=1.0, y=1.0)))
 
 
 @pytest.mark.parametrize("kind", ["person_move", "person_leave"])
 def test_unknown_person_is_rejected(kind):
-    ctx = InteractionContext()
     with pytest.raises(ValidationError, match="unknown person 9 at tick 0"):
-        apply_events(ctx, [Event(0, kind, person_id=9, x=0.0, y=0.0)])
+        ScenarioScript("s", 5, (Event(0, kind, person_id=9, x=0.0, y=0.0),))
 
 
-def test_event_tick_must_match_the_clock():
-    ctx = InteractionContext()
-    with pytest.raises(ValidationError, match="at tick 3 applied at clock 0"):
-        apply_events(ctx, [Event(3, "hazard_on")])
+def test_event_ticks_must_be_in_order_and_not_negative():
+    with pytest.raises(ValidationError, match="event at 3 out of order after tick 5"):
+        ScenarioScript("s", 10, (Event(5, "hazard_on"), Event(3, "hazard_off")))
+    with pytest.raises(ValidationError, match="event at -1 before tick 0"):
+        ScenarioScript("s", 10, (Event(-1, "hazard_on"),))
 
 
 @pytest.mark.parametrize("coord", [math.inf, math.nan, None])
 def test_positions_must_be_finite(coord):
-    ctx = InteractionContext()
     with pytest.raises(ValidationError, match="finite coordinates"):
-        apply_events(ctx, [Event(0, "person_appear", person_id=1, x=coord, y=0.0)])
+        ScenarioScript("s", 5, (_appear(1, x=coord),))
 
 
 def test_button_presses_last_one_tick():
@@ -66,9 +68,8 @@ def test_button_presses_last_one_tick():
 
 
 def test_unknown_button_is_rejected():
-    ctx = InteractionContext()
     with pytest.raises(ValidationError, match="unknown button 'maybe'"):
-        apply_events(ctx, [Event(0, "button_press", button="maybe")])
+        ScenarioScript("s", 5, (Event(0, "button_press", button="maybe"),))
 
 
 def test_hazard_and_network_toggles():
@@ -83,7 +84,7 @@ def test_hazard_and_network_toggles():
 def test_end_tick_flushes_and_advances():
     ctx = InteractionContext()
     emit(ctx, ActionEmission(0, "say", "hello"))
-    ctx, flushed = end_tick(ctx)
+    flushed = end_tick(ctx)
     assert flushed == [ActionEmission(0, "say", "hello")]
     assert ctx.emissions_this_tick == []
     assert ctx.clock == 1
