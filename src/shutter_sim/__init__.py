@@ -22,7 +22,7 @@ from .bt import (
 from .dsl import ScenarioScript, parse_scenario, parse_tree, print_tree
 from .errors import ConfigurationError, ParseError, SimError, ValidationError
 from .fsm import State, StateMachine, Timeout, Transition
-from .groups import GroupCluster, cluster_groups, engaged_group_size, interaction_group_size, someone_in_zone
+from .groups import engaged_group_size, someone_in_zone
 from .interaction import (
     ANNOUNCE_TEXT,
     FAREWELL_TEXT,
@@ -60,14 +60,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ANNOUNCE_TEXT", "Action", "ActionEmission", "Behavior", "Catalogue",
     "Condition", "ConfigurationError", "Divergence", "DivergenceReport",
-    "Event", "FAREWELL_TEXT", "Fallback", "GroupCluster", "Guard",
+    "Event", "FAREWELL_TEXT", "Fallback", "Guard",
     "InteractionContext", "Node", "NodeStatus", "PRAISE_TEXTS",
     "Parallel", "ParseError", "PersonObservation", "ScenarioScript",
     "Sequence", "SimError", "State", "StateMachine", "TickRecord", "Timeout",
     "Transition", "ValidationError",
-    "build_photographer_bt", "build_photographer_fsm", "cluster_groups",
+    "build_photographer_bt", "build_photographer_fsm",
     "compare", "default_catalogue", "emit", "end_tick",
-    "engaged_group_size", "flatten_emissions", "greeting_text", "interaction_group_size",
+    "engaged_group_size", "flatten_emissions", "greeting_text",
     "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
     "print_tree", "run", "serialize_trace", "someone_in_zone",
     "structural_economy_report", "structural_signature", "tick",

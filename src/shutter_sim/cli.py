@@ -40,15 +40,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 input file; a decode error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SimError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_bt(tree_path: str | None) -> bt.Node:
     if tree_path is None:
         return build_photographer_bt()
-    root = parse_tree(Path(tree_path).read_text(encoding="utf-8"))
+    root = parse_tree(_read(tree_path))
     return bt.validate_tree(root, default_catalogue())
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read(args.scenario))
     if args.tree is not None and args.controller == "fsm":
         raise SimError("--tree only applies to the bt controller")
     records = []
@@ -65,8 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    records_a = parse_trace(Path(args.a).read_text(encoding="utf-8"))
-    records_b = parse_trace(Path(args.b).read_text(encoding="utf-8"))
+    records_a = parse_trace(_read(args.a))
+    records_b = parse_trace(_read(args.b))
     report = compare(records_a, records_b)
     if report.equivalent:
         print("equivalent")
@@ -84,7 +92,7 @@ def _show(emission: tuple[str, str] | None) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read(args.scenario))
     print(f"scenario {scenario.name}: {scenario.duration} ticks, {len(scenario.events)} events")
     if args.tree is not None:
         root = _load_bt(args.tree)
@@ -111,10 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         return _cmd_report()
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SimError as exc:
+    except (OSError, SimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ first offending character; referential problems raise ValidationError.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import isfinite
 from typing import NoReturn
@@ -42,9 +43,12 @@ from .world import BUTTONS, Event
 _EVENT_WORDS = "person_appear|person_move|person_leave|button|hazard|network"
 _SWITCH_KINDS = ("hazard_on", "hazard_off", "network_down", "network_up")
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
-# Python's default limit for converting a digit string to int; a longer run
-# of digits is a located syntax error instead of a ValueError from int().
-_MAX_DIGITS = 4300
+# The interpreter's limit for converting a digit string to int (set by
+# PYTHONINTMAXSTRDIGITS or -X int_max_str_digits); a longer run of digits is a
+# located syntax error instead of a ValueError from int().  With the limit off
+# (0), or on a 3.10 patch release that predates it, Python's default of 4300
+# still bounds the run.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 @dataclass(frozen=True)

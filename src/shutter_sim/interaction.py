@@ -43,12 +43,6 @@ DEFAULT_COOLDOWN_TICKS = 10
 PHOTOS_PER_SESSION = 3
 ABANDON_TIMEOUT_TICKS = 15
 
-FSM_STATES = (
-    "Waiting", "Greet", "AskConsent", "AnnouncePhoto",
-    "TakePhoto", "ShowPraise", "Farewell", "HaltMotion",
-)
-
-
 def greeting_text(n: int) -> str:
     """Consent question for a group of n persons; small counts are spelled out."""
     if n < 1:
@@ -211,36 +205,30 @@ def build_photographer_bt(
     abandonment: bool = True,
     hazard_guards: bool = True,
     catalogue: Catalogue | None = None,
-    durations: dict[str, int] | None = None,
 ) -> bt.Node:
     """The photographer tree, validated and ready to tick.
 
     ``abandonment=False`` drops the parallel presence re-check (presence is
     then only tested once, at session start).  ``hazard_guards=False`` drops
-    the hold guards around the arm-motion actions.  ``durations`` overrides
-    catalogue step counts per behavior name.
+    the hold guards around the arm-motion actions.
     """
     cat = catalogue or default_catalogue()
-    durs = durations or {}
-
-    def act(name: str) -> bt.Action:
-        return bt.Action(name, duration=durs.get(name))
 
     def maybe_guarded(label: str, node: bt.Node) -> bt.Node:
         return bt.Guard("no_hazard", label, node) if hazard_guards else node
 
-    wait = bt.Sequence("wait", [bt.Condition("no_person"), act("idle")])
-    consent = bt.Fallback("consent", [act("await_consent"), act("farewell")])
+    wait = bt.Sequence("wait", [bt.Condition("no_person"), bt.Action("idle")])
+    consent = bt.Fallback("consent", [bt.Action("await_consent"), bt.Action("farewell")])
     session = [
-        act("greet"),
+        bt.Action("greet"),
         consent,
-        maybe_guarded("announce_guard", act("announce")),
-        maybe_guarded("photo_guard", act("take_photo")),
-        maybe_guarded("photo_guard", act("take_photo")),
-        maybe_guarded("photo_guard", act("take_photo")),
-        act("show_and_praise"),
-        act("show_and_praise"),
-        act("show_and_praise"),
+        maybe_guarded("announce_guard", bt.Action("announce")),
+        maybe_guarded("photo_guard", bt.Action("take_photo")),
+        maybe_guarded("photo_guard", bt.Action("take_photo")),
+        maybe_guarded("photo_guard", bt.Action("take_photo")),
+        bt.Action("show_and_praise"),
+        bt.Action("show_and_praise"),
+        bt.Action("show_and_praise"),
     ]
     if abandonment:
         main = bt.Sequence("main", session, memory=True)

@@ -1,7 +1,9 @@
-"""Shared test helpers: repository paths and a catalogue of scriptable stub leaves."""
+"""Shared test helpers: repository paths, a catalogue of scriptable stub leaves,
+and an all-pairs reference for the engaged group."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from shutter_sim import Behavior, Catalogue, NodeStatus
@@ -42,3 +44,36 @@ class LeafScript:
             )
         self.catalogue.register_condition("always", lambda ctx: True)
         self.catalogue.register_condition("never", lambda ctx: False)
+
+
+def reference_components(persons, dist_threshold):
+    """All-pairs connected components, each as a set of ids."""
+    remaining = {q.person_id: q for q in persons}
+    components = []
+    while remaining:
+        _, start = remaining.popitem()
+        component, frontier = {start.person_id}, [start]
+        while frontier:
+            a = frontier.pop()
+            linked = [
+                b for b in remaining.values()
+                if math.hypot(a.x - b.x, a.y - b.y) <= dist_threshold
+            ]
+            for b in linked:
+                del remaining[b.person_id]
+                component.add(b.person_id)
+                frontier.append(b)
+        components.append(component)
+    return components
+
+
+def reference_engaged_size(persons, dist_threshold=1.5, zone_radius=2.5):
+    """Size of the component with a member nearest the origin within
+    ``zone_radius``, ties to the smaller minimum id; 0 when none qualifies."""
+    distance = {q.person_id: math.hypot(q.x, q.y) for q in persons}
+    keyed = [
+        ((min(distance[m] for m in comp), min(comp)), len(comp))
+        for comp in reference_components(persons, dist_threshold)
+        if min(distance[m] for m in comp) <= zone_radius
+    ]
+    return min(keyed)[1] if keyed else 0

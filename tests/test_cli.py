@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -158,6 +159,57 @@ def test_an_overlong_tree_duration_exits_2_with_a_location(tmp_path, capsys):
     assert main(["check", "--scenario", SOLO, "--tree", str(bad)]) == 2
     assert capsys.readouterr().err == (
         "error: line 2, column 19: number too long (expected at most 4300 digits)\n")
+
+
+DIGITS_1000 = "1" * 1000
+
+
+@pytest.mark.parametrize("name,text,args,located", [
+    ("bad.scn", f"scenario s ticks {DIGITS_1000}\n", ["--scenario"],
+     "line 1, column 18: tick count too long"),
+    ("bad.scn", f"scenario s ticks 5\n@{DIGITS_1000} button yes\n", ["--scenario"],
+     "line 2, column 2: tick too long"),
+    ("bad.scn", f"scenario s ticks 5\n@0 person_leave id={DIGITS_1000}\n", ["--scenario"],
+     "line 2, column 20: person id too long"),
+    ("bad.tree", f"sequence s {{\n  action idle dur={DIGITS_1000}\n}}\n", ["--scenario", SOLO, "--tree"],
+     "line 2, column 19: number too long"),
+], ids=["header-tick", "event-tick", "person-id", "tree-duration"])
+def test_digit_runs_are_bounded_by_the_interpreters_limit(tmp_path, name, text, args, located):
+    # an interpreter started with a lower int-string limit bounds the digit
+    # runs at that limit, so int() never sees a run it would reject
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": str(PKG_ROOT / "src")}
+    check = subprocess.run([sys.executable, "-m", "shutter_sim.cli", "check", *args, str(bad)],
+                           capture_output=True, text=True, env=env)
+    assert check.returncode == 2
+    assert check.stderr == f"error: {located} (expected at most 640 digits)\n"
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("scenario caf\xe9 ticks 5\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("make,command", [
+    (_directory, ["check", "--scenario"]),
+    (_not_utf8, ["check", "--scenario"]),
+    (_not_utf8, ["check", "--scenario", SOLO, "--tree"]),
+    (_not_utf8, ["compare", "--b", SOLO, "--a"]),
+    (_directory, ["run", "--controller", "bt", "--scenario", SOLO, "--out"]),
+], ids=["directory-scenario", "non-utf8-scenario", "non-utf8-tree", "non-utf8-trace",
+        "directory-out"])
+def test_unreadable_paths_exit_2_naming_the_path(tmp_path, capsys, make, command):
+    path = str(make(tmp_path))
+    assert main([*command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
 
 
 @pytest.mark.parametrize("command", [["check"], ["run", "--controller", "bt"]])

@@ -16,12 +16,10 @@ from shutter_sim import (
     PersonObservation,
     build_photographer_bt,
     build_photographer_fsm,
-    cluster_groups,
     compare,
     default_catalogue,
     flatten_emissions,
     greeting_text,
-    interaction_group_size,
     node_count,
     parse_scenario,
     praise_text,
@@ -31,7 +29,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, reference_engaged_size
 
 
 def load(name):
@@ -112,8 +110,8 @@ def test_person_detected_uses_the_catalogue_zone_radius():
 
 def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
     # person_detected tests the cooldown before it looks at the crowd; the
-    # answers must be those of clustering the whole crowd, on either side of
-    # the edge and on it
+    # answers must be those of an all-pairs grouping of the whole crowd, on
+    # either side of the edge and on it
     cat = default_catalogue()
     detected, vacant = cat.condition("person_detected"), cat.condition("no_person")
     greet = cat.behavior("greet").step_fn
@@ -125,7 +123,7 @@ def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
             ctx = ctx_with_persons(*positions, clock=clock)
             ctx.cooldown_until = cooldown_until
             persons = list(ctx.persons.values())
-            expected = interaction_group_size(cluster_groups(persons), persons)
+            expected = reference_engaged_size(persons)
             present = expected >= 1 and clock >= cooldown_until
             assert detected(ctx) is present
             assert vacant(ctx) is not present
@@ -229,12 +227,6 @@ def test_hazard_guards_cost_four_tree_nodes():
     assert node_count(build_photographer_bt()) - node_count(
         build_photographer_bt(hazard_guards=False)
     ) == 4
-
-
-def test_tree_builder_duration_overrides():
-    tree = build_photographer_bt(durations={"greet": 1})
-    greets = [n for n in tree.iter_nodes() if getattr(n, "behavior_name", None) == "greet"]
-    assert [n.duration_override for n in greets] == [1]
 
 
 def test_machine_builder_element_counts():

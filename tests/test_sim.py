@@ -156,5 +156,6 @@ def test_the_package_exports_its_public_names_and_no_removed_wrappers():
     public = [name for name, value in vars(shutter_sim).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(shutter_sim.__all__) == sorted(public)
-    removed = {"step", "add_timeout", "count_elements", "reset", "apply_events"}
+    removed = {"step", "add_timeout", "count_elements", "reset", "apply_events",
+               "cluster_groups", "interaction_group_size", "GroupCluster"}
     assert removed.isdisjoint(shutter_sim.__all__)
