@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import NoReturn
 
 from . import bt
 from .errors import ParseError, ValidationError
-from .world import BUTTONS, Event
+from .world import BUTTONS, Event, Frame, PersonObservation
 
 _EVENT_WORDS = "person_appear|person_move|person_leave|button|hazard|network"
-_SWITCH_KINDS = ("hazard_on", "hazard_off", "network_down", "network_up")
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # The interpreter's limit for converting a digit string to int (set by
 # PYTHONINTMAXSTRDIGITS or -X int_max_str_digits); a longer run of digits is a
@@ -60,20 +59,30 @@ class ScenarioScript:
     positive duration; ticks in ``0..duration-1`` and in order; a known kind
     and a button from ``world.BUTTONS``; finite coordinates on every
     appearance and move; and a roster where a person appears only while absent
-    and moves or leaves only while present.  ``world.apply_events`` relies on
-    this and checks nothing.
+    and moves or leaves only while present.
+
+    The same walk builds ``frames``: one ``world.Frame`` per tick that has
+    events, in tick order, which is all ``sim.run`` reads of the script
+    besides its duration.  Frames cost memory per event, never per tick, and
+    take no part in equality, hashing or ``repr``.
     """
 
     name: str
     duration: int
     events: tuple[Event, ...]
+    frames: tuple[Frame, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         duration = self.duration
         if duration < 1:
             raise ValidationError(f"scenario {self.name!r} needs a positive duration")
         present: set[int] = set()
-        last = 0
+        frames: list[Frame] = []
+        ids: list[int] = []
+        persons: list[PersonObservation | None] = []
+        buttons: list[str] = []
+        hazard, network = False, True
+        last, frame_tick = 0, -1
         for ev in self.events:
             tick, kind, pid = ev.at_tick, ev.kind, ev.person_id
             if tick >= duration:
@@ -82,24 +91,44 @@ class ScenarioScript:
                 where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
                 raise ValidationError(f"event at {tick} {where}")
             last = tick
-            if kind == "person_appear":
-                if pid in present:
-                    raise ValidationError(f"person {pid} already present at tick {tick}")
-                present.add(pid)
-            elif kind == "person_move" or kind == "person_leave":
+            if tick != frame_tick:
+                if frame_tick >= 0:
+                    frames.append(Frame(frame_tick, tuple(ids), tuple(persons), tuple(buttons),
+                                        hazard, network))
+                    ids, persons, buttons = [], [], []
+                frame_tick = tick
+            if kind == "person_appear" or kind == "person_move":
+                if kind == "person_appear":
+                    if pid in present:
+                        raise ValidationError(f"person {pid} already present at tick {tick}")
+                    present.add(pid)
+                elif pid not in present:
+                    raise ValidationError(f"unknown person {pid} at tick {tick}")
+                x, y = ev.x, ev.y
+                if x is None or y is None or not (isfinite(x) and isfinite(y)):
+                    raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
+                ids.append(pid)
+                persons.append(PersonObservation(pid, x, y))
+            elif kind == "person_leave":
                 if pid not in present:
                     raise ValidationError(f"unknown person {pid} at tick {tick}")
-                if kind == "person_leave":
-                    present.remove(pid)
+                present.remove(pid)
+                ids.append(pid)
+                persons.append(None)
             elif kind == "button_press":
                 if ev.button not in BUTTONS:
                     raise ValidationError(f"unknown button {ev.button!r} at tick {tick}")
-            elif kind not in _SWITCH_KINDS:
+                buttons.append(ev.button)
+            elif kind == "hazard_on" or kind == "hazard_off":
+                hazard = kind == "hazard_on"
+            elif kind == "network_down" or kind == "network_up":
+                network = kind == "network_up"
+            else:
                 raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
-            if (kind == "person_appear" or kind == "person_move") and (
-                ev.x is None or ev.y is None or not (isfinite(ev.x) and isfinite(ev.y))
-            ):
-                raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
+        if frame_tick >= 0:
+            frames.append(Frame(frame_tick, tuple(ids), tuple(persons), tuple(buttons),
+                                hazard, network))
+        object.__setattr__(self, "frames", tuple(frames))
 
 
 # --- scenario format ---------------------------------------------------------

@@ -1,13 +1,12 @@
 """Deterministic scenario runner, trace serialization, and trace comparison.
 
-Each tick: apply the scenario's events for that tick, advance the controller,
-flush emissions into a TickRecord.  Traces serialize one record per line so
-repeated runs can be compared byte for byte.
+Each tick: apply the scenario's frame for that tick, if it has one, advance
+the controller, flush emissions into a TickRecord.  Traces serialize one
+record per line so repeated runs can be compared byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence as Seq
 
@@ -21,7 +20,6 @@ from .world import (
     ACTION_PAYLOADS,
     ActionEmission,
     InteractionContext,
-    apply_events,
     end_tick,
 )
 
@@ -55,17 +53,30 @@ class DivergenceReport:
 
 
 def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[TickRecord]:
-    """Run one controller over a scenario from a fresh context and fresh state."""
-    by_tick: dict[int, list] = defaultdict(list)
-    for ev in scenario.events:
-        by_tick[ev.at_tick].append(ev)
+    """Run one controller over a scenario from a fresh context and fresh state.
 
+    The scenario's events arrive as its prebuilt ``frames``: on a tick with a
+    frame, its person operations are applied in order to this run's own
+    ``ctx.persons``, its buttons are pressed, and the hazard and network levels
+    are set.  The frames are read only, so no run can change the next.
+    """
+    frames = iter(scenario.frames)
+    frame = next(frames, None)
     is_tree = isinstance(controller, bt.Node)
     controller.reset()
     ctx = InteractionContext()
     records: list[TickRecord] = []
     for t in range(scenario.duration):
-        apply_events(ctx, by_tick.get(t, ()))
+        if frame is not None and frame.tick == t:
+            _, ids, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
+            roster = ctx.persons
+            for pid, person in zip(ids, persons):
+                if person is None:
+                    del roster[pid]
+                else:
+                    roster[pid] = person
+            ctx.buttons_pressed_this_tick.update(buttons)
+            frame = next(frames, None)
         if is_tree:
             status = bt.tick(controller, ctx).value
             label = "bt"
@@ -113,7 +124,7 @@ def parse_trace(text: str) -> list[TickRecord]:
             tick_part, ctl_part, status_part = head.split(" ")
             persons_part, hazard_part, net_part = tail.split(" ")
             emissions = []
-            tick = int(_field(tick_part, "tick"))
+            tick = _count(tick_part, "tick")
             if body:
                 for item in body.split(";"):
                     action, _, payload = item.partition("(")
@@ -125,9 +136,9 @@ def parse_trace(text: str) -> list[TickRecord]:
                 controller=_field(ctl_part, "ctl"),
                 status=_field(status_part, "status"),
                 emissions=tuple(emissions),
-                persons=int(_field(persons_part, "persons")),
-                hazard=_field(hazard_part, "hazard") == "1",
-                network=_field(net_part, "net") == "1",
+                persons=_count(persons_part, "persons"),
+                hazard=_flag(hazard_part, "hazard"),
+                network=_flag(net_part, "net"),
             ))
         except ValueError as exc:
             raise ValidationError(f"bad trace line {line_no}: {exc}") from None
@@ -151,6 +162,23 @@ def _field(part: str, key: str) -> str:
     if not part.startswith(prefix):
         raise ValueError(f"expected {prefix}")
     return part[len(prefix):]
+
+
+def _count(part: str, key: str) -> int:
+    """A ``key=`` field holding a count as ``serialize_trace`` writes it: ASCII
+    digits, no sign, separator or leading zero."""
+    text = _field(part, key)
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"{key} {text!r} is not a decimal count")
+    return int(text)
+
+
+def _flag(part: str, key: str) -> bool:
+    """A ``key=`` field holding ``0`` or ``1``."""
+    text = _field(part, key)
+    if text not in ("0", "1"):
+        raise ValueError(f"{key} {text!r} is not 0 or 1")
+    return text == "1"
 
 
 def flatten_emissions(records: Seq[TickRecord]) -> list[tuple[str, str]]:

@@ -1,14 +1,15 @@
 """Shared interaction state: the blackboard, stimulus events, and emitted actions.
 
-One simulated tick is one controller decision cycle.  Events are applied at the
-start of a tick, the controller runs against the resulting context, and
-``end_tick`` flushes whatever the controller emitted.
+One simulated tick is one controller decision cycle.  A tick's events reach
+the context at the start of the tick, as one ``Frame`` that
+``dsl.ScenarioScript`` built from them; the controller runs against the
+resulting context, and ``end_tick`` flushes whatever the controller emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import NamedTuple
 
 # Closed vocabulary of emitted action names.
 ACTION_SAY = "say"
@@ -49,6 +50,24 @@ class Event:
     button: str | None = None
 
 
+class Frame(NamedTuple):
+    """What one tick's events do to the world half of the context.
+
+    ``person_ids`` and ``persons`` hold the tick's person events in file
+    order, pairwise: the observation for an appearance or a move, None for a
+    departure.  ``buttons`` are the buttons pressed on the tick; ``hazard``
+    and ``network`` are the levels after it.  A script has one frame per tick
+    that has events.
+    """
+
+    tick: int
+    person_ids: tuple[int, ...]
+    persons: tuple[PersonObservation | None, ...]
+    buttons: tuple[str, ...]
+    hazard: bool
+    network: bool
+
+
 @dataclass(frozen=True)
 class ActionEmission:
     """One action produced by a controller during one tick."""
@@ -72,31 +91,6 @@ class InteractionContext:
     greeting_group_size: int = 0
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
-
-
-def apply_events(ctx: InteractionContext, events: Iterable[Event]) -> None:
-    """Apply one tick's events in order.
-
-    The events come from a ``dsl.ScenarioScript``, which has checked every
-    rule they must keep (tick, kind, button, coordinates, roster), so nothing
-    is checked here.
-    """
-    for ev in events:
-        kind = ev.kind
-        if kind == "person_appear" or kind == "person_move":
-            ctx.persons[ev.person_id] = PersonObservation(ev.person_id, ev.x, ev.y)
-        elif kind == "person_leave":
-            del ctx.persons[ev.person_id]
-        elif kind == "button_press":
-            ctx.buttons_pressed_this_tick.add(ev.button)
-        elif kind == "hazard_on":
-            ctx.hazard_hand_near_arm = True
-        elif kind == "hazard_off":
-            ctx.hazard_hand_near_arm = False
-        elif kind == "network_down":
-            ctx.network_ok = False
-        else:  # network_up
-            ctx.network_ok = True
 
 
 def emit(ctx: InteractionContext, emission: ActionEmission) -> None:

@@ -1,10 +1,12 @@
 """Shared test helpers: repository paths, a catalogue of scriptable stub leaves,
-and an all-pairs reference for the engaged group."""
+a probe controller that records the context, and an all-pairs reference for
+the engaged group."""
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 from shutter_sim import Behavior, Catalogue, NodeStatus
 
@@ -44,6 +46,37 @@ class LeafScript:
             )
         self.catalogue.register_condition("always", lambda ctx: True)
         self.catalogue.register_condition("never", lambda ctx: False)
+
+
+class WorldView(NamedTuple):
+    """A copy of the world half of a context: the person items in iteration
+    order, the pressed buttons, and the hazard and network levels."""
+
+    persons: list
+    buttons: set[str]
+    hazard: bool
+    network: bool
+
+    @classmethod
+    def of(cls, ctx) -> WorldView:
+        return cls(list(ctx.persons.items()), set(ctx.buttons_pressed_this_tick),
+                   ctx.hazard_hand_near_arm, ctx.network_ok)
+
+
+class ContextProbe:
+    """A stand-in controller for ``sim.run`` that records the ``WorldView`` of
+    the context on every tick."""
+
+    current = "Probe"
+
+    def __init__(self):
+        self.seen: list[WorldView] = []
+
+    def reset(self) -> None:
+        self.seen = []
+
+    def step(self, ctx) -> None:
+        self.seen.append(WorldView.of(ctx))
 
 
 def reference_components(persons, dist_threshold):

@@ -2,11 +2,12 @@
 
 Before ``ScenarioScript`` checked itself, the rules lived in two places: the
 parser's pass (positive duration, ticks below the duration, the roster) and
-the checks ``world.apply_events`` made on every run (coordinates, button,
-kind).  ``reference_error`` replays both sets, one event at a time, with the
+the checks the event applier made on every run (coordinates, button, kind).
+``reference_error`` replays both sets, one event at a time, with the
 messages they raised, plus the tick order and lower bound the type's
 docstring promises.  The validator must accept exactly the event lists the
-replay accepts and reject every other one with the replay's message.
+replay accepts and reject every other one with the replay's message, and the
+frames it builds must leave a run with the roster the events describe.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import math
 import random
 from collections import Counter
 
-from shutter_sim import Event, InteractionContext, ScenarioScript, ValidationError, end_tick
-from shutter_sim.world import BUTTONS, apply_events
+from shutter_sim import Event, ScenarioScript, ValidationError, run
+from shutter_sim.world import BUTTONS
+
+from conftest import ContextProbe
 
 KINDS = ("person_appear", "person_move", "person_leave", "button_press",
          "hazard_on", "hazard_off", "network_down", "network_up")
@@ -104,12 +107,10 @@ def random_timeline(rng: random.Random) -> tuple[int, list[Event]]:
 
 
 def _replay(script: ScenarioScript) -> dict[int, tuple[float, float]]:
-    """The roster left after applying every tick of a script, the way ``sim.run`` does."""
-    ctx = InteractionContext()
-    for t in range(script.duration):
-        apply_events(ctx, [ev for ev in script.events if ev.at_tick == t])
-        end_tick(ctx)
-    return {pid: (p.x, p.y) for pid, p in ctx.persons.items()}
+    """The roster on the last tick of a ``sim.run`` over the script's frames."""
+    probe = ContextProbe()
+    run(probe, script)
+    return {pid: (p.x, p.y) for pid, p in probe.seen[-1].persons}
 
 
 def test_the_validator_matches_the_replayed_rules():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -10,19 +12,30 @@ import shutter_sim
 from shutter_sim import (
     ActionEmission,
     Divergence,
+    Event,
+    InteractionContext,
+    Node,
+    PersonObservation,
+    ScenarioScript,
     TickRecord,
     ValidationError,
     build_photographer_bt,
     build_photographer_fsm,
     compare,
+    default_catalogue,
+    end_tick,
     flatten_emissions,
     parse_scenario,
     parse_trace,
     run,
     serialize_trace,
+    tick,
 )
+from shutter_sim.cli import main
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, ContextProbe, WorldView
+
+FSM_MODES = ("none", "transitions", "timeouts")
 
 EMPTY = "scenario empty ticks 5\n"
 
@@ -104,6 +117,44 @@ def test_parse_trace_rejects_a_malformed_int_payload(emitted):
         parse_trace(f"tick=0 ctl=bt status=Running emit=[{emitted}] persons=0 hazard=0 net=1\n")
 
 
+def _trace_line(tick="3", persons="2", hazard="0", net="1"):
+    return (f"tick={tick} ctl=bt status=Running emit=[say(hi)]"
+            f" persons={persons} hazard={hazard} net={net}\n")
+
+
+def test_parse_trace_reads_the_fields_serialize_trace_writes():
+    assert serialize_trace(parse_trace(_trace_line())) == _trace_line()
+    assert serialize_trace(parse_trace(_trace_line("0", "10", "1", "0"))) == _trace_line("0", "10", "1", "0")
+
+
+@pytest.mark.parametrize("field,text,message", [
+    ("tick", "1_0", "tick '1_0' is not a decimal count"),
+    ("tick", "+3", "tick '+3' is not a decimal count"),
+    ("tick", "\u0663", "tick '\u0663' is not a decimal count"),
+    ("tick", "03", "tick '03' is not a decimal count"),
+    ("tick", "-3", "tick '-3' is not a decimal count"),
+    ("tick", "", "tick '' is not a decimal count"),
+    ("persons", "1_2", "persons '1_2' is not a decimal count"),
+    ("persons", "\u00b2", "persons '\u00b2' is not a decimal count"),
+    ("hazard", "yes", "hazard 'yes' is not 0 or 1"),
+    ("hazard", "2", "hazard '2' is not 0 or 1"),
+    ("net", "2", "net '2' is not 0 or 1"),
+    ("net", "", "net '' is not 0 or 1"),
+])
+def test_parse_trace_rejects_fields_serialize_trace_never_writes(field, text, message):
+    with pytest.raises(ValidationError) as excinfo:
+        parse_trace(_trace_line(**{field: text}))
+    assert str(excinfo.value) == f"bad trace line 1: {message}"
+
+
+def test_compare_refuses_a_trace_with_a_signed_tick(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(_trace_line(tick="3"), encoding="utf-8")
+    b.write_text(_trace_line(tick="+3"), encoding="utf-8")
+    assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
+    assert capsys.readouterr().err == "error: bad trace line 1: tick '+3' is not a decimal count\n"
+
+
 def test_parse_trace_reports_the_bad_line():
     good = "tick=0 ctl=bt status=Success emit=[] persons=0 hazard=0 net=1\n"
     with pytest.raises(ValidationError, match="bad trace line 2"):
@@ -159,3 +210,143 @@ def test_the_package_exports_its_public_names_and_no_removed_wrappers():
     removed = {"step", "add_timeout", "count_elements", "reset", "apply_events",
                "cluster_groups", "interaction_group_size", "GroupCluster"}
     assert removed.isdisjoint(shutter_sim.__all__)
+    assert not hasattr(shutter_sim.world, "apply_events")
+
+
+# --- the frames against a by-hand replay of the events ----------------------
+
+
+def replay_by_hand(controller, script):
+    """``sim.run``'s loop with each tick's events applied one by one, as they
+    read, without the script's frames.  Returns the records and, per tick, the
+    world half of the context the controller saw."""
+    events_at: dict[int, list[Event]] = {}
+    for ev in script.events:
+        events_at.setdefault(ev.at_tick, []).append(ev)
+    is_tree = isinstance(controller, Node)
+    controller.reset()
+    ctx = InteractionContext()
+    records, contexts = [], []
+    for t in range(script.duration):
+        for ev in events_at.get(t, ()):
+            if ev.kind in ("person_appear", "person_move"):
+                ctx.persons[ev.person_id] = PersonObservation(ev.person_id, ev.x, ev.y)
+            elif ev.kind == "person_leave":
+                del ctx.persons[ev.person_id]
+            elif ev.kind == "button_press":
+                ctx.buttons_pressed_this_tick.add(ev.button)
+            elif ev.kind in ("hazard_on", "hazard_off"):
+                ctx.hazard_hand_near_arm = ev.kind == "hazard_on"
+            else:
+                ctx.network_ok = ev.kind == "network_up"
+        contexts.append(WorldView.of(ctx))
+        if is_tree:
+            status, label = tick(controller, ctx).value, "bt"
+        else:
+            controller.step(ctx)
+            status, label = controller.current, "fsm"
+        persons, hazard, network = len(ctx.persons), ctx.hazard_hand_near_arm, ctx.network_ok
+        records.append(TickRecord(t, label, status, tuple(end_tick(ctx)), persons, hazard, network))
+    return records, contexts
+
+
+def random_script(rng: random.Random, features: Counter) -> ScenarioScript:
+    """A valid timeline with roster churn, same-tick departures and returns,
+    several buttons on one tick, and hazard and network toggles; ``features``
+    counts the ticks that carry each of the last three."""
+    duration = rng.randint(1, 30)
+    present: set[int] = set()
+    events: list[Event] = []
+
+    def where():
+        return round(rng.uniform(-3, 3), 2), round(rng.uniform(-3, 3), 2)
+
+    for t in range(duration):
+        if rng.random() < 0.4:
+            continue
+        buttons = 0
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if roll < 0.25 and len(present) < 6:
+                pid = rng.choice(sorted(set(range(1, 9)) - present))
+                present.add(pid)
+                events.append(Event(t, "person_appear", pid, *where()))
+            elif roll < 0.45 and present:
+                events.append(Event(t, "person_move", rng.choice(sorted(present)), *where()))
+            elif roll < 0.6 and present:
+                pid = rng.choice(sorted(present))
+                events.append(Event(t, "person_leave", pid))
+                if rng.random() < 0.5:
+                    events.append(Event(t, "person_appear", pid, *where()))
+                    features["same-tick return"] += 1
+                else:
+                    present.remove(pid)
+            elif roll < 0.8:
+                events.append(Event(t, "button_press", button=rng.choice(("yes", "no", "aux"))))
+                buttons += 1
+            elif roll < 0.9:
+                events.append(Event(t, rng.choice(("hazard_on", "hazard_off"))))
+                features["hazard"] += 1
+            else:
+                events.append(Event(t, rng.choice(("network_down", "network_up"))))
+                features["network"] += 1
+        features["several buttons"] += buttons > 1
+    return ScenarioScript("random", duration, tuple(events))
+
+
+def test_runs_over_frames_match_a_by_hand_replay_of_the_events():
+    rng = random.Random(8080)
+    features: Counter[str] = Counter()
+    for _ in range(150):
+        script = random_script(rng, features)
+        probe = ContextProbe()
+        run(probe, script)
+        controllers = [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
+        for controller in controllers:
+            expected, contexts = replay_by_hand(controller, script)
+            assert run(controller, script) == expected, script
+            assert probe.seen == contexts, script
+    assert min(features[k] for k in ("same-tick return", "several buttons", "hazard", "network")) >= 50, features
+
+
+def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
+    def meddling(predicate):
+        def condition(ctx):
+            ctx.persons[99] = PersonObservation(99, 0.5, 0.5)
+            ctx.buttons_pressed_this_tick.add("yes")
+            return predicate(ctx)
+        return condition
+
+    cat = default_catalogue()
+    for name in ("person_detected", "no_person"):
+        cat.register_condition(name, meddling(cat.condition(name)))
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        frames = scenario.frames
+        plain = [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
+        before = [run(controller, scenario) for controller in plain]
+        meddlers = [build_photographer_bt(catalogue=cat)]
+        meddlers += [build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]
+        for controller, records in zip(meddlers, before):
+            assert run(controller, scenario) != records  # the meddling shows in its own run
+        assert [run(controller, scenario) for controller in plain] == before, path.name
+        assert scenario.frames == frames
+
+
+def test_frames_take_no_part_in_equality_hashing_or_repr():
+    events = (Event(0, "person_appear", 1, 1.0, 0.5), Event(2, "button_press", button="yes"))
+    a, b = ScenarioScript("s", 5, events), ScenarioScript("s", 5, events)
+    assert a.frames and a.frames == b.frames
+    object.__setattr__(b, "frames", ())
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"ScenarioScript(name='s', duration=5, events={events!r})"
+
+
+def test_frames_cost_one_per_tick_with_events_whatever_the_duration():
+    script = parse_scenario(
+        "scenario s ticks 1000000000\n"
+        "@0 person_appear id=1 x=1.0 y=0.5\n@0 button yes\n@999999999 person_leave id=1\n"
+    )
+    assert [f.tick for f in script.frames] == [0, 999_999_999]
+    assert script.frames[0] == (0, (1,), (PersonObservation(1, 1.0, 0.5),), ("yes",), False, True)
+    assert script.frames[1] == (999_999_999, (1,), (None,), (), False, True)

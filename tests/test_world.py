@@ -1,4 +1,4 @@
-"""Context lifecycle: event application, emission collection, tick boundaries."""
+"""Context lifecycle: event frames, emission collection, tick boundaries."""
 
 from __future__ import annotations
 
@@ -16,19 +16,28 @@ from shutter_sim import (
     ValidationError,
     flatten_emissions,
     parse_trace,
+    run,
     serialize_trace,
 )
-from shutter_sim.world import ACTION_PAYLOADS, apply_events, emit, end_tick
+from shutter_sim.world import ACTION_PAYLOADS, emit, end_tick
+
+from conftest import ContextProbe
+
+
+def _contexts(duration, *events):
+    """The world half of the context on each tick of a run over ``events``."""
+    probe = ContextProbe()
+    run(probe, ScenarioScript("s", duration, events))
+    return [view._replace(persons=dict(view.persons)) for view in probe.seen]
 
 
 def test_person_events_update_the_roster():
-    ctx = InteractionContext()
-    apply_events(ctx, [Event(0, "person_appear", person_id=1, x=1.0, y=0.5)])
-    assert ctx.persons[1].x == 1.0
-    apply_events(ctx, [Event(0, "person_move", person_id=1, x=2.0, y=-0.5)])
-    assert (ctx.persons[1].x, ctx.persons[1].y) == (2.0, -0.5)
-    apply_events(ctx, [Event(0, "person_leave", person_id=1)])
-    assert ctx.persons == {}
+    seen = _contexts(3, Event(0, "person_appear", person_id=1, x=1.0, y=0.5),
+                     Event(1, "person_move", person_id=1, x=2.0, y=-0.5),
+                     Event(2, "person_leave", person_id=1))
+    assert seen[0].persons[1].x == 1.0
+    assert (seen[1].persons[1].x, seen[1].persons[1].y) == (2.0, -0.5)
+    assert seen[2].persons == {}
 
 
 def _appear(pid, x=0.0, y=0.0):
@@ -60,11 +69,9 @@ def test_positions_must_be_finite(coord):
 
 
 def test_button_presses_last_one_tick():
-    ctx = InteractionContext()
-    apply_events(ctx, [Event(0, "button_press", button="yes")])
-    assert ctx.buttons_pressed_this_tick == {"yes"}
-    end_tick(ctx)
-    assert ctx.buttons_pressed_this_tick == set()
+    seen = _contexts(2, Event(0, "button_press", button="yes"))
+    assert seen[0].buttons == {"yes"}
+    assert seen[1].buttons == set()
 
 
 def test_unknown_button_is_rejected():
@@ -73,12 +80,10 @@ def test_unknown_button_is_rejected():
 
 
 def test_hazard_and_network_toggles():
-    ctx = InteractionContext()
-    apply_events(ctx, [Event(0, "hazard_on"), Event(0, "network_down")])
-    assert ctx.hazard_hand_near_arm and not ctx.network_ok
-    end_tick(ctx)
-    apply_events(ctx, [Event(1, "hazard_off"), Event(1, "network_up")])
-    assert not ctx.hazard_hand_near_arm and ctx.network_ok
+    seen = _contexts(2, Event(0, "hazard_on"), Event(0, "network_down"),
+                     Event(1, "hazard_off"), Event(1, "network_up"))
+    assert seen[0].hazard and not seen[0].network
+    assert not seen[1].hazard and seen[1].network
 
 
 def test_end_tick_flushes_and_advances():
