@@ -20,7 +20,7 @@ import enum
 from typing import Callable, Iterator
 
 from .errors import ConfigurationError
-from .world import ACTION_HALT, ActionEmission, InteractionContext, emit
+from .world import ACTION_HALT, InteractionContext, emit
 
 
 class NodeStatus(enum.Enum):
@@ -80,11 +80,10 @@ class _Chain(Node):
     def __init__(self, name: str, children: list[Node], memory: bool = False):
         super().__init__(name, children)
         self.memory = memory
-        self.resume_index = 0
         self.last_running: int | None = None
 
     def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        start = self.resume_index if self.memory else 0
+        start = (self.last_running or 0) if self.memory else 0
         running_child: int | None = None
         for i in range(start, len(self.children)):
             status = self.children[i].tick(ctx)
@@ -96,21 +95,14 @@ class _Chain(Node):
         else:
             status = self.otherwise
 
+        # running_child is None unless the chain is Running
         prev = self.last_running
-        if status is NodeStatus.RUNNING:
-            if prev is not None and prev != running_child:
-                self.children[prev].reset()
-            self.last_running = running_child
-        else:
-            if prev is not None:
-                self.children[prev].reset()
-            self.last_running = None
-        if self.memory:
-            self.resume_index = running_child if status is NodeStatus.RUNNING else 0
+        if prev is not None and prev != running_child:
+            self.children[prev].reset()
+        self.last_running = running_child
         return status
 
     def _reset_self(self) -> None:
-        self.resume_index = 0
         self.last_running = None
 
 
@@ -153,15 +145,10 @@ class Parallel(Node):
             status = NodeStatus.RUNNING
 
         running_now = {i for i, s in enumerate(statuses) if s is NodeStatus.RUNNING}
-        prev = self.last_running_set
-        if status is NodeStatus.RUNNING:
-            for i in sorted(prev - running_now):
-                self.children[i].reset()
-            self.last_running_set = running_now
-        else:
-            for i in sorted(prev | running_now):
-                self.children[i].reset()
-            self.last_running_set = set()
+        kept = running_now if status is NodeStatus.RUNNING else set()
+        for i in sorted((self.last_running_set | running_now) - kept):
+            self.children[i].reset()
+        self.last_running_set = kept
         return status
 
     def _reset_self(self) -> None:
@@ -191,7 +178,7 @@ class Guard(Node):
             raise ConfigurationError(f"guard condition {self.condition_name!r} not resolved")
         if self._predicate(ctx):
             return self.child.tick(ctx)
-        emit(ctx, ActionEmission(ctx.clock, ACTION_HALT))
+        emit(ctx, ACTION_HALT)
         return NodeStatus.RUNNING
 
 

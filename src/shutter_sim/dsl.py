@@ -40,7 +40,14 @@ from . import bt
 from .errors import ParseError, ValidationError
 from .world import BUTTONS, Event, Frame, PersonObservation
 
-_EVENT_WORDS = "person_appear|person_move|person_leave|button|hazard|network"
+# Each switch event's word, the words that may follow it, and what a parse
+# error calls them.  The event-line regex and its error walk both read this.
+_SWITCHES = {
+    "button": (BUTTONS, "button"),
+    "hazard": (("on", "off"), "hazard switch"),
+    "network": (("down", "up"), "network switch"),
+}
+_EVENT_WORDS = ("person_appear", "person_move", "person_leave", *_SWITCHES)
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # The interpreter's limit for converting a digit string to int (set by
 # PYTHONINTMAXSTRDIGITS or -X int_max_str_digits); a longer run of digits is a
@@ -236,10 +243,9 @@ _EVENT_LINE = re.compile(
     rf"(person_appear|person_move)(?!\w){_SP}id{_SP}={_SP}{_INT}"
     rf"{_SP}x{_SP}={_SP}{_NUM}{_SP}y{_SP}={_SP}{_NUM}"
     rf"|person_leave(?!\w){_SP}id{_SP}={_SP}{_INT}"
-    rf"|button(?!\w){_SP}(yes|no|aux)(?!\w)"
-    rf"|hazard(?!\w){_SP}(on|off)(?!\w)"
-    rf"|network(?!\w){_SP}(down|up)(?!\w)"
-    rf"){_SP}"
+    + "".join(rf"|{kind}(?!\w){_SP}({'|'.join(words)})(?!\w)"
+              for kind, (words, _) in _SWITCHES.items())
+    + rf"){_SP}"
 )
 
 
@@ -266,7 +272,7 @@ def parse_scenario(text: str) -> ScenarioScript:
             if not body or body[0] == "#":
                 continue
             _raise_event_error(raw, line_no)
-        tick, moved, pid, x, y, left, button, hazard, network = m.groups()
+        tick, moved, pid, x, y, left, button, hazard, network = m.groups()  # _SWITCHES order
         at_tick = int(tick)
         if moved is not None:
             append(Event(at_tick, moved, int(pid), float(x), float(y)))
@@ -288,7 +294,7 @@ def _raise_event_error(raw: str, line_no: int) -> NoReturn:
     scanner = _LineScanner(raw, line_no)
     scanner.expect_char("@")
     scanner.integer("tick")
-    kind = scanner.choice(tuple(_EVENT_WORDS.split("|")), "event")
+    kind = scanner.choice(_EVENT_WORDS, "event")
     if kind in ("person_appear", "person_move"):
         scanner.key("id")
         scanner.integer("person id")
@@ -299,12 +305,8 @@ def _raise_event_error(raw: str, line_no: int) -> NoReturn:
     elif kind == "person_leave":
         scanner.key("id")
         scanner.integer("person id")
-    elif kind == "button":
-        scanner.choice(("yes", "no", "aux"), "button")
-    elif kind == "hazard":
-        scanner.choice(("on", "off"), "hazard switch")
-    else:  # network
-        scanner.choice(("down", "up"), "network switch")
+    else:
+        scanner.choice(*_SWITCHES[kind])
     scanner.end()
     raise AssertionError(f"line {line_no}: the scanner accepts a line _EVENT_LINE rejects")
 

@@ -64,7 +64,6 @@ class StateMachine:
         if initial not in self.states:
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
-        self.transitions: list[Transition] = []
         self.timeouts: dict[str, Timeout] = {}
         self._outgoing: dict[str, list[Transition]] = {s: [] for s in self.states}
         self._catalogue = catalogue
@@ -73,8 +72,6 @@ class StateMachine:
         for state in states:
             for slot in (state.on_entry, state.on_tick):
                 if slot is not None and slot not in self._behaviors:
-                    if not catalogue.has_behavior(slot):
-                        raise ConfigurationError(f"unknown behavior {slot!r}")
                     self._behaviors[slot] = catalogue.behavior(slot)
         for tr in transitions:
             self.add_transition(tr)
@@ -98,7 +95,6 @@ class StateMachine:
             if not self._catalogue.has_condition(tr.guard):
                 raise ConfigurationError(f"unknown guard {tr.guard!r}")
             self._guards[tr.guard] = self._catalogue.condition(tr.guard)
-        self.transitions.append(tr)
         self._outgoing[tr.source].append(tr)
         self._outgoing[tr.source].sort(key=lambda t: t.priority)
 
@@ -152,6 +148,6 @@ class StateMachine:
     def count_elements(self) -> dict[str, int]:
         return {
             "n_states": len(self.states),
-            "n_transitions": len(self.transitions),
+            "n_transitions": sum(map(len, self._outgoing.values())),
             "n_timeouts": len(self.timeouts),
         }

@@ -21,7 +21,6 @@ from .world import (
     ACTION_SAY,
     ACTION_SHOW_PHOTO,
     ACTION_TAKE_PHOTO,
-    ActionEmission,
     InteractionContext,
     emit,
 )
@@ -143,7 +142,7 @@ def default_catalogue(
     cat.register_condition("always", lambda ctx: True)
 
     def do_idle(ctx: InteractionContext, step: int) -> None:
-        emit(ctx, ActionEmission(ctx.clock, ACTION_IDLE))
+        emit(ctx, ACTION_IDLE)
 
     def do_greet(ctx: InteractionContext, step: int) -> None:
         if step == 0:
@@ -152,7 +151,7 @@ def default_catalogue(
             # a new greeting opens a fresh photo session
             ctx.photos_taken = 0
             ctx.photos_shown = 0
-            emit(ctx, ActionEmission(ctx.clock, ACTION_SAY, greeting_text(n)))
+            emit(ctx, ACTION_SAY, greeting_text(n))
 
     def consent_status(ctx: InteractionContext, step: int) -> NodeStatus:
         if "yes" in ctx.buttons_pressed_this_tick:
@@ -163,29 +162,29 @@ def default_catalogue(
 
     def do_announce(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            emit(ctx, ActionEmission(ctx.clock, ACTION_SAY, ANNOUNCE_TEXT))
+            emit(ctx, ACTION_SAY, ANNOUNCE_TEXT)
 
     def do_take_photo(ctx: InteractionContext, step: int) -> None:
         index = ctx.photos_taken + 1
-        emit(ctx, ActionEmission(ctx.clock, ACTION_TAKE_PHOTO, index))
+        emit(ctx, ACTION_TAKE_PHOTO, index)
         ctx.photos_taken = index
 
     def do_show_and_praise(ctx: InteractionContext, step: int) -> None:
         # even steps present the next photo, odd steps praise it
         if step % 2 == 0:
-            emit(ctx, ActionEmission(ctx.clock, ACTION_SHOW_PHOTO, ctx.photos_shown + 1))
+            emit(ctx, ACTION_SHOW_PHOTO, ctx.photos_shown + 1)
         else:
             index = ctx.photos_shown + 1
-            emit(ctx, ActionEmission(ctx.clock, ACTION_SAY, praise_text(index)))
+            emit(ctx, ACTION_SAY, praise_text(index))
             ctx.photos_shown = index
 
     def do_farewell(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            emit(ctx, ActionEmission(ctx.clock, ACTION_SAY, FAREWELL_TEXT))
+            emit(ctx, ACTION_SAY, FAREWELL_TEXT)
             ctx.cooldown_until = ctx.clock + cooldown_ticks
 
     def do_hold(ctx: InteractionContext, step: int) -> None:
-        emit(ctx, ActionEmission(ctx.clock, ACTION_HALT))
+        emit(ctx, ACTION_HALT)
 
     cat.register_behavior(Behavior("idle", 1, do_idle))
     cat.register_behavior(Behavior("greet", 2, do_greet))

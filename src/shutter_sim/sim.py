@@ -121,16 +121,17 @@ def parse_trace(text: str) -> list[TickRecord]:
         try:
             head, _, rest = line.partition(" emit=[")
             body, _, tail = rest.rpartition("] ")
-            tick_part, ctl_part, status_part = head.split(" ")
-            persons_part, hazard_part, net_part = tail.split(" ")
-            emissions = []
+            tick_part, ctl_part, status_part = _split(head, "tick= ctl= status= before emit=[")
+            persons_part, hazard_part, net_part = _split(tail,
+                                                         "persons= hazard= net= after the emissions")
             tick = _count(tick_part, "tick")
+            emissions = []
             if body:
                 for item in body.split(";"):
                     action, _, payload = item.partition("(")
                     if not payload.endswith(")"):
                         raise ValueError("unterminated emission")
-                    emissions.append(ActionEmission(tick, action, _read_payload(action, payload[:-1])))
+                    emissions.append(ActionEmission(action, _read_payload(action, payload[:-1])))
             records.append(TickRecord(
                 tick=tick,
                 controller=_field(ctl_part, "ctl"),
@@ -155,6 +156,14 @@ def _read_payload(action: str, text: str) -> str | int | None:
             raise ValueError(f"{action} payload {text!r} is not an integer")
         return value
     return text or None
+
+
+def _split(text: str, fields: str) -> list[str]:
+    """The three fields on one side of a trace line's emissions, named by ``fields``."""
+    parts = text.split(" ")
+    if len(parts) != 3:
+        raise ValueError(f"expected {fields}")
+    return parts
 
 
 def _field(part: str, key: str) -> str:

@@ -70,9 +70,9 @@ class Frame(NamedTuple):
 
 @dataclass(frozen=True)
 class ActionEmission:
-    """One action produced by a controller during one tick."""
+    """One action produced by a controller; its tick is that of the
+    ``sim.TickRecord`` that holds it."""
 
-    tick: int
     action: str
     payload: str | int | None = None
 
@@ -93,26 +93,23 @@ class InteractionContext:
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
 
 
-def emit(ctx: InteractionContext, emission: ActionEmission) -> None:
-    """Record one emission; its tick must match the current clock.
+def emit(ctx: InteractionContext, action: str, payload: str | int | None = None) -> None:
+    """Record one emission of ``action`` on the current tick.
 
     The action must be in ``ACTION_PAYLOADS`` and its payload of exactly the
     declared type (a ``bool`` is not an ``int``).  A text payload may hold no
     ``;`` and no line boundary, so that the serialized trace reads back
     (``sim.parse_trace``).
     """
-    if emission.tick != ctx.clock:
-        raise ValueError(f"emission stamped tick {emission.tick} at clock {ctx.clock}")
-    if emission.action not in ACTION_PAYLOADS:
-        raise ValueError(f"unknown action {emission.action!r} at clock {ctx.clock}")
-    payload = emission.payload
-    declared = ACTION_PAYLOADS[emission.action]
+    if action not in ACTION_PAYLOADS:
+        raise ValueError(f"unknown action {action!r} at clock {ctx.clock}")
+    declared = ACTION_PAYLOADS[action]
     if type(payload) is not (type(None) if declared is None else declared):
         wanted = "no payload" if declared is None else f"a {declared.__name__} payload"
-        raise ValueError(f"{emission.action} takes {wanted}, got {payload!r}")
+        raise ValueError(f"{action} takes {wanted}, got {payload!r}")
     if isinstance(payload, str) and (";" in payload or payload.splitlines() not in ([], [payload])):
-        raise ValueError(f"payload {payload!r} of {emission.action} holds ';' or a line break")
-    ctx.emissions_this_tick.append(emission)
+        raise ValueError(f"payload {payload!r} of {action} holds ';' or a line break")
+    ctx.emissions_this_tick.append(ActionEmission(action, payload))
 
 
 def end_tick(ctx: InteractionContext) -> list[ActionEmission]:

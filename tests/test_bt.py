@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from shutter_sim import (
@@ -130,10 +134,10 @@ def test_parallel_failure_resets_held_subtree_state():
     root = make(script, Parallel("p", [Action("stub_0"), Guard("flag_0", "g", inner)]))
     stub_2 = inner.children[1]
     assert tick(script, root, [R, S, R]) == (R, [0, 1, 2])
-    assert (inner.resume_index, stub_2.elapsed) == (1, 1)
+    assert (inner.last_running, stub_2.elapsed) == (1, 1)
     # child 0 fails: the whole parallel finalizes and held progress is cleared
     assert tick(script, root, [F, S, R]) == (F, [0, 2])
-    assert (inner.resume_index, stub_2.elapsed) == (0, 0)
+    assert (inner.last_running, stub_2.elapsed) == (None, 0)
 
 
 def test_guard_blocks_without_ticking_its_child():
@@ -251,7 +255,7 @@ def test_reset_is_recursive_and_idempotent():
     tick(script, root, [S, R])
     root.reset()
     root.reset()
-    assert root.resume_index == 0
+    assert root.last_running is None
     assert all(c.elapsed == 0 for c in root.children)
     assert tick(script, root, [S, S]) == (S, [0, 1])
 
@@ -263,3 +267,123 @@ def test_tick_count_covers_composites_and_leaves():
     tick(script, root, [F, S])
     assert root.tick_count == 2
     assert [c.tick_count for c in root.children] == [2, 1]
+
+
+# --- memory and the switch rule over many ticks, against a reference model ------
+
+N_FLAGS = 3
+# "leaf" twice: below the root, half the nodes are leaves
+SHAPE_KINDS = ("leaf", "leaf", "guard", "parallel", "sequence", "fallback")
+
+
+def random_shape(rng: random.Random, depth: int, leaf_ids) -> tuple:
+    """A tree shape at most 2 levels below the root, as nested tuples:
+    ``("leaf", i)``, ``("guard", flag, child)``, ``("parallel", children)``
+    and ``(chain, memory, children)``; leaf ``i`` is behavior ``stub_i``."""
+    kind = "leaf" if depth == 2 else rng.choice(SHAPE_KINDS[2:] if depth == 0 else SHAPE_KINDS)
+    if kind == "leaf":
+        return ("leaf", next(leaf_ids))
+    if kind == "guard":
+        return ("guard", rng.randrange(N_FLAGS), random_shape(rng, depth + 1, leaf_ids))
+    children = [random_shape(rng, depth + 1, leaf_ids) for _ in range(rng.randint(1, 3))]
+    if kind == "parallel":
+        return ("parallel", children)
+    return (kind, rng.random() < 0.5, children)
+
+
+def build(shape: tuple, path: tuple, actions: list) -> bt.Node:
+    """The tree for ``shape``; appends each leaf's (path, Action) to ``actions``."""
+    kind = shape[0]
+    if kind == "leaf":
+        node = Action(f"stub_{shape[1]}")
+        actions.append((path, node))
+        return node
+    if kind == "guard":
+        return Guard(f"flag_{shape[1]}", "g", build(shape[2], path + (0,), actions))
+    children = [build(child, path + (i,), actions) for i, child in enumerate(shape[-1])]
+    if kind == "parallel":
+        return Parallel("p", children)
+    return (Sequence if kind == "sequence" else Fallback)("c", children, memory=shape[1])
+
+
+class ReferenceTree:
+    """Resume and reset restated over per-node records, keyed by path.
+
+    ``last`` holds each node's status on its last tick since its subtree was
+    reset, and ``elapsed`` each leaf's Running ticks in a row.  A memory chain
+    resumes at the child whose record says Running.  After a composite ticks,
+    each child that was Running before the tick, or is Running now, has its
+    subtree reset unless both the child and the composite are Running now.
+    """
+
+    def __init__(self):
+        self.last: dict[tuple, NodeStatus] = {}
+        self.elapsed: dict[tuple, int] = {}
+        self.seen: Counter[str] = Counter()
+
+    def reset(self, path: tuple) -> None:
+        for table in (self.last, self.elapsed):
+            for key in [key for key in table if key[:len(path)] == path]:
+                if table is self.elapsed and table[key]:
+                    self.seen["progress cleared"] += 1
+                del table[key]
+
+    def tick(self, shape: tuple, path: tuple, statuses, flags, log: list) -> NodeStatus:
+        kind = shape[0]
+        if kind == "leaf":
+            log.append(shape[1])
+            status = statuses[shape[1]]
+            self.elapsed[path] = self.elapsed.get(path, 0) + 1 if status is R else 0
+        elif kind == "guard":
+            if flags[shape[1]]:
+                status = self.tick(shape[2], path + (0,), statuses, flags, log)
+            else:
+                status = R
+                self.seen["guard held"] += 1
+        else:
+            children = shape[-1]
+            was_running = {i for i in range(len(children)) if self.last.get(path + (i,)) is R}
+            if kind == "parallel":
+                got = [self.tick(c, path + (i,), statuses, flags, log) for i, c in enumerate(children)]
+                status = F if F in got else S if all(g is S for g in got) else R
+                running = {i for i, g in enumerate(got) if g is R}
+            else:
+                stop_on, status = (F, S) if kind == "sequence" else (S, F)
+                start = min(was_running) if shape[1] and was_running else 0
+                self.seen["resumed past the first child"] += start > 0
+                running = set()
+                for i in range(start, len(children)):
+                    got = self.tick(children[i], path + (i,), statuses, flags, log)
+                    if got is R or got is stop_on:
+                        status = got
+                        running = {i} if got is R else set()
+                        break
+            for i in sorted(was_running | running):
+                if status is not R or i not in running:
+                    self.reset(path + (i,))
+        self.last[path] = status
+        return status
+
+
+def test_memory_and_the_switch_rule_match_a_reference_over_many_ticks():
+    rng = random.Random(2018)
+    seen: Counter[str] = Counter()
+    for _ in range(300):
+        leaf_ids = itertools.count()
+        shape = random_shape(rng, 0, leaf_ids)
+        n_leaves = next(leaf_ids)
+        script = LeafScript(n_leaves=n_leaves, n_flags=N_FLAGS)
+        actions: list = []
+        root = make(script, build(shape, (), actions))
+        reference = ReferenceTree()
+        for t in range(12):
+            statuses = [rng.choice((S, R, R, F)) for _ in range(n_leaves)]
+            flags = [rng.random() < 0.75 for _ in range(N_FLAGS)]
+            log: list[int] = []
+            expected = reference.tick(shape, (), statuses, flags, log)
+            assert tick(script, root, statuses, flags) == (expected, log), (shape, t)
+            elapsed = [reference.elapsed.get(path, 0) for path, _ in actions]
+            assert [node.elapsed for _, node in actions] == elapsed, (shape, t)
+        seen += reference.seen
+    assert min(seen[k] for k in ("guard held", "resumed past the first child",
+                                 "progress cleared")) >= 100, seen

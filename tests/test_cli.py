@@ -240,6 +240,29 @@ def test_compare_divergent_traces(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("divergent at position 1:")
 
 
+def test_compare_reports_a_truncated_trace_as_absent(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    main(["run", "--controller", "bt", "--scenario", SOLO, "--out", str(a)])
+    b.write_text("".join(a.read_text(encoding="utf-8").splitlines(keepends=True)[:3]),
+                 encoding="utf-8")
+    assert main(["compare", "--a", str(a), "--b", str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "divergent at position 1: a=say(I am about to take your photo.) b=<absent>\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("tick=0 controller=bt status=Success emit=[idle()] persons=0 hazard=0 net=1",
+     "expected ctl="),
+    ("tick=1 ctl=bt emit=[] persons=0 hazard=0 net=1",
+     "expected tick= ctl= status= before emit=["),
+])
+def test_compare_refuses_a_trace_line_with_a_wrong_or_missing_field(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(line + "\n", encoding="utf-8")
+    assert main(["compare", "--a", str(bad), "--b", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: bad trace line 1: {message}\n"
+
+
 def test_check_summarizes_inputs(capsys):
     assert main(["check", "--scenario", SOLO, "--tree", str(TREE_FILE)]) == 0
     out = capsys.readouterr().out

@@ -245,6 +245,24 @@ def test_tree_syntax_errors():
         parse_tree("sequence s {\n  action a\n")
 
 
+# tree defects that neither the malformed files nor the test above reach
+TREE_DEFECTS = [
+    ("sequence { action idle }", 1, 10, "expected node name", "identifier"),
+    ("fallback root { { } }", 1, 17, "expected a node", _NODE_WORDS),
+    ("fallback root { dance x }", 1, 17, "unknown node kind 'dance'", _NODE_WORDS),
+    ("fallback root { action }", 1, 24, "expected behavior name", "identifier"),
+    ("parallel p { condition }", 1, 24, "expected condition name", "identifier"),
+]
+
+
+@pytest.mark.parametrize("text,line,column,message,expected", TREE_DEFECTS)
+def test_tree_defects_fail_at_a_pinned_location(text, line, column, message, expected):
+    with pytest.raises(ParseError) as err:
+        parse_tree(text)
+    e = err.value
+    assert (e.line, e.column, e.message, e.expected) == (line, column, message, expected)
+
+
 def test_parsed_trees_validate_and_tick_against_the_default_catalogue():
     from shutter_sim import InteractionContext, bt, default_catalogue
 

@@ -45,7 +45,7 @@ def record(tick, *emissions, controller="bt", status="Running"):
         tick=tick,
         controller=controller,
         status=status,
-        emissions=tuple(ActionEmission(tick, a, p) for a, p in emissions),
+        emissions=tuple(ActionEmission(a, p) for a, p in emissions),
         persons=0,
         hazard=False,
         network=True,
@@ -117,9 +117,12 @@ def test_parse_trace_rejects_a_malformed_int_payload(emitted):
         parse_trace(f"tick=0 ctl=bt status=Running emit=[{emitted}] persons=0 hazard=0 net=1\n")
 
 
-def _trace_line(tick="3", persons="2", hazard="0", net="1"):
-    return (f"tick={tick} ctl=bt status=Running emit=[say(hi)]"
-            f" persons={persons} hazard={hazard} net={net}\n")
+def _trace_line(tick="3", persons="2", hazard="0", net="1", status="Running"):
+    """One trace line with these field texts; a field given as None is left out."""
+    def side(**fields):
+        return " ".join(f"{key}={text}" for key, text in fields.items() if text is not None)
+    return (side(tick=tick, ctl="bt", status=status) + " emit=[say(hi)] "
+            + side(persons=persons, hazard=hazard, net=net) + "\n")
 
 
 def test_parse_trace_reads_the_fields_serialize_trace_writes():
@@ -140,6 +143,10 @@ def test_parse_trace_reads_the_fields_serialize_trace_writes():
     ("hazard", "2", "hazard '2' is not 0 or 1"),
     ("net", "2", "net '2' is not 0 or 1"),
     ("net", "", "net '' is not 0 or 1"),
+    ("status", None, "expected tick= ctl= status= before emit=["),
+    ("tick", "3 tick=3", "expected tick= ctl= status= before emit=["),
+    ("net", None, "expected persons= hazard= net= after the emissions"),
+    ("net", "1 net=1", "expected persons= hazard= net= after the emissions"),
 ])
 def test_parse_trace_rejects_fields_serialize_trace_never_writes(field, text, message):
     with pytest.raises(ValidationError) as excinfo:

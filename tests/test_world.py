@@ -88,17 +88,11 @@ def test_hazard_and_network_toggles():
 
 def test_end_tick_flushes_and_advances():
     ctx = InteractionContext()
-    emit(ctx, ActionEmission(0, "say", "hello"))
+    emit(ctx, "say", "hello")
     flushed = end_tick(ctx)
-    assert flushed == [ActionEmission(0, "say", "hello")]
+    assert flushed == [ActionEmission("say", "hello")]
     assert ctx.emissions_this_tick == []
     assert ctx.clock == 1
-
-
-def test_emission_must_carry_the_current_tick():
-    ctx = InteractionContext()
-    with pytest.raises(ValueError, match="stamped tick 2 at clock 0"):
-        emit(ctx, ActionEmission(2, "say", "late"))
 
 
 # every character str.splitlines treats as a line boundary (all lie below U+2030)
@@ -116,14 +110,14 @@ def test_line_boundaries_cover_the_known_breaks():
 def test_emit_rejects_payloads_a_trace_cannot_read_back(payload):
     ctx = InteractionContext()
     with pytest.raises(ValueError, match="holds ';' or a line break"):
-        emit(ctx, ActionEmission(0, "say", payload))
+        emit(ctx, "say", payload)
     assert ctx.emissions_this_tick == []
 
 
 def test_emit_rejects_actions_outside_the_vocabulary():
     ctx = InteractionContext()
     with pytest.raises(ValueError, match="unknown action 'dance' at clock 0"):
-        emit(ctx, ActionEmission(0, "dance"))
+        emit(ctx, "dance")
     assert ctx.emissions_this_tick == []
 
 
@@ -139,7 +133,7 @@ ACTION_FOR = {str: "say", int: "take_photo", type(None): "idle"}
 @pytest.mark.parametrize("payload", ["a) c] x", "a(b", "x] persons=1 hazard=0 net=1", " emit=[", 7, None])
 def test_accepted_payloads_round_trip(payload):
     ctx = InteractionContext()
-    emit(ctx, ActionEmission(0, ACTION_FOR[type(payload)], payload))
+    emit(ctx, ACTION_FOR[type(payload)], payload)
     record = TickRecord(0, "bt", "Running", tuple(ctx.emissions_this_tick), 1, False, True)
     assert parse_trace(serialize_trace([record])) == [record]
 
@@ -151,7 +145,7 @@ def test_accepted_payloads_round_trip(payload):
 def test_emit_rejects_a_payload_of_the_wrong_type(action, payload):
     ctx = InteractionContext()
     with pytest.raises(ValueError, match=f"^{action} takes "):
-        emit(ctx, ActionEmission(0, action, payload))
+        emit(ctx, action, payload)
     assert ctx.emissions_this_tick == []
 
 
@@ -169,7 +163,7 @@ def test_random_accepted_payloads_round_trip():
         for _ in range(rng.randint(1, 3)):
             payload = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
             try:
-                emit(ctx, ActionEmission(0, "say", payload))
+                emit(ctx, "say", payload)
             except ValueError:
                 assert ";" in payload or len(f"a{payload}b".splitlines()) > 1
         expected = [("say", e.payload) for e in ctx.emissions_this_tick]
