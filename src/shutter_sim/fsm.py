@@ -9,6 +9,7 @@ behavior; a quiet step runs the current state's on_tick behavior instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigurationError
 from .world import InteractionContext
@@ -47,15 +48,15 @@ class Timeout:
 
 
 class StateMachine:
-    """States plus prioritized guarded transitions over an InteractionContext."""
+    """States plus prioritized guarded transitions over an InteractionContext.
 
-    def __init__(
-        self,
-        states: list[State],
-        transitions: list[Transition],
-        initial: str,
-        catalogue,
-    ):
+    The constructor checks the whole table (states, their behaviors,
+    transitions, timeouts) and resolves every behavior and guard name through
+    ``catalogue`` once; the built machine holds the callables and never changes.
+    """
+
+    def __init__(self, states: list[State], transitions: list[Transition], initial: str,
+                 catalogue, timeouts: Sequence[Timeout] = ()):
         self.states: dict[str, State] = {}
         for state in states:
             if state.state_id in self.states:
@@ -64,57 +65,50 @@ class StateMachine:
         if initial not in self.states:
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
-        self.timeouts: dict[str, Timeout] = {}
-        self._outgoing: dict[str, list[Transition]] = {s: [] for s in self.states}
-        self._catalogue = catalogue
-        self._guards = {}
-        self._behaviors = {}
-        for state in states:
-            for slot in (state.on_entry, state.on_tick):
-                if slot is not None and slot not in self._behaviors:
-                    self._behaviors[slot] = catalogue.behavior(slot)
+        # state -> (on_entry, on_tick) step functions, None where there is none
+        self._steps: dict[str, tuple] = {
+            s.state_id: tuple(None if slot is None else catalogue.behavior(slot).step_fn
+                              for slot in (s.on_entry, s.on_tick))
+            for s in states
+        }
+        # state -> its (transition, guard) pairs, lowest priority number first
+        self._outgoing: dict[str, list[tuple]] = {s: [] for s in self.states}
         for tr in transitions:
-            self.add_transition(tr)
-
+            if tr.source not in self.states:
+                raise ConfigurationError(f"transition from unknown state {tr.source!r}")
+            if tr.target not in self.states:
+                raise ConfigurationError(f"transition to unknown state {tr.target!r}")
+            if tr.require_origin is not None and tr.require_origin not in self.states:
+                raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
+            if any(t.priority == tr.priority for t, _ in self._outgoing[tr.source]):
+                raise ConfigurationError(f"duplicate priority {tr.priority} "
+                                         f"on transitions from {tr.source!r}")
+            if not catalogue.has_condition(tr.guard):
+                raise ConfigurationError(f"unknown guard {tr.guard!r}")
+            self._outgoing[tr.source].append((tr, catalogue.condition(tr.guard)))
+        for edges in self._outgoing.values():
+            edges.sort(key=lambda edge: edge[0].priority)
+        self.timeouts: dict[str, Timeout] = {}
+        for timeout in timeouts:
+            if timeout.state not in self.states:
+                raise ConfigurationError(f"timeout on unknown state {timeout.state!r}")
+            if timeout.target not in self.states:
+                raise ConfigurationError(f"timeout to unknown state {timeout.target!r}")
+            if timeout.state in self.timeouts:
+                raise ConfigurationError(f"state {timeout.state!r} already has a timeout")
+            if timeout.after_ticks < 1:
+                raise ConfigurationError("timeout after_ticks must be positive")
+            self.timeouts[timeout.state] = timeout
         self.current = initial
         self.ticks_in_state = 0
         self.return_slot: str | None = None
 
-    def add_transition(self, tr: Transition) -> None:
-        if tr.source not in self.states:
-            raise ConfigurationError(f"transition from unknown state {tr.source!r}")
-        if tr.target not in self.states:
-            raise ConfigurationError(f"transition to unknown state {tr.target!r}")
-        if tr.require_origin is not None and tr.require_origin not in self.states:
-            raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
-        if any(t.priority == tr.priority for t in self._outgoing[tr.source]):
-            raise ConfigurationError(
-                f"duplicate priority {tr.priority} on transitions from {tr.source!r}"
-            )
-        if tr.guard not in self._guards:
-            if not self._catalogue.has_condition(tr.guard):
-                raise ConfigurationError(f"unknown guard {tr.guard!r}")
-            self._guards[tr.guard] = self._catalogue.condition(tr.guard)
-        self._outgoing[tr.source].append(tr)
-        self._outgoing[tr.source].sort(key=lambda t: t.priority)
-
-    def add_timeout(self, state: str, after_ticks: int, target: str) -> None:
-        if state not in self.states:
-            raise ConfigurationError(f"timeout on unknown state {state!r}")
-        if target not in self.states:
-            raise ConfigurationError(f"timeout to unknown state {target!r}")
-        if state in self.timeouts:
-            raise ConfigurationError(f"state {state!r} already has a timeout")
-        if after_ticks < 1:
-            raise ConfigurationError("timeout after_ticks must be positive")
-        self.timeouts[state] = Timeout(state, after_ticks, target)
-
     def step(self, ctx: InteractionContext) -> None:
         """Advance one tick: fire the first eligible transition or run on_tick."""
-        for tr in self._outgoing[self.current]:
+        for tr, guard in self._outgoing[self.current]:
             if tr.require_origin is not None and self.return_slot != tr.require_origin:
                 continue
-            if self._guards[tr.guard](ctx):
+            if guard(ctx):
                 if tr.record_origin:
                     self.return_slot = self.current
                 self._enter(tr.target, ctx)
@@ -124,21 +118,16 @@ class StateMachine:
         if timeout is not None and self.ticks_in_state >= timeout.after_ticks:
             self._enter(timeout.target, ctx)
             return
-        state = self.states[self.current]
-        if state.on_tick is not None:
-            self._run(state.on_tick, ctx, self.ticks_in_state)
+        on_tick = self._steps[self.current][1]
+        if on_tick is not None:
+            on_tick(ctx, self.ticks_in_state)
 
     def _enter(self, target: str, ctx: InteractionContext) -> None:
         self.current = target
         self.ticks_in_state = 0
-        state = self.states[target]
-        if state.on_entry is not None:
-            self._run(state.on_entry, ctx, 0)
-
-    def _run(self, behavior_name: str, ctx: InteractionContext, step: int) -> None:
-        behavior = self._behaviors[behavior_name]
-        if behavior.step_fn is not None:
-            behavior.step_fn(ctx, step)
+        on_entry = self._steps[target][0]
+        if on_entry is not None:
+            on_entry(ctx, 0)
 
     def reset(self) -> None:
         self.current = self.initial

@@ -13,7 +13,7 @@ from typing import Callable
 from . import bt
 from .bt import NodeStatus
 from .errors import ConfigurationError
-from .fsm import State, StateMachine, Transition
+from .fsm import State, StateMachine, Timeout, Transition
 from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, engaged_group_size, someone_in_zone
 from .world import (
     ACTION_HALT,
@@ -21,6 +21,8 @@ from .world import (
     ACTION_SAY,
     ACTION_SHOW_PHOTO,
     ACTION_TAKE_PHOTO,
+    BUTTON_NO,
+    BUTTON_YES,
     InteractionContext,
     emit,
 )
@@ -135,8 +137,9 @@ def default_catalogue(
     cat.register_condition("no_hazard", lambda ctx: not ctx.hazard_hand_near_arm)
     cat.register_condition("hazard", lambda ctx: ctx.hazard_hand_near_arm)
     cat.register_condition("network_up", lambda ctx: ctx.network_ok)
-    cat.register_condition("button_yes", lambda ctx: "yes" in ctx.buttons_pressed_this_tick)
-    cat.register_condition("button_no", lambda ctx: "no" in ctx.buttons_pressed_this_tick)
+    cat.register_condition("button_yes", lambda ctx: BUTTON_YES in ctx.buttons_pressed_this_tick)
+    cat.register_condition("button_no", lambda ctx: BUTTON_NO in ctx.buttons_pressed_this_tick)
+    button_yes, button_no = cat.condition("button_yes"), cat.condition("button_no")
     cat.register_condition("photos_done", lambda ctx: ctx.photos_taken >= PHOTOS_PER_SESSION)
     cat.register_condition("praise_done", lambda ctx: ctx.photos_shown >= PHOTOS_PER_SESSION)
     cat.register_condition("always", lambda ctx: True)
@@ -154,9 +157,10 @@ def default_catalogue(
             emit(ctx, ACTION_SAY, greeting_text(n))
 
     def consent_status(ctx: InteractionContext, step: int) -> NodeStatus:
-        if "yes" in ctx.buttons_pressed_this_tick:
+        # yes outranks no, as in the machine's AskConsent guard priorities
+        if button_yes(ctx):
             return NodeStatus.SUCCESS
-        if "no" in ctx.buttons_pressed_this_tick:
+        if button_no(ctx):
             return NodeStatus.FAILURE
         return NodeStatus.RUNNING
 
@@ -290,14 +294,12 @@ def build_photographer_fsm(
             Transition("HaltMotion", "no_hazard", "TakePhoto", 2, require_origin="TakePhoto"),
         ]
     non_waiting = [s.state_id for s in states if s.state_id != "Waiting"]
+    timeouts = []
     if abandonment == "transitions":
         transitions += [Transition(s, "no_person", "Waiting", 0) for s in non_waiting]
-
-    machine = StateMachine(states, transitions, initial="Waiting", catalogue=cat)
-    if abandonment == "timeouts":
-        for s in non_waiting:
-            machine.add_timeout(s, ABANDON_TIMEOUT_TICKS, "Waiting")
-    return machine
+    elif abandonment == "timeouts":
+        timeouts = [Timeout(s, ABANDON_TIMEOUT_TICKS, "Waiting") for s in non_waiting]
+    return StateMachine(states, transitions, initial="Waiting", catalogue=cat, timeouts=timeouts)
 
 
 def structural_economy_report() -> dict[str, int]:

@@ -119,8 +119,12 @@ def parse_trace(text: str) -> list[TickRecord]:
         if not line.strip():
             continue
         try:
-            head, _, rest = line.partition(" emit=[")
-            body, _, tail = rest.rpartition("] ")
+            head, found, rest = line.partition(" emit=[")
+            if not found:
+                raise ValueError("expected emit=[ after status=")
+            body, found, tail = rest.rpartition("] ")
+            if not found:
+                raise ValueError("expected ] before persons=")
             tick_part, ctl_part, status_part = _split(head, "tick= ctl= status= before emit=[")
             persons_part, hazard_part, net_part = _split(tail,
                                                          "persons= hazard= net= after the emissions")

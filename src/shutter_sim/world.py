@@ -26,7 +26,10 @@ ACTION_PAYLOADS: dict[str, type | None] = {
     ACTION_IDLE: None,
 }
 
-BUTTONS = ("yes", "no", "aux")
+# The two consent buttons, and every button a scenario may press.
+BUTTON_YES = "yes"
+BUTTON_NO = "no"
+BUTTONS = (BUTTON_YES, BUTTON_NO, "aux")
 
 
 @dataclass(frozen=True)

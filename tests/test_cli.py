@@ -255,6 +255,7 @@ def test_compare_reports_a_truncated_trace_as_absent(tmp_path, capsys):
      "expected ctl="),
     ("tick=1 ctl=bt emit=[] persons=0 hazard=0 net=1",
      "expected tick= ctl= status= before emit=["),
+    ("tick=1 ctl=bt status=Running", "expected emit=[ after status="),
 ])
 def test_compare_refuses_a_trace_line_with_a_wrong_or_missing_field(tmp_path, capsys, line, message):
     bad = tmp_path / "bad.txt"

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from shutter_sim import ConfigurationError, InteractionContext, State, StateMachine, Transition
+from shutter_sim import ConfigurationError, InteractionContext, State, StateMachine, Timeout, Transition
 
 from conftest import LeafScript
 
 
-def machine(script: LeafScript, states, transitions, initial):
-    return StateMachine(states, transitions, initial, script.catalogue)
+def machine(script: LeafScript, states, transitions, initial, timeouts=()):
+    return StateMachine(states, transitions, initial, script.catalogue, timeouts)
 
 
-def simple(script: LeafScript):
+def simple(script: LeafScript, timeouts=()):
     return machine(
         script,
         states=[
@@ -27,6 +27,7 @@ def simple(script: LeafScript):
             Transition("B", "always", "C", 1),
         ],
         initial="A",
+        timeouts=timeouts,
     )
 
 
@@ -81,8 +82,8 @@ def test_timeout_fires_after_the_configured_residency():
         states=[State("T", on_tick="stub_0"), State("Home", on_entry="stub_1")],
         transitions=[],
         initial="T",
+        timeouts=[Timeout("T", 10, "Home")],
     )
-    m.add_timeout("T", 10, "Home")
     ctx = InteractionContext()
     for expected_step in range(1, 10):
         script.calls.clear()
@@ -100,8 +101,8 @@ def test_a_firing_guard_preempts_the_timeout():
         states=[State("T"), State("ByGuard"), State("ByTimeout")],
         transitions=[Transition("T", "flag_0", "ByGuard", 1)],
         initial="T",
+        timeouts=[Timeout("T", 1, "ByTimeout")],
     )
-    m.add_timeout("T", 1, "ByTimeout")
     assert step(script, m, flags=[True])[0] == "ByGuard"
 
 
@@ -115,8 +116,8 @@ def test_entering_a_state_resets_its_residency_counter():
             Transition("Away", "always", "T", 1),
         ],
         initial="T",
+        timeouts=[Timeout("T", 3, "Home")],
     )
-    m.add_timeout("T", 3, "Home")
     step(script, m, flags=[False])
     step(script, m)
     assert m.ticks_in_state == 2
@@ -174,16 +175,19 @@ def test_construction_rejects_bad_wiring():
 
 def test_timeout_wiring_is_checked():
     script = LeafScript()
-    m = machine(script, [State("A"), State("B")], [], "A")
+
+    def timed(*timeouts):
+        return machine(script, [State("A"), State("B")], [], "A", timeouts)
+
     with pytest.raises(ConfigurationError, match="unknown state"):
-        m.add_timeout("Z", 1, "A")
+        timed(Timeout("Z", 1, "A"))
     with pytest.raises(ConfigurationError, match="unknown state"):
-        m.add_timeout("A", 1, "Z")
+        timed(Timeout("A", 1, "Z"))
     with pytest.raises(ConfigurationError, match="must be positive"):
-        m.add_timeout("A", 0, "B")
-    m.add_timeout("A", 2, "B")
+        timed(Timeout("A", 0, "B"))
+    timed(Timeout("A", 2, "B"))
     with pytest.raises(ConfigurationError, match="already has a timeout"):
-        m.add_timeout("A", 3, "B")
+        timed(Timeout("A", 2, "B"), Timeout("A", 3, "B"))
 
 
 def test_reset_returns_to_the_initial_state():
@@ -202,9 +206,39 @@ def test_reset_returns_to_the_initial_state():
 
 def test_count_elements_after_add_timeout_and_step():
     script = LeafScript()
-    m = simple(script)
-    m.add_timeout("C", 5, "A")
+    m = simple(script, timeouts=[Timeout("C", 5, "A")])
     assert m.count_elements() == {"n_states": 3, "n_transitions": 3, "n_timeouts": 1}
     script.flags[:2] = [False, False]
     m.step(InteractionContext())
     assert m.ticks_in_state == 1
+
+
+def test_construction_names_the_first_defect_in_table_order():
+    """States, then their behaviors, then transitions, then timeouts; each
+    message is the one text the machine gives for that defect."""
+    script = LeafScript()
+    a, b = State("A"), State("B")
+    ghost_entry = State("G", on_entry="ghost")
+    bad_edge = Transition("A", "ghost", "B", 1)
+    bad_timeout = Timeout("A", 0, "B")
+    cases = [
+        (([a, b, State("A")], [bad_edge], "A", [bad_timeout]), "duplicate state 'A'"),
+        (([a, ghost_entry], [bad_edge], "Z", [bad_timeout]), "initial state 'Z' is not a state"),
+        (([a, b, ghost_entry], [bad_edge], "A", [bad_timeout]), "unknown behavior 'ghost'"),
+        (([a, b], [Transition("A", "always", "Z", 1), bad_edge], "A", [bad_timeout]),
+         "transition to unknown state 'Z'"),
+        (([a, b], [Transition("A", "always", "B", 1), Transition("A", "never", "A", 1)], "A",
+          [bad_timeout]), "duplicate priority 1 on transitions from 'A'"),
+        (([a, b], [bad_edge], "A", [bad_timeout]), "unknown guard 'ghost'"),
+        (([a, b], [], "A", [Timeout("Z", 0, "B"), bad_timeout]), "timeout on unknown state 'Z'"),
+        (([a, b], [], "A", [bad_timeout]), "timeout after_ticks must be positive"),
+    ]
+    for (states, transitions, initial, timeouts), message in cases:
+        with pytest.raises(ConfigurationError) as excinfo:
+            machine(script, states, transitions, initial, timeouts)
+        assert str(excinfo.value) == message
+
+
+def test_a_built_machine_has_no_mutators():
+    assert not hasattr(StateMachine, "add_transition")
+    assert not hasattr(StateMachine, "add_timeout")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from shutter_sim import (
     structural_signature,
 )
 from shutter_sim import bt
+from shutter_sim.world import BUTTONS
 
 from conftest import SCENARIO_DIR, reference_engaged_size
 
@@ -142,6 +144,36 @@ def test_button_conditions_read_the_current_tick_only():
     assert not cat.condition("button_yes")(ctx)
     ctx.buttons_pressed_this_tick.add("yes")
     assert cat.condition("button_yes")(ctx) and not cat.condition("button_no")(ctx)
+
+
+CONSENT_SUCCESSOR = {
+    bt.NodeStatus.SUCCESS: "AnnouncePhoto",
+    bt.NodeStatus.FAILURE: "Farewell",
+    bt.NodeStatus.RUNNING: "AskConsent",
+}
+
+
+@pytest.mark.parametrize("mode", ["none", "transitions", "timeouts"])
+def test_tree_and_machine_read_every_button_combination_alike(mode):
+    """Every subset of the buttons pressed on one tick, with one person in the
+    zone: the tree's await_consent status matches where the machine goes from
+    AskConsent."""
+    cat = default_catalogue()
+    await_consent = bt.validate_tree(bt.Action("await_consent"), cat)
+    machine = build_photographer_fsm(mode, catalogue=cat)
+    statuses = set()
+    for n in range(len(BUTTONS) + 1):
+        for pressed in itertools.combinations(BUTTONS, n):
+            ctx = ctx_with_persons((1.0, 0.0))
+            ctx.buttons_pressed_this_tick.update(pressed)
+            await_consent.reset()
+            status = bt.tick(await_consent, ctx)
+            machine.reset()
+            machine.current = "AskConsent"
+            machine.step(ctx)
+            assert machine.current == CONSENT_SUCCESSOR[status], pressed
+            statuses.add(status)
+    assert statuses == set(CONSENT_SUCCESSOR)
 
 
 def test_progress_conditions_watch_the_session_counters():

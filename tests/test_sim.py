@@ -147,10 +147,17 @@ def test_parse_trace_reads_the_fields_serialize_trace_writes():
     ("tick", "3 tick=3", "expected tick= ctl= status= before emit=["),
     ("net", None, "expected persons= hazard= net= after the emissions"),
     ("net", "1 net=1", "expected persons= hazard= net= after the emissions"),
+    # a whole line in place of the fields
+    ("line", "tick=1 ctl=bt status=Running", "expected emit=[ after status="),
+    ("line", "tick=1 ctl=bt status=Running emit=say(x) persons=0 hazard=0 net=1",
+     "expected emit=[ after status="),
+    ("line", "tick=1 ctl=bt status=Running emit=[say(x) persons=0 hazard=0 net=1",
+     "expected ] before persons="),
+    ("line", "tick=1 ctl=bt status=Running emit=[say(x)]", "expected ] before persons="),
 ])
 def test_parse_trace_rejects_fields_serialize_trace_never_writes(field, text, message):
     with pytest.raises(ValidationError) as excinfo:
-        parse_trace(_trace_line(**{field: text}))
+        parse_trace(text if field == "line" else _trace_line(**{field: text}))
     assert str(excinfo.value) == f"bad trace line 1: {message}"
 
 
@@ -160,6 +167,21 @@ def test_compare_refuses_a_trace_with_a_signed_tick(tmp_path, capsys):
     b.write_text(_trace_line(tick="+3"), encoding="utf-8")
     assert main(["compare", "--a", str(a), "--b", str(b)]) == 2
     assert capsys.readouterr().err == "error: bad trace line 1: tick '+3' is not a decimal count\n"
+
+
+def test_parse_trace_rejects_an_unterminated_emission():
+    with pytest.raises(ValidationError) as excinfo:
+        parse_trace("tick=1 ctl=bt status=Running emit=[say(hi] persons=0 hazard=0 net=1\n")
+    assert str(excinfo.value) == "bad trace line 1: unterminated emission"
+
+
+def test_parse_trace_skips_blank_lines_between_records():
+    first = _trace_line("0")
+    second = _trace_line("1")
+    expected = parse_trace(first + second)
+    assert len(expected) == 2
+    for blank in ("\n", "   \n", "\t \n"):
+        assert parse_trace(first + blank + second) == expected
 
 
 def test_parse_trace_reports_the_bad_line():
