@@ -30,7 +30,7 @@ class NodeStatus(enum.Enum):
 
 
 class Node:
-    """Base node: identity, children, and tick bookkeeping."""
+    """Base node: a name, children and a preorder id; subclasses define ``tick``."""
 
     kind = "node"
 
@@ -38,14 +38,9 @@ class Node:
         self.name = name
         self.children: list[Node] = list(children or [])
         self.node_id: int | None = None
-        self.tick_count = 0
         self._validated = False
 
     def tick(self, ctx: InteractionContext) -> NodeStatus:
-        self.tick_count += 1
-        return self._tick(ctx)
-
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -82,7 +77,7 @@ class _Chain(Node):
         self.memory = memory
         self.last_running: int | None = None
 
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
+    def tick(self, ctx: InteractionContext) -> NodeStatus:
         start = (self.last_running or 0) if self.memory else 0
         running_child: int | None = None
         for i in range(start, len(self.children)):
@@ -135,18 +130,19 @@ class Parallel(Node):
         super().__init__(name, children)
         self.last_running_set: set[int] = set()
 
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
+    def tick(self, ctx: InteractionContext) -> NodeStatus:
         statuses = [child.tick(ctx) for child in self.children]
+        running_now = {i for i, s in enumerate(statuses) if s is NodeStatus.RUNNING}
         if NodeStatus.FAILURE in statuses:
             status = NodeStatus.FAILURE
-        elif all(s is NodeStatus.SUCCESS for s in statuses):
-            status = NodeStatus.SUCCESS
-        else:
+        elif running_now:
             status = NodeStatus.RUNNING
+        else:
+            status = NodeStatus.SUCCESS
 
-        running_now = {i for i, s in enumerate(statuses) if s is NodeStatus.RUNNING}
         kept = running_now if status is NodeStatus.RUNNING else set()
-        for i in sorted((self.last_running_set | running_now) - kept):
+        # each reset clears its own disjoint subtree and emits nothing: any order
+        for i in (self.last_running_set | running_now) - kept:
             self.children[i].reset()
         self.last_running_set = kept
         return status
@@ -173,9 +169,7 @@ class Guard(Node):
     def child(self) -> Node:
         return self.children[0]
 
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        if self._predicate is None:
-            raise ConfigurationError(f"guard condition {self.condition_name!r} not resolved")
+    def tick(self, ctx: InteractionContext) -> NodeStatus:
         if self._predicate(ctx):
             return self.child.tick(ctx)
         emit(ctx, ACTION_HALT)
@@ -192,9 +186,7 @@ class Condition(Node):
         self.condition_name = condition_name
         self._predicate: Callable[[InteractionContext], bool] | None = None
 
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        if self._predicate is None:
-            raise ConfigurationError(f"condition {self.condition_name!r} not resolved")
+    def tick(self, ctx: InteractionContext) -> NodeStatus:
         return NodeStatus.SUCCESS if self._predicate(ctx) else NodeStatus.FAILURE
 
 
@@ -215,9 +207,7 @@ class Action(Node):
         self._behavior = None  # set by validate_tree
         self._duration: int | None = None
 
-    def _tick(self, ctx: InteractionContext) -> NodeStatus:
-        if self._behavior is None:
-            raise ConfigurationError(f"behavior {self.behavior_name!r} not resolved")
+    def tick(self, ctx: InteractionContext) -> NodeStatus:
         step = self.elapsed
         if self._behavior.step_fn is not None:
             self._behavior.step_fn(ctx, step)
@@ -236,7 +226,7 @@ class Action(Node):
 
 
 def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
-    """Advance a validated tree by one tick."""
+    """Advance by one tick a root validate_tree accepted: the tree's only check."""
     if not root._validated:
         raise ConfigurationError("tree must pass validate_tree before it is ticked")
     return root.tick(ctx)

@@ -55,6 +55,9 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # (0), or on a 3.10 patch release that predates it, Python's default of 4300
 # still bounds the run.
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# Deepest tree level (the root is 1): the tree code recurses per level, so a
+# deeper file is a located syntax error instead of a RecursionError.
+_MAX_TREE_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -382,29 +385,32 @@ class _TreeParser:
             raise ParseError(tok.line, tok.column, f"expected {what}", expected="identifier")
         return tok
 
-    def parse_node(self) -> bt.Node:
+    def parse_node(self, depth: int = 1) -> bt.Node:
         tok = self.advance()
         if tok.kind != "ident":
             raise ParseError(tok.line, tok.column, "expected a node", expected=_NODE_WORDS)
+        if depth > _MAX_TREE_DEPTH:
+            raise ParseError(tok.line, tok.column, "tree nested too deep",
+                             expected=f"at most {_MAX_TREE_DEPTH} levels")
         if tok.text in ("sequence", "fallback"):
             memory = False
             if self.peek().kind == "sym" and self.peek().text == "*":
                 self.advance()
                 memory = True
             name = self.expect_ident("node name").text
-            children = self.parse_children(tok)
+            children = self.parse_children(depth)
             cls = bt.Sequence if tok.text == "sequence" else bt.Fallback
             return cls(name, children, memory=memory)
         if tok.text == "parallel":
             name = self.expect_ident("node name").text
-            return bt.Parallel(name, self.parse_children(tok))
+            return bt.Parallel(name, self.parse_children(depth))
         if tok.text == "guard":
             self.expect_sym("(")
             condition = self.expect_ident("guard condition").text
             self.expect_sym(")")
             name = self.expect_ident("node name").text
             self.expect_sym("{")
-            child = self.parse_node()
+            child = self.parse_node(depth + 1)
             self.expect_sym("}")
             return bt.Guard(condition, name, child)
         if tok.text == "condition":
@@ -425,7 +431,7 @@ class _TreeParser:
         raise ParseError(tok.line, tok.column, f"unknown node kind {tok.text!r}",
                          expected=_NODE_WORDS)
 
-    def parse_children(self, opener: _Token) -> list[bt.Node]:
+    def parse_children(self, depth: int) -> list[bt.Node]:
         self.expect_sym("{")
         closer = self.peek()
         if closer.kind == "sym" and closer.text == "}":
@@ -436,7 +442,7 @@ class _TreeParser:
             if self.peek().kind == "eof":
                 tok = self.peek()
                 raise ParseError(tok.line, tok.column, "unexpected end of input", expected="}")
-            children.append(self.parse_node())
+            children.append(self.parse_node(depth + 1))
         self.advance()  # the closing brace
         return children
 

@@ -150,7 +150,6 @@ def default_catalogue(
     def do_greet(ctx: InteractionContext, step: int) -> None:
         if step == 0:
             n = group_size(ctx)
-            ctx.greeting_group_size = n
             # a new greeting opens a fresh photo session
             ctx.photos_taken = 0
             ctx.photos_shown = 0

@@ -91,7 +91,6 @@ class InteractionContext:
     network_ok: bool = True
     photos_taken: int = 0
     photos_shown: int = 0
-    greeting_group_size: int = 0
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
 

@@ -146,12 +146,12 @@ def test_guard_blocks_without_ticking_its_child():
     ctx = InteractionContext()
     script.flags[0] = False
     assert bt.tick(root, ctx) is R
-    assert root.child.tick_count == 0
+    assert script.log == []
     assert [e.action for e in ctx.emissions_this_tick] == ["halt_motion_hold"]
     script.flags[0] = True
     script.statuses[0] = S
     assert bt.tick(root, ctx) is S
-    assert root.child.tick_count == 1
+    assert script.log == [0]
 
 
 def test_blocked_guard_preserves_progress_for_an_in_place_resume():
@@ -203,6 +203,15 @@ def test_condition_maps_predicate_to_status():
 def test_tick_requires_a_validated_tree():
     with pytest.raises(ConfigurationError, match="validate_tree"):
         bt.tick(Sequence("s", [Action("stub_0")]), InteractionContext())
+
+
+def test_tick_refuses_a_subtree_of_a_validated_root():
+    script = LeafScript()
+    root = make(script, Sequence("s", [Fallback("f", [Action("stub_0")])]))
+    for node in list(root.iter_nodes())[1:]:
+        with pytest.raises(ConfigurationError, match="validate_tree"):
+            bt.tick(node, InteractionContext())
+    assert script.log == []
 
 
 def test_validation_collects_every_unresolved_name():
@@ -258,15 +267,6 @@ def test_reset_is_recursive_and_idempotent():
     assert root.last_running is None
     assert all(c.elapsed == 0 for c in root.children)
     assert tick(script, root, [S, S]) == (S, [0, 1])
-
-
-def test_tick_count_covers_composites_and_leaves():
-    script = LeafScript()
-    root = make(script, Sequence("s", leaves(2)))
-    tick(script, root, [S, S])
-    tick(script, root, [F, S])
-    assert root.tick_count == 2
-    assert [c.tick_count for c in root.children] == [2, 1]
 
 
 # --- memory and the switch rule over many ticks, against a reference model ------

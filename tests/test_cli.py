@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -55,6 +56,25 @@ def test_installed_console_script_runs(tmp_path):
 
     installed = entry_points(group="console_scripts", name="shutter-sim")
     assert [ep.value for ep in installed] == [_declared_console_script()]
+
+
+def test_the_package_imports_only_the_standard_library():
+    with open(PKG_ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []
+    allowed = sys.stdlib_module_names | {"shutter_sim"}
+    sources = sorted((PKG_ROOT / "src" / "shutter_sim").glob("*.py"))
+    assert sources
+    outside = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{source.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_run_writes_a_trace_file(tmp_path):
@@ -184,6 +204,39 @@ def test_digit_runs_are_bounded_by_the_interpreters_limit(tmp_path, name, text, 
                            capture_output=True, text=True, env=env)
     assert check.returncode == 2
     assert check.stderr == f"error: {located} (expected at most 640 digits)\n"
+
+
+def _nested_guards(levels):
+    # one line: levels - 1 guards of 18 characters each, then the leaf
+    return "guard(always) g { " * (levels - 1) + "action idle" + " }" * (levels - 1) + "\n"
+
+
+def _nested_sequences(levels):
+    # one wrapper per line, so the leaf sits on line `levels`, column 1
+    return "sequence a {\n" * (levels - 1) + "action idle\n" + "}\n" * (levels - 1)
+
+
+@pytest.mark.parametrize("nest,located", [
+    (_nested_guards, "line 1, column 1801"),
+    (_nested_sequences, "line 101, column 1"),
+], ids=["guards", "sequences"])
+def test_tree_depth_is_bounded_for_check_and_run(tmp_path, nest, located):
+    # a fresh interpreter has the CLI's own recursion budget, not pytest's
+    scenario = tmp_path / "quiet.scn"
+    scenario.write_text("scenario quiet ticks 3\n", encoding="utf-8")
+    at_bound, past_bound = tmp_path / "at.tree", tmp_path / "past.tree"
+    at_bound.write_text(nest(100), encoding="utf-8")
+    past_bound.write_text(nest(101), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")}
+    for command in (["check"], ["run", "--controller", "bt"]):
+        args = [sys.executable, "-m", "shutter_sim.cli", *command, "--scenario", str(scenario)]
+        ok = subprocess.run([*args, "--tree", str(at_bound)], capture_output=True, text=True, env=env)
+        assert (ok.returncode, ok.stderr) == (0, "")
+        bad = subprocess.run([*args, "--tree", str(past_bound)], capture_output=True, text=True,
+                             env=env)
+        assert bad.returncode == 2
+        assert bad.stderr == (f"error: {located}: tree nested too deep "
+                              "(expected at most 100 levels)\n")
 
 
 def _directory(tmp_path):

@@ -252,6 +252,9 @@ TREE_DEFECTS = [
     ("fallback root { dance x }", 1, 17, "unknown node kind 'dance'", _NODE_WORDS),
     ("fallback root { action }", 1, 24, "expected behavior name", "identifier"),
     ("parallel p { condition }", 1, 24, "expected condition name", "identifier"),
+    # 100 sequences around a leaf: the leaf is level 101, one past the bound
+    pytest.param("sequence a {\n" * 100 + "action idle\n" + "}\n" * 100,
+                 101, 1, "tree nested too deep", "at most 100 levels", id="nested-101-levels"),
 ]
 
 

@@ -134,7 +134,6 @@ def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
                     greet(ctx, 0)
                 continue
             greet(ctx, 0)
-            assert ctx.greeting_group_size == expected
             assert ctx.emissions_this_tick[-1].payload == greeting_text(expected)
 
 
@@ -192,7 +191,7 @@ def test_greet_opens_a_fresh_session():
     ctx.photos_taken = 3
     ctx.photos_shown = 3
     cat.behavior("greet").step_fn(ctx, 0)
-    assert (ctx.photos_taken, ctx.photos_shown, ctx.greeting_group_size) == (0, 0, 2)
+    assert (ctx.photos_taken, ctx.photos_shown) == (0, 0)
     assert ctx.emissions_this_tick[0].payload == greeting_text(2)
     # the second greet step is silent
     cat.behavior("greet").step_fn(ctx, 1)
