@@ -22,6 +22,10 @@ from typing import Callable, Iterator
 from .errors import ConfigurationError
 from .world import ACTION_HALT, InteractionContext, emit
 
+# Deepest tree level (the root is 1).  Ticks and resets recurse once per level,
+# so validate_tree refuses a deeper tree and parse_tree a deeper file.
+_MAX_TREE_DEPTH = 100
+
 
 class NodeStatus(enum.Enum):
     SUCCESS = "Success"
@@ -235,11 +239,22 @@ def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
 def validate_tree(root: Node, catalogue) -> Node:
     """Check structure, assign node ids, and resolve names against a catalogue.
 
-    Raises ConfigurationError listing every unresolved condition/behavior name.
+    Nodes are visited in preorder, without recursion, and numbered in that
+    order.  Raises ConfigurationError on the first node nested deeper than
+    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard, and
+    then listing every unresolved condition/behavior name.
     """
     missing: list[str] = []
-    for node_id, node in enumerate(root.iter_nodes()):
+    stack = [(root, 1)]
+    node_id = 0
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_TREE_DEPTH:
+            raise ConfigurationError(
+                f"{node.kind} {node.name!r} is nested deeper than {_MAX_TREE_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
         node.node_id = node_id
+        node_id += 1
         if isinstance(node, (_Chain, Parallel)) and not node.children:
             raise ConfigurationError(f"composite {node.name!r} must have at least one child")
         if isinstance(node, Guard) and len(node.children) != 1:

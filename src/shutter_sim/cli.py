@@ -14,6 +14,8 @@ from .sim import compare, parse_trace, run, serialize_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line grammar.  It holds no state between parses, so one
+    instance, built at import, serves every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="shutter-sim",
         description="Run photographer controllers over scripted scenarios.",
@@ -38,6 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("report", help="print the structural cost of the reactive features")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read(path: str) -> str:
@@ -110,7 +115,7 @@ def _cmd_report() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -55,9 +55,6 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # (0), or on a 3.10 patch release that predates it, Python's default of 4300
 # still bounds the run.
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-# Deepest tree level (the root is 1): the tree code recurses per level, so a
-# deeper file is a located syntax error instead of a RecursionError.
-_MAX_TREE_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -317,131 +314,126 @@ def _raise_event_error(raw: str, line_no: int) -> NoReturn:
 # --- tree format -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    column: int
+# One tree token per match, after the spaces, tabs, carriage returns and
+# newlines that separate tokens: a symbol, an ASCII number, a word, any other
+# character (an error), or the end of the text, so that every match attempt
+# succeeds where it starts.  ``\w`` is ``str.isalnum()`` or ``_``, as an
+# identifier continues; a word must also start like one, with a letter or
+# ``_``, so a leading ``²`` or ``½`` is an unexpected character.
+_TREE_TOKEN = re.compile(r"[ \t\r\n]*(?:([{}()*=])|([0-9]+)|(\w+)|([^ \t\r\n])|\Z)")
 
 
-def _tokenize_tree(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif ch in " \t\r":
-            col, i = col + 1, i + 1
-        elif ch in "{}()*=":
-            tokens.append(_Token("sym", ch, line, col))
-            col, i = col + 1, i + 1
-        elif ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-        elif "0" <= ch <= "9":
-            start = i
-            start_col = col
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-                col += 1
-            if i - start > _MAX_DIGITS:
-                raise ParseError(line, start_col, "number too long",
-                                 expected=f"at most {_MAX_DIGITS} digits")
-            tokens.append(_Token("int", text[start:i], line, start_col))
+def _tokenize_tree(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens ending in an ``eof`` one; the kind of a
+    symbol is the symbol itself, else ``ident`` or ``int``."""
+    tokens = []
+    append = tokens.append
+    for m in _TREE_TOKEN.finditer(text):
+        sym, number, word, other = m.groups()
+        end = m.end()
+        if sym:
+            append((sym, sym, end - 1))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            append(("ident", word, end - len(word)))
+        elif number:
+            if len(number) > _MAX_DIGITS:
+                raise _tree_error(text, end - len(number), "number too long",
+                                  f"at most {_MAX_DIGITS} digits")
+            append(("int", number, end - len(number)))
+        elif word or other:
+            at = end - len(word or other)
+            raise _tree_error(text, at, f"unexpected character {text[at]!r}", _NODE_WORDS)
         else:
-            raise ParseError(line, col, f"unexpected character {ch!r}", expected=_NODE_WORDS)
-    tokens.append(_Token("eof", "", line, col))
+            break
+    append(("eof", "", len(text)))
     return tokens
 
 
+def _tree_error(text: str, offset: int, message: str, expected: str) -> ParseError:
+    """A ParseError at the 1-based line and column of ``text[offset]``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
+
+
 class _TreeParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize_tree(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def fail(self, token: tuple[str, str, int], message: str, expected: str) -> ParseError:
+        return _tree_error(self.text, token[2], message, expected)
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def expect_sym(self, ch: str) -> None:
         tok = self.advance()
-        if tok.kind != "sym" or tok.text != ch:
-            raise ParseError(tok.line, tok.column, f"expected {ch!r}", expected=ch)
+        if tok[0] != ch:
+            raise self.fail(tok, f"expected {ch!r}", ch)
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_ident(self, what: str) -> str:
         tok = self.advance()
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.column, f"expected {what}", expected="identifier")
-        return tok
+        if tok[0] != "ident":
+            raise self.fail(tok, f"expected {what}", "identifier")
+        return tok[1]
 
     def parse_node(self, depth: int = 1) -> bt.Node:
         tok = self.advance()
-        if tok.kind != "ident":
-            raise ParseError(tok.line, tok.column, "expected a node", expected=_NODE_WORDS)
-        if depth > _MAX_TREE_DEPTH:
-            raise ParseError(tok.line, tok.column, "tree nested too deep",
-                             expected=f"at most {_MAX_TREE_DEPTH} levels")
-        if tok.text in ("sequence", "fallback"):
-            memory = False
-            if self.peek().kind == "sym" and self.peek().text == "*":
+        kind, word, _ = tok
+        if kind != "ident":
+            raise self.fail(tok, "expected a node", _NODE_WORDS)
+        if depth > bt._MAX_TREE_DEPTH:
+            raise self.fail(tok, "tree nested too deep", f"at most {bt._MAX_TREE_DEPTH} levels")
+        if word in ("sequence", "fallback"):
+            memory = self.peek()[0] == "*"
+            if memory:
                 self.advance()
-                memory = True
-            name = self.expect_ident("node name").text
+            name = self.expect_ident("node name")
             children = self.parse_children(depth)
-            cls = bt.Sequence if tok.text == "sequence" else bt.Fallback
+            cls = bt.Sequence if word == "sequence" else bt.Fallback
             return cls(name, children, memory=memory)
-        if tok.text == "parallel":
-            name = self.expect_ident("node name").text
+        if word == "parallel":
+            name = self.expect_ident("node name")
             return bt.Parallel(name, self.parse_children(depth))
-        if tok.text == "guard":
+        if word == "guard":
             self.expect_sym("(")
-            condition = self.expect_ident("guard condition").text
+            condition = self.expect_ident("guard condition")
             self.expect_sym(")")
-            name = self.expect_ident("node name").text
+            name = self.expect_ident("node name")
             self.expect_sym("{")
             child = self.parse_node(depth + 1)
             self.expect_sym("}")
             return bt.Guard(condition, name, child)
-        if tok.text == "condition":
-            return bt.Condition(self.expect_ident("condition name").text)
-        if tok.text == "action":
-            name = self.expect_ident("behavior name").text
+        if word == "condition":
+            return bt.Condition(self.expect_ident("condition name"))
+        if word == "action":
+            name = self.expect_ident("behavior name")
             duration = None
-            nxt = self.peek()
-            if nxt.kind == "ident" and nxt.text == "dur":
+            if self.peek()[1] == "dur":
                 self.advance()
                 self.expect_sym("=")
                 dur_tok = self.advance()
-                if dur_tok.kind != "int":
-                    raise ParseError(dur_tok.line, dur_tok.column, "expected a duration",
-                                     expected="integer")
-                duration = int(dur_tok.text)
+                if dur_tok[0] != "int":
+                    raise self.fail(dur_tok, "expected a duration", "integer")
+                duration = int(dur_tok[1])
             return bt.Action(name, duration=duration)
-        raise ParseError(tok.line, tok.column, f"unknown node kind {tok.text!r}",
-                         expected=_NODE_WORDS)
+        raise self.fail(tok, f"unknown node kind {word!r}", _NODE_WORDS)
 
     def parse_children(self, depth: int) -> list[bt.Node]:
         self.expect_sym("{")
-        closer = self.peek()
-        if closer.kind == "sym" and closer.text == "}":
-            raise ParseError(closer.line, closer.column,
-                             "composite requires at least one child", expected=_NODE_WORDS)
+        if self.peek()[0] == "}":
+            raise self.fail(self.peek(), "composite requires at least one child", _NODE_WORDS)
         children = []
-        while not (self.peek().kind == "sym" and self.peek().text == "}"):
-            if self.peek().kind == "eof":
-                tok = self.peek()
-                raise ParseError(tok.line, tok.column, "unexpected end of input", expected="}")
+        while self.peek()[0] != "}":
+            if self.peek()[0] == "eof":
+                raise self.fail(self.peek(), "unexpected end of input", "}")
             children.append(self.parse_node(depth + 1))
         self.advance()  # the closing brace
         return children
@@ -449,12 +441,11 @@ class _TreeParser:
 
 def parse_tree(text: str) -> bt.Node:
     """Parse a tree description; names stay unresolved until validate_tree."""
-    parser = _TreeParser(_tokenize_tree(text))
+    parser = _TreeParser(text)
     root = parser.parse_node()
     trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(trailing.line, trailing.column, "unexpected input after tree",
-                         expected="end of input")
+    if trailing[0] != "eof":
+        raise parser.fail(trailing, "unexpected input after tree", "end of input")
     return root
 
 

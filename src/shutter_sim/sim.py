@@ -7,11 +7,13 @@ record per line so repeated runs can be compared byte for byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 from typing import Sequence as Seq
 
 from . import bt
-from .dsl import ScenarioScript
+from .dsl import _MAX_DIGITS, ScenarioScript
 from .errors import ValidationError
 from .fsm import StateMachine
 from .world import (
@@ -108,58 +110,93 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# One match for a line the field walk in ``_raise_trace_error`` accepts.  Counts
+# and int payloads are ASCII decimals with no sign, separator or leading zero,
+# at most ``_MAX_DIGITS`` long, so int() takes them as they are; ctl and status
+# hold no space; the emissions end at the line's last ``] ``, since the fields
+# after it hold none; an emission is an action up to its first ``(`` and a
+# payload up to its last ``)``, neither holding ``;``.
+_COUNT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+_INT_ACTIONS = "|".join(re.escape(a) for a, declared in ACTION_PAYLOADS.items() if declared is int)
+_EMISSION_TEXT = rf"(?:(?:{_INT_ACTIONS})\({_COUNT}\)|(?!(?:{_INT_ACTIONS})\()[^;(]*\([^;]*\))"
+_TRACE_LINE = re.compile(
+    rf"tick=({_COUNT}) ctl=([^ ]*) status=([^ ]*) "
+    rf"emit=\[((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)\] "
+    rf"persons=({_COUNT}) hazard=([01]) net=([01])"
+)
+_EMISSION = re.compile(r"([^;(]*)\(([^;]*)\)")
+
+
 def parse_trace(text: str) -> list[TickRecord]:
     """Read a serialized trace back, each payload typed as ``ACTION_PAYLOADS`` declares.
 
     An action outside that table, or one declared without a payload, reads back
-    its payload text, or None when the text is empty.
+    its payload text, or None when the text is empty.  Blank lines are skipped;
+    any other line that breaks the format is a ValidationError naming the line
+    and the first field at fault.
     """
     records = []
+    match = _TRACE_LINE.fullmatch
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            head, found, rest = line.partition(" emit=[")
-            if not found:
-                raise ValueError("expected emit=[ after status=")
-            body, found, tail = rest.rpartition("] ")
-            if not found:
-                raise ValueError("expected ] before persons=")
-            tick_part, ctl_part, status_part = _split(head, "tick= ctl= status= before emit=[")
-            persons_part, hazard_part, net_part = _split(tail,
-                                                         "persons= hazard= net= after the emissions")
-            tick = _count(tick_part, "tick")
-            emissions = []
-            if body:
-                for item in body.split(";"):
-                    action, _, payload = item.partition("(")
-                    if not payload.endswith(")"):
-                        raise ValueError("unterminated emission")
-                    emissions.append(ActionEmission(action, _read_payload(action, payload[:-1])))
-            records.append(TickRecord(
-                tick=tick,
-                controller=_field(ctl_part, "ctl"),
-                status=_field(status_part, "status"),
-                emissions=tuple(emissions),
-                persons=_count(persons_part, "persons"),
-                hazard=_flag(hazard_part, "hazard"),
-                network=_flag(net_part, "net"),
-            ))
+            m = match(line)
+            if m is None:
+                if line.strip():
+                    _raise_trace_error(line)
+                continue
+            tick, ctl, status, body, persons, hazard, net = m.groups()
+            emissions = tuple(ActionEmission(action, _payload(action, payload))
+                              for action, payload in _EMISSION.findall(body))
+            records.append(TickRecord(int(tick), ctl, status, emissions, int(persons),
+                                      hazard == "1", net == "1"))
         except ValueError as exc:
             raise ValidationError(f"bad trace line {line_no}: {exc}") from None
     return records
 
 
-def _read_payload(action: str, text: str) -> str | int | None:
+def _raise_trace_error(line: str) -> NoReturn:
+    """Walk a line ``_TRACE_LINE`` rejected, field by field, and raise a ValueError
+    that names the first field at fault."""
+    head, found, rest = line.partition(" emit=[")
+    if not found:
+        raise ValueError("expected emit=[ after status=")
+    body, found, tail = rest.rpartition("] ")
+    if not found:
+        raise ValueError("expected ] before persons=")
+    tick_part, ctl_part, status_part = _split(head, "tick= ctl= status= before emit=[")
+    persons_part, hazard_part, net_part = _split(tail, "persons= hazard= net= after the emissions")
+    _count(tick_part, "tick")
+    if body:
+        for item in body.split(";"):
+            action, _, payload = item.partition("(")
+            if not payload.endswith(")"):
+                raise ValueError("unterminated emission")
+            if ACTION_PAYLOADS.get(action) is int:
+                _int_payload(action, payload[:-1])
+    _field(ctl_part, "ctl")
+    _field(status_part, "status")
+    _count(persons_part, "persons")
+    _flag(hazard_part, "hazard")
+    _flag(net_part, "net")
+    raise AssertionError("the field walk accepts a line _TRACE_LINE rejects")
+
+
+def _payload(action: str, text: str) -> str | int | None:
+    """A payload text ``_TRACE_LINE`` accepted, as the type its action declares."""
     declared = ACTION_PAYLOADS.get(action)
     if declared is str:
         return text
     if declared is int:
-        value = int(text)
-        if str(value) != text:
-            raise ValueError(f"{action} payload {text!r} is not an integer")
-        return value
+        return int(text)
     return text or None
+
+
+def _int_payload(action: str, text: str) -> None:
+    """An int payload as ``serialize_trace`` writes it, within int()'s limit."""
+    if len(text) > _MAX_DIGITS:  # int() would refuse it with the interpreter's own advice
+        raise ValueError(f"{action} payload has more than {_MAX_DIGITS} characters")
+    if str(int(text)) != text:
+        raise ValueError(f"{action} payload {text!r} is not an integer")
 
 
 def _split(text: str, fields: str) -> list[str]:
@@ -177,21 +214,22 @@ def _field(part: str, key: str) -> str:
     return part[len(prefix):]
 
 
-def _count(part: str, key: str) -> int:
+def _count(part: str, key: str) -> None:
     """A ``key=`` field holding a count as ``serialize_trace`` writes it: ASCII
-    digits, no sign, separator or leading zero."""
+    digits, no sign, separator or leading zero, and no more digits than int()
+    takes."""
     text = _field(part, key)
     if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
         raise ValueError(f"{key} {text!r} is not a decimal count")
-    return int(text)
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
 
 
-def _flag(part: str, key: str) -> bool:
+def _flag(part: str, key: str) -> None:
     """A ``key=`` field holding ``0`` or ``1``."""
     text = _field(part, key)
     if text not in ("0", "1"):
         raise ValueError(f"{key} {text!r} is not 0 or 1")
-    return text == "1"
 
 
 def flatten_emissions(records: Seq[TickRecord]) -> list[tuple[str, str]]:

@@ -247,6 +247,36 @@ def test_validation_assigns_preorder_node_ids():
     assert [n.node_id for n in root.iter_nodes()] == list(range(node_count(root)))
 
 
+def _nest(levels, wrap, leaf="stub_0"):
+    """A chain of ``levels`` nodes: ``levels - 1`` wrappers, numbered from the
+    leaf up, around one action."""
+    node = Action(leaf)
+    for i in range(levels - 1):
+        node = wrap(i, node)
+    return node
+
+
+@pytest.mark.parametrize("wrap,kind,name", [
+    (lambda i, child: Guard("always", f"g{i}", child), "guard", "g"),
+    (lambda i, child: Sequence(f"s{i}", [child]), "sequence", "s"),
+], ids=["guards", "sequences"])
+def test_validation_bounds_the_depth_of_api_built_trees(wrap, kind, name):
+    script = LeafScript()
+    root = make(script, _nest(100, wrap))
+    assert [n.node_id for n in root.iter_nodes()] == list(range(100))
+    assert bt.tick(root, InteractionContext()) is S
+    # the first node past the bound is the one at level 101: the leaf of a
+    # 101-level chain, the wrapper numbered 1200 - 102 in a 1200-level one
+    for levels, first in ((101, "action 'stub_0'"), (1200, f"{kind} '{name}1098'")):
+        with pytest.raises(ConfigurationError) as err:
+            validate_tree(_nest(levels, wrap), script.catalogue)
+        assert str(err.value) == f"{first} is nested deeper than 100 levels"
+    # in preorder, the first branch's too-deep node is named, not the second's
+    both = Sequence("top", [_nest(100, wrap, "stub_1"), _nest(100, wrap, "stub_2")])
+    with pytest.raises(ConfigurationError, match="^action 'stub_1' is nested"):
+        validate_tree(both, script.catalogue)
+
+
 def test_structural_signature_tracks_shape_not_runtime_state():
     script = LeafScript()
     a = make(script, Sequence("s", leaves(2), memory=True))

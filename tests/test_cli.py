@@ -206,6 +206,42 @@ def test_digit_runs_are_bounded_by_the_interpreters_limit(tmp_path, name, text, 
     assert check.stderr == f"error: {located} (expected at most 640 digits)\n"
 
 
+def _trace_with(tick="0", persons="0", payload="1"):
+    return (f"tick={tick} ctl=bt status=Running emit=[take_photo({payload})]"
+            f" persons={persons} hazard=0 net=1\n")
+
+
+@pytest.mark.parametrize("field,message", [
+    ("tick", "tick has more than {} digits"),
+    ("persons", "persons has more than {} digits"),
+    ("payload", "take_photo payload has more than {} characters"),
+])
+def test_trace_digit_runs_exit_2_with_a_message_of_our_own(tmp_path, capsys, field, message):
+    # at the bound and one digit past it, under the default limit in this
+    # process and under a lower one in a fresh interpreter: int() never sees a
+    # run it would reject
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    for digits in (4301, 5000):
+        bad.write_text(_trace_with(**{field: "1" * digits}), encoding="utf-8")
+        assert main(["compare", "--a", str(bad), "--b", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: bad trace line 1: {message.format(4300)}\n"
+    good.write_text(_trace_with(**{field: "1" * 4300}), encoding="utf-8")
+    assert main(["compare", "--a", str(good), "--b", str(good)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+    good.write_text(_trace_with(**{field: "1" * 640}), encoding="utf-8")
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": str(PKG_ROOT / "src")}
+    command = [sys.executable, "-m", "shutter_sim.cli", "compare", "--a"]
+    at_limit = subprocess.run([*command, str(good), "--b", str(good)], capture_output=True,
+                              text=True, env=env)
+    assert (at_limit.returncode, at_limit.stdout, at_limit.stderr) == (0, "equivalent\n", "")
+    bad.write_text(_trace_with(**{field: "1" * 641}), encoding="utf-8")
+    past_limit = subprocess.run([*command, str(bad), "--b", str(good)], capture_output=True,
+                                text=True, env=env)
+    assert past_limit.returncode == 2
+    assert past_limit.stderr == f"error: bad trace line 1: {message.format(640)}\n"
+
+
 def _nested_guards(levels):
     # one line: levels - 1 guards of 18 characters each, then the leaf
     return "guard(always) g { " * (levels - 1) + "action idle" + " }" * (levels - 1) + "\n"
@@ -274,6 +310,47 @@ def test_an_overflowing_coordinate_exits_2(tmp_path, capsys, command):
     assert main([*command, "--scenario", str(bad)]) == 2
     assert capsys.readouterr().err == (
         "error: event person_appear at tick 0 needs finite coordinates\n")
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsysbinary, monkeypatch):
+    # the same calls, each in a fresh interpreter and then back to back in
+    # this one, give the same exit codes and bytes; a one-leaf tree makes a
+    # --tree that leaked into the next run visible
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the same width
+    tree = tmp_path / "idle.tree"
+    tree.write_text("action idle\n", encoding="utf-8")
+    idle_trace, default_trace = tmp_path / "idle.txt", tmp_path / "default.txt"
+    calls = [
+        ["run", "--controller", "bt", "--scenario", SOLO, "--tree", str(tree)],
+        ["run", "--controller", "bt", "--scenario", SOLO],
+        ["run", "--controller", "bt", "--tree", str(tree)],  # no --scenario: usage error
+        ["compare", "--a", str(idle_trace), "--b", str(default_trace)],
+        ["check", "--scenario", SOLO],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(PKG_ROOT / "src"), "COLUMNS": "80"}
+    fresh = []
+    for args in calls:
+        done = subprocess.run([sys.executable, "-m", "shutter_sim.cli", *args],
+                              capture_output=True, env=env)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+        if args is calls[0]:
+            idle_trace.write_bytes(done.stdout)
+        elif args is calls[1]:
+            default_trace.write_bytes(done.stdout)
+
+    reused = []
+    for args in calls:
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsysbinary.readouterr()
+        reused.append((code, out, err))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 1, 0]
+    assert b"say(Would you like me to take your photo?)" in fresh[1][1]
+    assert b"say(" not in fresh[0][1]
+    assert fresh[2][2].startswith(b"usage: shutter-sim run ")
 
 
 def test_compare_equivalent_traces(tmp_path, capsys):
