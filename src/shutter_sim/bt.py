@@ -57,9 +57,8 @@ class Node:
         pass
 
     def iter_nodes(self) -> Iterator[Node]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        """This node and every descendant, in preorder."""
+        return (node for node, _ in _preorder(self))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -229,6 +228,19 @@ class Action(Node):
         self.elapsed = 0
 
 
+def _preorder(root: Node) -> Iterator[tuple[Node, int]]:
+    """Each node under ``root`` with its level (the root's is 1), in preorder.
+
+    The walk keeps its own stack, so no depth of tree can exhaust Python's
+    recursion limit.
+    """
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
 def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
     """Advance by one tick a root validate_tree accepted: the tree's only check."""
     if not root._validated:
@@ -245,16 +257,11 @@ def validate_tree(root: Node, catalogue) -> Node:
     then listing every unresolved condition/behavior name.
     """
     missing: list[str] = []
-    stack = [(root, 1)]
-    node_id = 0
-    while stack:
-        node, depth = stack.pop()
+    for node_id, (node, depth) in enumerate(_preorder(root)):
         if depth > _MAX_TREE_DEPTH:
             raise ConfigurationError(
                 f"{node.kind} {node.name!r} is nested deeper than {_MAX_TREE_DEPTH} levels")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
         node.node_id = node_id
-        node_id += 1
         if isinstance(node, (_Chain, Parallel)) and not node.children:
             raise ConfigurationError(f"composite {node.name!r} must have at least one child")
         if isinstance(node, Guard) and len(node.children) != 1:

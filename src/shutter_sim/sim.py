@@ -111,14 +111,17 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
 
 
 # One match for a line the field walk in ``_raise_trace_error`` accepts.  Counts
-# and int payloads are ASCII decimals with no sign, separator or leading zero,
-# at most ``_MAX_DIGITS`` long, so int() takes them as they are; ctl and status
-# hold no space; the emissions end at the line's last ``] ``, since the fields
-# after it hold none; an emission is an action up to its first ``(`` and a
-# payload up to its last ``)``, neither holding ``;``.
-_COUNT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+# are ASCII decimals with no sign, separator or leading zero, and int payloads
+# are the same with an optional ``-`` before a nonzero value, as str(int) writes
+# them; either has at most ``_MAX_DIGITS`` digits, so int() takes it as it is;
+# ctl and status hold no space; the emissions end at the line's last ``] ``,
+# since the fields after it hold none; an emission is an action up to its first
+# ``(`` and a payload up to its last ``)``, neither holding ``;``.
+_DIGITS = rf"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_COUNT = rf"(?:0|{_DIGITS})"
 _INT_ACTIONS = "|".join(re.escape(a) for a, declared in ACTION_PAYLOADS.items() if declared is int)
-_EMISSION_TEXT = rf"(?:(?:{_INT_ACTIONS})\({_COUNT}\)|(?!(?:{_INT_ACTIONS})\()[^;(]*\([^;]*\))"
+_EMISSION_TEXT = (rf"(?:(?:{_INT_ACTIONS})\((?:0|-?{_DIGITS})\)"
+                  rf"|(?!(?:{_INT_ACTIONS})\()[^;(]*\([^;]*\))")
 _TRACE_LINE = re.compile(
     rf"tick=({_COUNT}) ctl=([^ ]*) status=([^ ]*) "
     rf"emit=\[((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)\] "
@@ -193,8 +196,8 @@ def _payload(action: str, text: str) -> str | int | None:
 
 def _int_payload(action: str, text: str) -> None:
     """An int payload as ``serialize_trace`` writes it, within int()'s limit."""
-    if len(text) > _MAX_DIGITS:  # int() would refuse it with the interpreter's own advice
-        raise ValueError(f"{action} payload has more than {_MAX_DIGITS} characters")
+    if sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:  # int() could refuse it with its own advice
+        raise ValueError(f"{action} payload has more than {_MAX_DIGITS} digits")
     if str(int(text)) != text:
         raise ValueError(f"{action} payload {text!r} is not an integer")
 

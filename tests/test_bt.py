@@ -277,6 +277,15 @@ def test_validation_bounds_the_depth_of_api_built_trees(wrap, kind, name):
         validate_tree(both, script.catalogue)
 
 
+def test_node_walks_reach_every_level_of_an_unvalidated_deep_tree():
+    # iter_nodes and node_count share validate_tree's stack walk, so a chain
+    # far past the recursion limit is walked, in preorder, not refused
+    root = _nest(1200, lambda i, child: Guard("always", f"g{i}", child))
+    names = [n.name for n in root.iter_nodes()]
+    assert names == [f"g{i}" for i in reversed(range(1199))] + ["stub_0"]
+    assert node_count(root) == 1200
+
+
 def test_structural_signature_tracks_shape_not_runtime_state():
     script = LeafScript()
     a = make(script, Sequence("s", leaves(2), memory=True))

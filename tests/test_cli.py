@@ -206,7 +206,8 @@ def test_digit_runs_are_bounded_by_the_interpreters_limit(tmp_path, name, text, 
     assert check.stderr == f"error: {located} (expected at most 640 digits)\n"
 
 
-def _trace_with(tick="0", persons="0", payload="1"):
+def _trace_with(tick="0", persons="0", payload="1", signed_payload=None):
+    payload = payload if signed_payload is None else "-" + signed_payload
     return (f"tick={tick} ctl=bt status=Running emit=[take_photo({payload})]"
             f" persons={persons} hazard=0 net=1\n")
 
@@ -214,7 +215,8 @@ def _trace_with(tick="0", persons="0", payload="1"):
 @pytest.mark.parametrize("field,message", [
     ("tick", "tick has more than {} digits"),
     ("persons", "persons has more than {} digits"),
-    ("payload", "take_photo payload has more than {} characters"),
+    ("payload", "take_photo payload has more than {} digits"),
+    ("signed_payload", "take_photo payload has more than {} digits"),
 ])
 def test_trace_digit_runs_exit_2_with_a_message_of_our_own(tmp_path, capsys, field, message):
     # at the bound and one digit past it, under the default limit in this

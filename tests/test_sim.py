@@ -105,13 +105,16 @@ def test_trace_records_round_trip_with_typed_payloads(name):
 
 
 def test_parse_trace_restores_int_payloads():
-    records = [record(3, ("take_photo", 1), ("show_photo", 12), ("say", "1"), ("say", ""), ("idle", None))]
+    records = [record(3, ("take_photo", 1), ("show_photo", 12), ("say", "1"), ("say", ""), ("idle", None)),
+               # a sign is not a digit: 4300 of them after a minus still fit int()'s limit
+               record(4, ("take_photo", -5), ("show_photo", -int("9" * 4300)))]
     parsed = parse_trace(serialize_trace(records))
     assert parsed == records
     assert [type(e.payload) for e in parsed[0].emissions] == [int, int, str, str, type(None)]
 
 
-@pytest.mark.parametrize("emitted", ["take_photo()", "take_photo(x)", "show_photo(01)", "show_photo(+1)"])
+@pytest.mark.parametrize("emitted", ["take_photo()", "take_photo(x)", "show_photo(01)", "show_photo(+1)",
+                                     "show_photo(-0)", "take_photo(-01)", "take_photo(--1)"])
 def test_parse_trace_rejects_a_malformed_int_payload(emitted):
     with pytest.raises(ValidationError, match="bad trace line 1"):
         parse_trace(f"tick=0 ctl=bt status=Running emit=[{emitted}] persons=0 hazard=0 net=1\n")

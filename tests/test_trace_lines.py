@@ -1,7 +1,10 @@
 """Property test of ``parse_trace``'s one-match line grammar against the field walk.
 
 ``reference_parse_trace`` is a copy of the field walk ``parse_trace`` used on
-every line before it matched each line against one regex.  Lines are the
+every line before it matched each line against one regex, plus the one
+intended change: a count of more than ``_MAX_DIGITS`` digits, or an int payload
+holding more than that many decimal characters, fails with a message of our
+own before int() can refuse it with the interpreter's advice.  Lines are the
 golden corpus traces and edge lines, each also mutated six times by one to
 three inserted, deleted or replaced characters.  On every line, and on whole
 texts, the two must return equal records or raise a ValidationError with the
@@ -15,6 +18,7 @@ import re
 from pathlib import Path
 
 from shutter_sim import ActionEmission, TickRecord, ValidationError, parse_trace
+from shutter_sim.dsl import _MAX_DIGITS
 from shutter_sim.world import ACTION_PAYLOADS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
@@ -69,6 +73,8 @@ def _read_payload(action, text):
     if declared is str:
         return text
     if declared is int:
+        if sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:  # the added digit bound
+            raise ValueError(f"{action} payload has more than {_MAX_DIGITS} digits")
         value = int(text)
         if str(value) != text:
             raise ValueError(f"{action} payload {text!r} is not an integer")
@@ -94,6 +100,8 @@ def _count(part, key):
     text = _field(part, key)
     if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
         raise ValueError(f"{key} {text!r} is not a decimal count")
+    if len(text) > _MAX_DIGITS:  # the added digit bound
+        raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
     return int(text)
 
 
@@ -121,6 +129,14 @@ EDGE_LINES = [
     "tick=6 ctl=bt status=Running emit=[say(x)]  persons=0 hazard=0 net=1",
     "tick=6 ctl=bt status=Running emit=[say(x)] ] persons=0 hazard=0 net=1",
     "tick=6 ctl=bt status=Running emit=[halt_motion_hold()] persons=0 hazard=0 net=1 ",
+    # signs on int payloads: str(int) writes a minus before a nonzero value only
+    "tick=7 ctl=bt status=Running emit=[take_photo(-5);show_photo(-12)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[show_photo(-0)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[take_photo(-05)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[take_photo(+5)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[take_photo(--5)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[take_photo(-)] persons=0 hazard=0 net=1",
+    "tick=7 ctl=bt status=Running emit=[take_photo(-" + "9" * 4300 + ")] persons=0 hazard=0 net=1",
 ]
 
 
