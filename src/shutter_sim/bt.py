@@ -9,9 +9,10 @@ Semantics in brief:
   instead of re-ticking earlier children.
 * A Guard with a false condition returns Running without ticking its child and
   emits a hold action, freezing the subtree in place.
-* Switch rule: when the child a composite reported Running last tick is no
-  longer the running child, or the composite finishes with Success/Failure,
-  the previously running child's subtree is reset.
+* Switch rule: a node that returns Success or Failure leaves its subtree as
+  ``reset()`` leaves it, so only a child cut off mid-run is reset: a chain's
+  last running child when an earlier child breaks the chain before it, and a
+  failing Parallel's children that returned Running on that tick.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable, Iterator
 from .errors import ConfigurationError
 from .world import ACTION_HALT, InteractionContext, emit
 
-# Deepest tree level (the root is 1).  Ticks and resets recurse once per level,
-# so validate_tree refuses a deeper tree and parse_tree a deeper file.
+# Deepest tree level (the root is 1).  Ticks recurse once per level, so
+# validate_tree refuses a deeper tree and parse_tree a deeper file.
 _MAX_TREE_DEPTH = 100
 
 
@@ -48,10 +49,13 @@ class Node:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Clear runtime state for this node and its whole subtree.  Idempotent."""
-        self._reset_self()
-        for child in self.children:
-            child.reset()
+        """Clear runtime state for this node and its whole subtree, with a
+        stack rather than recursion.  Idempotent."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            node._reset_self()
+            stack.extend(node.children)
 
     def _reset_self(self) -> None:
         pass
@@ -81,23 +85,20 @@ class _Chain(Node):
         self.last_running: int | None = None
 
     def tick(self, ctx: InteractionContext) -> NodeStatus:
-        start = (self.last_running or 0) if self.memory else 0
-        running_child: int | None = None
+        prev = self.last_running
+        start = (prev or 0) if self.memory else 0
         for i in range(start, len(self.children)):
             status = self.children[i].tick(ctx)
-            if status is NodeStatus.RUNNING:
-                running_child = i
-                break
-            if status is self.stop_on:
+            if status is NodeStatus.RUNNING or status is self.stop_on:
                 break
         else:
             status = self.otherwise
 
-        # running_child is None unless the chain is Running
-        prev = self.last_running
-        if prev is not None and prev != running_child:
+        # child i is the last one ticked; a memory chain starts at prev, so
+        # only a plain chain can be broken before it reaches prev
+        if prev is not None and prev > i:
             self.children[prev].reset()
-        self.last_running = running_child
+        self.last_running = i if status is NodeStatus.RUNNING else None
         return status
 
     def _reset_self(self) -> None:
@@ -124,34 +125,20 @@ class Parallel(Node):
     """Ticks every child every tick; any Failure fails, all Success succeeds.
 
     Children after a failing child are still ticked in the same tick so the
-    emission order stays deterministic.
+    emission order stays deterministic, and the Parallel keeps no state.
     """
 
     kind = "parallel"
 
-    def __init__(self, name: str, children: list[Node]):
-        super().__init__(name, children)
-        self.last_running_set: set[int] = set()
-
     def tick(self, ctx: InteractionContext) -> NodeStatus:
         statuses = [child.tick(ctx) for child in self.children]
-        running_now = {i for i, s in enumerate(statuses) if s is NodeStatus.RUNNING}
         if NodeStatus.FAILURE in statuses:
-            status = NodeStatus.FAILURE
-        elif running_now:
-            status = NodeStatus.RUNNING
-        else:
-            status = NodeStatus.SUCCESS
-
-        kept = running_now if status is NodeStatus.RUNNING else set()
-        # each reset clears its own disjoint subtree and emits nothing: any order
-        for i in (self.last_running_set | running_now) - kept:
-            self.children[i].reset()
-        self.last_running_set = kept
-        return status
-
-    def _reset_self(self) -> None:
-        self.last_running_set = set()
+            # the children still Running are cut off; a reset emits nothing
+            for child, status in zip(self.children, statuses):
+                if status is NodeStatus.RUNNING:
+                    child.reset()
+            return NodeStatus.FAILURE
+        return NodeStatus.RUNNING if NodeStatus.RUNNING in statuses else NodeStatus.SUCCESS
 
 
 class Guard(Node):
@@ -232,27 +219,38 @@ def _preorder(root: Node) -> Iterator[tuple[Node, int]]:
     """Each node under ``root`` with its level (the root's is 1), in preorder.
 
     The walk keeps its own stack, so no depth of tree can exhaust Python's
-    recursion limit.
+    recursion limit.  A node met a second time, shared by two parents or on a
+    cycle, raises ConfigurationError, so no walk can run forever.
     """
+    seen: set[Node] = set()
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
+        if node in seen:
+            raise ConfigurationError(f"{node.kind} {node.name!r} appears more than once in the tree")
+        seen.add(node)
         yield node, depth
         stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
-    """Advance by one tick a root validate_tree accepted: the tree's only check."""
+def require_validated(root: Node) -> Node:
+    """The tree's only check: ``root`` is a root validate_tree accepted."""
     if not root._validated:
         raise ConfigurationError("tree must pass validate_tree before it is ticked")
-    return root.tick(ctx)
+    return root
+
+
+def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
+    """Advance by one tick a root validate_tree accepted."""
+    return require_validated(root).tick(ctx)
 
 
 def validate_tree(root: Node, catalogue) -> Node:
     """Check structure, assign node ids, and resolve names against a catalogue.
 
     Nodes are visited in preorder, without recursion, and numbered in that
-    order.  Raises ConfigurationError on the first node nested deeper than
+    order.  Raises ConfigurationError on the first node met twice (a shared
+    node or a cycle), on the first node nested deeper than
     ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard, and
     then listing every unresolved condition/behavior name.
     """
@@ -294,14 +292,9 @@ def node_count(root: Node) -> int:
     return sum(1 for _ in root.iter_nodes())
 
 
-def structural_signature(node: Node) -> tuple:
-    """Shape of a tree minus runtime state and node ids, for equality checks."""
-    if isinstance(node, Condition):
-        return ("condition", node.condition_name)
-    if isinstance(node, Action):
-        return ("action", node.behavior_name, node.duration_override)
-    if isinstance(node, Guard):
-        return ("guard", node.condition_name, node.name, structural_signature(node.child))
-    children = tuple(structural_signature(c) for c in node.children)
-    memory = getattr(node, "memory", False)
-    return (node.kind, node.name, memory, children)
+def structural_signature(root: Node) -> tuple:
+    """Shape of a tree minus runtime state and node ids, for equality checks:
+    each node's level, kind, name and settings, in preorder."""
+    return tuple((depth, node.kind, node.name, getattr(node, "memory", False),
+                  getattr(node, "condition_name", None), getattr(node, "duration_override", None))
+                 for node, depth in _preorder(root))

@@ -452,24 +452,22 @@ def parse_tree(text: str) -> bt.Node:
 def print_tree(root: bt.Node) -> str:
     """Canonical rendering: two-space indent, one node per line, reparseable."""
     lines: list[str] = []
-
-    def walk(node: bt.Node, depth: int) -> None:
-        pad = "  " * depth
+    closing: list[str] = []  # one brace line per open composite or guard
+    for node, depth in bt._preorder(root):
+        while len(closing) >= depth:
+            lines.append(closing.pop())
+        pad = "  " * (depth - 1)
         if isinstance(node, bt.Condition):
             lines.append(f"{pad}condition {node.condition_name}")
         elif isinstance(node, bt.Action):
             suffix = f" dur={node.duration_override}" if node.duration_override is not None else ""
             lines.append(f"{pad}action {node.behavior_name}{suffix}")
-        elif isinstance(node, bt.Guard):
-            lines.append(f"{pad}guard({node.condition_name}) {node.name} {{")
-            walk(node.child, depth + 1)
-            lines.append(f"{pad}}}")
         else:
-            star = "*" if getattr(node, "memory", False) else ""
-            lines.append(f"{pad}{node.kind}{star} {node.name} {{")
-            for child in node.children:
-                walk(child, depth + 1)
-            lines.append(f"{pad}}}")
-
-    walk(root, 0)
+            if isinstance(node, bt.Guard):
+                lines.append(f"{pad}guard({node.condition_name}) {node.name} {{")
+            else:
+                star = "*" if getattr(node, "memory", False) else ""
+                lines.append(f"{pad}{node.kind}{star} {node.name} {{")
+            closing.append(f"{pad}}}")
+    lines.extend(reversed(closing))
     return "\n".join(lines) + "\n"

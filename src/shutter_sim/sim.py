@@ -65,6 +65,8 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     frames = iter(scenario.frames)
     frame = next(frames, None)
     is_tree = isinstance(controller, bt.Node)
+    if is_tree:  # before reset walks a tree that could hold a cycle
+        bt.require_validated(controller)
     controller.reset()
     ctx = InteractionContext()
     records: list[TickRecord] = []

@@ -20,10 +20,12 @@ from shutter_sim import (
     Parallel,
     Sequence,
     node_count,
+    parse_scenario,
+    print_tree,
     structural_signature,
     validate_tree,
 )
-from shutter_sim import bt
+from shutter_sim import bt, sim
 
 from conftest import LeafScript
 
@@ -286,6 +288,58 @@ def test_node_walks_reach_every_level_of_an_unvalidated_deep_tree():
     assert node_count(root) == 1200
 
 
+def test_every_walk_returns_on_a_deep_api_built_tree():
+    # reset, the signature and the printer keep their own stacks too, and
+    # sim.run refuses the unvalidated tree at the tick gate
+    root = _nest(1200, lambda i, child: Guard("always", f"g{i}", child))
+    root.reset()
+    assert node_count(root) == 1200
+    signature = structural_signature(root)
+    assert signature[0] == (1, "guard", "g1198", False, "always", None)
+    assert signature[-1] == (1200, "action", "stub_0", False, None, None)
+    lines = print_tree(root).splitlines()
+    assert len(lines) == 1200 + 1199
+    assert lines[0] == "guard(always) g1198 {"
+    assert lines[1199] == "  " * 1199 + "action stub_0"
+    assert lines[1200] == "  " * 1198 + "}"
+    assert lines[-1] == "}"
+    with pytest.raises(ConfigurationError, match="validate_tree"):
+        sim.run(root, parse_scenario("scenario deep ticks 3\n"))
+
+
+def _self_cycle():
+    # its own only child, so a walk that missed the cycle would loop in place
+    # rather than grow its stack
+    chain = Sequence("s", [])
+    chain.children.append(chain)
+    return chain
+
+
+def _shared_subtree():
+    shared = Fallback("f", leaves(2))
+    return Sequence("s", [shared, Action("stub_2"), shared])
+
+
+@pytest.mark.parametrize("make_tree,first", [
+    (lambda: Sequence("s", [Action("stub_0")] * 2), "action 'stub_0'"),
+    (_shared_subtree, "fallback 'f'"),
+    (_self_cycle, "sequence 's'"),
+], ids=["shared-leaf", "shared-subtree", "self-cycle"])
+def test_validation_rejects_a_node_met_twice(make_tree, first):
+    script = LeafScript()
+    message = f"{first} appears more than once in the tree"
+    with pytest.raises(ConfigurationError) as err:
+        validate_tree(make_tree(), script.catalogue)
+    assert str(err.value) == message
+    # every other whole-tree walk refuses it too instead of running forever
+    for walk in (node_count, structural_signature, print_tree):
+        with pytest.raises(ConfigurationError, match=message):
+            walk(make_tree())
+    # sim.run stops at the tick gate before its reset walks the tree
+    with pytest.raises(ConfigurationError, match="validate_tree"):
+        sim.run(make_tree(), parse_scenario("scenario shared ticks 3\n"))
+
+
 def test_structural_signature_tracks_shape_not_runtime_state():
     script = LeafScript()
     a = make(script, Sequence("s", leaves(2), memory=True))
@@ -315,16 +369,22 @@ N_FLAGS = 3
 SHAPE_KINDS = ("leaf", "leaf", "guard", "parallel", "sequence", "fallback")
 
 
-def random_shape(rng: random.Random, depth: int, leaf_ids) -> tuple:
-    """A tree shape at most 2 levels below the root, as nested tuples:
-    ``("leaf", i)``, ``("guard", flag, child)``, ``("parallel", children)``
-    and ``(chain, memory, children)``; leaf ``i`` is behavior ``stub_i``."""
-    kind = "leaf" if depth == 2 else rng.choice(SHAPE_KINDS[2:] if depth == 0 else SHAPE_KINDS)
+def random_shape(rng: random.Random, depth: int, leaf_ids, max_depth: int = 2) -> tuple:
+    """A tree shape at most ``max_depth`` levels below the root, as nested
+    tuples: ``("leaf", i)``, ``("guard", flag, child)``, ``("parallel",
+    children)`` and ``(chain, memory, children)``; leaf ``i`` is behavior
+    ``stub_i``."""
+    if depth == max_depth:
+        kind = "leaf"
+    else:
+        kind = rng.choice(SHAPE_KINDS[2:] if depth == 0 else SHAPE_KINDS)
     if kind == "leaf":
         return ("leaf", next(leaf_ids))
     if kind == "guard":
-        return ("guard", rng.randrange(N_FLAGS), random_shape(rng, depth + 1, leaf_ids))
-    children = [random_shape(rng, depth + 1, leaf_ids) for _ in range(rng.randint(1, 3))]
+        return ("guard", rng.randrange(N_FLAGS),
+                random_shape(rng, depth + 1, leaf_ids, max_depth))
+    children = [random_shape(rng, depth + 1, leaf_ids, max_depth)
+                for _ in range(rng.randint(1, 3))]
     if kind == "parallel":
         return ("parallel", children)
     return (kind, rng.random() < 0.5, children)
@@ -426,3 +486,126 @@ def test_memory_and_the_switch_rule_match_a_reference_over_many_ticks():
         seen += reference.seen
     assert min(seen[k] for k in ("guard held", "resumed past the first child",
                                  "progress cleared")) >= 100, seen
+
+
+def chains_with_paths(node: bt.Node, path: tuple = ()):
+    """Each chain under ``node`` with its path, numbered as ``build`` numbers them."""
+    if isinstance(node, (Sequence, Fallback)):
+        yield path, node
+    for i, child in enumerate(node.children):
+        yield from chains_with_paths(child, path + (i,))
+
+
+def test_the_switch_rule_matches_a_reference_on_deeper_trees():
+    # up to 4 levels below the root, a chain is cut off below other chains,
+    # guards and parallels; each chain's last_running must be the one child
+    # the reference records as Running
+    rng = random.Random(2024)
+    seen: Counter[str] = Counter()
+    for _ in range(150):
+        leaf_ids = itertools.count()
+        shape = random_shape(rng, 0, leaf_ids, max_depth=rng.randint(3, 4))
+        n_leaves = next(leaf_ids)
+        script = LeafScript(n_leaves=n_leaves, n_flags=N_FLAGS)
+        actions: list = []
+        root = make(script, build(shape, (), actions))
+        chains = list(chains_with_paths(root))
+        reference = ReferenceTree()
+        for t in range(16):
+            statuses = [rng.choice((S, R, R, F)) for _ in range(n_leaves)]
+            flags = [rng.random() < 0.75 for _ in range(N_FLAGS)]
+            before = [chain.last_running for _, chain in chains]
+            log: list[int] = []
+            expected = reference.tick(shape, (), statuses, flags, log)
+            assert tick(script, root, statuses, flags) == (expected, log), (shape, t)
+            elapsed = [reference.elapsed.get(path, 0) for path, _ in actions]
+            assert [node.elapsed for _, node in actions] == elapsed, (shape, t)
+            for (path, chain), prev in zip(chains, before):
+                running = [i for i in range(len(chain.children))
+                           if reference.last.get(path + (i,)) is R]
+                assert len(running) <= 1, (shape, t, path)
+                assert chain.last_running == (running[0] if running else None), (shape, t, path)
+                seen["deep chain switched"] += (
+                    len(path) >= 2 and prev is not None and chain.last_running != prev)
+        seen += reference.seen
+    assert min(seen[k] for k in ("guard held", "resumed past the first child",
+                                 "progress cleared", "deep chain switched")) >= 100, seen
+
+
+def reference_print_tree(root: bt.Node) -> str:
+    """The recursive printer that ``print_tree`` restates with a stack."""
+    lines: list[str] = []
+
+    def walk(node: bt.Node, depth: int) -> None:
+        pad = "  " * depth
+        if isinstance(node, Condition):
+            lines.append(f"{pad}condition {node.condition_name}")
+        elif isinstance(node, Action):
+            suffix = f" dur={node.duration_override}" if node.duration_override is not None else ""
+            lines.append(f"{pad}action {node.behavior_name}{suffix}")
+        elif isinstance(node, Guard):
+            lines.append(f"{pad}guard({node.condition_name}) {node.name} {{")
+            walk(node.child, depth + 1)
+            lines.append(f"{pad}}}")
+        else:
+            star = "*" if getattr(node, "memory", False) else ""
+            lines.append(f"{pad}{node.kind}{star} {node.name} {{")
+            for child in node.children:
+                walk(child, depth + 1)
+            lines.append(f"{pad}}}")
+
+    walk(root, 0)
+    return "\n".join(lines) + "\n"
+
+
+def reference_signature(node: bt.Node) -> tuple:
+    """The nested signature that ``structural_signature`` flattens."""
+    if isinstance(node, Condition):
+        return ("condition", node.condition_name)
+    if isinstance(node, Action):
+        return ("action", node.behavior_name, node.duration_override)
+    if isinstance(node, Guard):
+        return ("guard", node.condition_name, node.name, reference_signature(node.child))
+    children = tuple(reference_signature(c) for c in node.children)
+    return (node.kind, node.name, getattr(node, "memory", False), children)
+
+
+def regrouped(tree: bt.Node) -> bt.Node | None:
+    """``tree`` with the first composite that has a next sibling given that
+    sibling as its last child: the same preorder with other nesting; None
+    when no composite has a next sibling."""
+    for node in tree.iter_nodes():
+        for i, child in enumerate(node.children[:-1]):
+            if isinstance(child, (Sequence, Fallback, Parallel)):
+                child.children.append(node.children.pop(i + 1))
+                return tree
+    return None
+
+
+def test_print_tree_and_structural_signature_match_their_recursive_references():
+    rng = random.Random(2018)
+    trees = []
+    for _ in range(300):
+        shape = random_shape(rng, 0, itertools.count(), max_depth=rng.randint(0, 3))
+        seed = rng.random()
+        variants = [build(shape, (), []), regrouped(build(shape, (), []))]
+        for tree in filter(None, variants):
+            vary = random.Random(seed)
+            for node in tree.iter_nodes():
+                if isinstance(node, Action) and vary.random() < 0.2:
+                    node.duration_override = vary.randint(1, 2)
+                elif isinstance(node, Guard) and vary.random() < 0.5:
+                    node.children[0] = Condition(f"flag_{vary.randrange(N_FLAGS)}")
+            trees.append(tree)
+    for tree in trees:
+        assert print_tree(tree) == reference_print_tree(tree)
+    old = [reference_signature(tree) for tree in trees]
+    new = [structural_signature(tree) for tree in trees]
+    # the same nodes in the same preorder, told apart only by their levels
+    unleveled = [tuple(fields[1:] for fields in signature) for signature in new]
+    pairs: Counter[str] = Counter()
+    for i, j in itertools.combinations(range(len(trees)), 2):
+        assert (new[i] == new[j]) == (old[i] == old[j]), (old[i], old[j])
+        pairs["equal" if old[i] == old[j] else "unequal"] += 1
+        pairs["same preorder, other nesting"] += unleveled[i] == unleveled[j] and old[i] != old[j]
+    assert min(pairs.values()) >= 20, pairs

@@ -4,17 +4,24 @@
 ``scenarios/`` under each configuration below, as written by
 ``shutter-sim run ... --out``. A change that alters what a controller emits,
 or how a trace is serialized, fails here.
+
+The seed-1 benchmark crowds, where people leave mid-session and the root cuts
+the running session off, are pinned by the sha256 of each trace instead.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
+from shutter_sim import dsl, interaction, sim
+from shutter_sim.bt import validate_tree
 from shutter_sim.cli import main
 
-from conftest import SCENARIO_DIR, TREE_FILE
+from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -44,3 +51,29 @@ def test_run_reproduces_the_golden_trace(scenario, config, tmp_path):
     assert main(argv) == 0
     golden = GOLDEN_DIR / f"{scenario}.{config}.trace"
     assert out.read_bytes() == golden.read_bytes()
+
+
+# sha256 of each seed-1 crowd's trace under the tree from trees/photographer.tree
+# and under the machine in each --fsm-mode; the three modes write the same trace
+CROWD_DIGESTS = {
+    "crowd_still": ("f824fdc69b8f150a04133326b175740e7f7144f766c15eed9c9a54c924712b01",
+                    "191608f7167d1b5405bea18ffc413c370bc3eee0ee63365c9633ebb4968ad4fe"),
+    "crowd_churn": ("06541df157d255c4571c2b4fa5b657f0fa06d6dddd651bc3772c8afa29cc5e7d",
+                    "6d95b610a69d27a8a3e3296d988f703822a19ecb51070c305358231d5ca0666f"),
+}
+FSM_MODES = ("none", "transitions", "timeouts")
+
+
+@pytest.mark.parametrize("crowd", sorted(CROWD_DIGESTS))
+def test_seed_1_crowds_reproduce_their_pinned_trace_digests(crowd):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PKG_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenario = dsl.parse_scenario(getattr(gen, crowd)(1))
+    catalogue = interaction.default_catalogue()
+    tree = validate_tree(dsl.parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
+    machines = [interaction.build_photographer_fsm(mode, catalogue=catalogue) for mode in FSM_MODES]
+    digests = [hashlib.sha256(sim.serialize_trace(sim.run(controller, scenario)).encode("utf-8"))
+               .hexdigest() for controller in [tree, *machines]]
+    tree_digest, fsm_digest = CROWD_DIGESTS[crowd]
+    assert digests == [tree_digest] + [fsm_digest] * len(FSM_MODES)
