@@ -50,10 +50,15 @@ class Node:
 
     def reset(self) -> None:
         """Clear runtime state for this node and its whole subtree, with a
-        stack rather than recursion.  Idempotent."""
+        stack rather than recursion.  Idempotent.  A node met a second time
+        raises ConfigurationError, as in ``_preorder``."""
+        seen: set[Node] = set()
         stack = [self]
         while stack:
             node = stack.pop()
+            if node in seen:
+                raise _met_twice(node)
+            seen.add(node)
             node._reset_self()
             stack.extend(node.children)
 
@@ -227,10 +232,14 @@ def _preorder(root: Node) -> Iterator[tuple[Node, int]]:
     while stack:
         node, depth = stack.pop()
         if node in seen:
-            raise ConfigurationError(f"{node.kind} {node.name!r} appears more than once in the tree")
+            raise _met_twice(node)
         seen.add(node)
         yield node, depth
         stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+def _met_twice(node: Node) -> ConfigurationError:
+    return ConfigurationError(f"{node.kind} {node.name!r} appears more than once in the tree")
 
 
 def require_validated(root: Node) -> Node:
@@ -265,23 +274,22 @@ def validate_tree(root: Node, catalogue) -> Node:
         if isinstance(node, Guard) and len(node.children) != 1:
             raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
         if isinstance(node, (Guard, Condition)):
-            if catalogue.has_condition(node.condition_name):
+            try:
                 node._predicate = catalogue.condition(node.condition_name)
-            else:
+            except ConfigurationError:
                 missing.append(f"condition {node.condition_name!r}")
         if isinstance(node, Action):
-            if catalogue.has_behavior(node.behavior_name):
+            try:
                 behavior = catalogue.behavior(node.behavior_name)
+            except ConfigurationError:
+                missing.append(f"behavior {node.behavior_name!r}")
+            else:
                 node._behavior = behavior
                 node._duration = (
                     behavior.duration if node.duration_override is None else node.duration_override
                 )
                 if node._duration < 1:
-                    raise ConfigurationError(
-                        f"action {node.behavior_name!r} duration must be positive"
-                    )
-            else:
-                missing.append(f"behavior {node.behavior_name!r}")
+                    raise ConfigurationError(f"action {node.behavior_name!r} duration must be positive")
     if missing:
         raise ConfigurationError("unresolved names: " + ", ".join(sorted(set(missing))))
     root._validated = True

@@ -9,7 +9,8 @@ from pathlib import Path
 from . import bt
 from .dsl import parse_scenario, parse_tree
 from .errors import SimError
-from .interaction import build_photographer_bt, build_photographer_fsm, default_catalogue, structural_economy_report
+from .interaction import (ABANDONMENT_MODES, build_photographer_bt, build_photographer_fsm,
+                          default_catalogue, structural_economy_report)
 from .sim import compare, parse_trace, run, serialize_trace
 
 
@@ -26,23 +27,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--controller", choices=("bt", "fsm", "both"), required=True)
     run_p.add_argument("--scenario", required=True, metavar="FILE")
     run_p.add_argument("--tree", metavar="FILE", help="tree description for the bt controller")
-    run_p.add_argument("--fsm-mode", choices=("none", "transitions", "timeouts"),
+    run_p.add_argument("--fsm-mode", choices=ABANDONMENT_MODES,
                        default="transitions", help="abandonment handling for the fsm controller")
     run_p.add_argument("--out", metavar="FILE", help="write the trace here instead of stdout")
+    run_p.set_defaults(handler=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="compare two trace files by emission content")
     cmp_p.add_argument("--a", required=True, metavar="FILE")
     cmp_p.add_argument("--b", required=True, metavar="FILE")
+    cmp_p.set_defaults(handler=_cmd_compare)
 
     check_p = sub.add_parser("check", help="validate a scenario (and optional tree) without running")
     check_p.add_argument("--scenario", required=True, metavar="FILE")
     check_p.add_argument("--tree", metavar="FILE")
+    check_p.set_defaults(handler=_cmd_check)
 
-    sub.add_parser("report", help="print the structural cost of the reactive features")
+    report_p = sub.add_parser("report", help="print the structural cost of the reactive features")
+    report_p.set_defaults(handler=_cmd_report)
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def _read(path: str) -> str:
@@ -105,7 +107,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report() -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     report = structural_economy_report()
     width = max(len(k) for k in report)
     print("elements added per reactive feature, by controller style:")
@@ -114,16 +116,13 @@ def _cmd_report() -> int:
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_report()
+        return args.handler(args)
     except (OSError, SimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,9 @@ Scenario files are line oriented::
 
 Spaces and tabs between the tokens of a scenario line are optional, as long as
 two words do not run together (``@5person_appear id=1x=1.0y=2.0`` is valid);
-numbers use the ASCII digits ``0-9`` only.
+numbers use the ASCII digits ``0-9`` only.  A line ends at ``\r\n``, ``\r`` or
+``\n``, as universal newlines read it; a line that is empty or starts with
+``#`` after its leading whitespace is skipped, before the header or after it.
 
 Tree files are brace structured and whitespace insensitive::
 
@@ -33,7 +35,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import isfinite
+from operator import attrgetter
 from typing import NoReturn
 
 from . import bt
@@ -85,56 +89,49 @@ class ScenarioScript:
             raise ValidationError(f"scenario {self.name!r} needs a positive duration")
         present: set[int] = set()
         frames: list[Frame] = []
-        ids: list[int] = []
-        persons: list[PersonObservation | None] = []
-        buttons: list[str] = []
         hazard, network = False, True
-        last, frame_tick = 0, -1
-        for ev in self.events:
-            tick, kind, pid = ev.at_tick, ev.kind, ev.person_id
+        last = 0
+        for tick, group in groupby(self.events, attrgetter("at_tick")):
             if tick >= duration:
                 raise ValidationError(f"event at {tick} beyond duration {duration}")
             if tick < last:
                 where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
                 raise ValidationError(f"event at {tick} {where}")
             last = tick
-            if tick != frame_tick:
-                if frame_tick >= 0:
-                    frames.append(Frame(frame_tick, tuple(ids), tuple(persons), tuple(buttons),
-                                        hazard, network))
-                    ids, persons, buttons = [], [], []
-                frame_tick = tick
-            if kind == "person_appear" or kind == "person_move":
-                if kind == "person_appear":
-                    if pid in present:
-                        raise ValidationError(f"person {pid} already present at tick {tick}")
-                    present.add(pid)
-                elif pid not in present:
-                    raise ValidationError(f"unknown person {pid} at tick {tick}")
-                x, y = ev.x, ev.y
-                if x is None or y is None or not (isfinite(x) and isfinite(y)):
-                    raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
-                ids.append(pid)
-                persons.append(PersonObservation(pid, x, y))
-            elif kind == "person_leave":
-                if pid not in present:
-                    raise ValidationError(f"unknown person {pid} at tick {tick}")
-                present.remove(pid)
-                ids.append(pid)
-                persons.append(None)
-            elif kind == "button_press":
-                if ev.button not in BUTTONS:
-                    raise ValidationError(f"unknown button {ev.button!r} at tick {tick}")
-                buttons.append(ev.button)
-            elif kind == "hazard_on" or kind == "hazard_off":
-                hazard = kind == "hazard_on"
-            elif kind == "network_down" or kind == "network_up":
-                network = kind == "network_up"
-            else:
-                raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
-        if frame_tick >= 0:
-            frames.append(Frame(frame_tick, tuple(ids), tuple(persons), tuple(buttons),
-                                hazard, network))
+            ids: list[int] = []
+            persons: list[PersonObservation | None] = []
+            buttons: list[str] = []
+            for ev in group:
+                kind, pid = ev.kind, ev.person_id
+                if kind == "person_appear" or kind == "person_move":
+                    if kind == "person_appear":
+                        if pid in present:
+                            raise ValidationError(f"person {pid} already present at tick {tick}")
+                        present.add(pid)
+                    elif pid not in present:
+                        raise ValidationError(f"unknown person {pid} at tick {tick}")
+                    x, y = ev.x, ev.y
+                    if x is None or y is None or not (isfinite(x) and isfinite(y)):
+                        raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
+                    ids.append(pid)
+                    persons.append(PersonObservation(pid, x, y))
+                elif kind == "person_leave":
+                    if pid not in present:
+                        raise ValidationError(f"unknown person {pid} at tick {tick}")
+                    present.remove(pid)
+                    ids.append(pid)
+                    persons.append(None)
+                elif kind == "button_press":
+                    if ev.button not in BUTTONS:
+                        raise ValidationError(f"unknown button {ev.button!r} at tick {tick}")
+                    buttons.append(ev.button)
+                elif kind == "hazard_on" or kind == "hazard_off":
+                    hazard = kind == "hazard_on"
+                elif kind == "network_down" or kind == "network_up":
+                    network = kind == "network_up"
+                else:
+                    raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
+            frames.append(Frame(tick, tuple(ids), tuple(persons), tuple(buttons), hazard, network))
         object.__setattr__(self, "frames", tuple(frames))
 
 
@@ -251,9 +248,10 @@ _EVENT_LINE = re.compile(
 
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse and validate a scenario; events come back stably sorted by tick."""
-    lines = text.split("\n")
+    # the line breaks Path.read_text's universal newlines reads: \r\n, \r and \n
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     first = 0  # comments and blank lines may precede the header
-    while first < len(lines) and (not lines[first].strip() or lines[first].lstrip().startswith("#")):
+    while first < len(lines) and _skipped(lines[first]):
         first += 1
     header = _LineScanner(lines[first] if first < len(lines) else "", min(first + 1, len(lines)) or 1)
     header.keyword("scenario")
@@ -268,8 +266,7 @@ def parse_scenario(text: str) -> ScenarioScript:
     for line_no, raw in enumerate(lines[first + 1:], start=first + 2):
         m = match(raw)
         if m is None:
-            body = raw.lstrip(" \t")
-            if not body or body[0] == "#":
+            if _skipped(raw):
                 continue
             _raise_event_error(raw, line_no)
         tick, moved, pid, x, y, left, button, hazard, network = m.groups()  # _SWITCHES order
@@ -287,6 +284,12 @@ def parse_scenario(text: str) -> ScenarioScript:
 
     events.sort(key=lambda ev: ev.at_tick)  # stable: file order within a tick
     return ScenarioScript(name, duration, tuple(events))
+
+
+def _skipped(line: str) -> bool:
+    """A blank or comment line: nothing, or a ``#``, after its leading whitespace."""
+    body = line.lstrip()
+    return not body or body[0] == "#"
 
 
 def _raise_event_error(raw: str, line_no: int) -> NoReturn:

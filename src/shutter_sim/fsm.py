@@ -59,9 +59,14 @@ class StateMachine:
                  catalogue, timeouts: Sequence[Timeout] = ()):
         self.states: dict[str, State] = {}
         for state in states:
-            if state.state_id in self.states:
-                raise ConfigurationError(f"duplicate state {state.state_id!r}")
-            self.states[state.state_id] = state
+            sid = state.state_id
+            if sid in self.states:
+                raise ConfigurationError(f"duplicate state {sid!r}")
+            # a trace line writes the id as its status= field, which ends at a space
+            if " " in sid or sid.splitlines() not in ([], [sid]):
+                raise ConfigurationError(f"state {sid!r} holds a space or a line break, "
+                                         "which a trace line cannot carry")
+            self.states[sid] = state
         if initial not in self.states:
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
@@ -83,9 +88,11 @@ class StateMachine:
             if any(t.priority == tr.priority for t, _ in self._outgoing[tr.source]):
                 raise ConfigurationError(f"duplicate priority {tr.priority} "
                                          f"on transitions from {tr.source!r}")
-            if not catalogue.has_condition(tr.guard):
-                raise ConfigurationError(f"unknown guard {tr.guard!r}")
-            self._outgoing[tr.source].append((tr, catalogue.condition(tr.guard)))
+            try:
+                guard = catalogue.condition(tr.guard)
+            except ConfigurationError:
+                raise ConfigurationError(f"unknown guard {tr.guard!r}") from None
+            self._outgoing[tr.source].append((tr, guard))
         for edges in self._outgoing.values():
             edges.sort(key=lambda edge: edge[0].priority)
         self.timeouts: dict[str, Timeout] = {}

@@ -43,6 +43,8 @@ _NUMBER_WORDS = {
 DEFAULT_COOLDOWN_TICKS = 10
 PHOTOS_PER_SESSION = 3
 ABANDON_TIMEOUT_TICKS = 15
+# build_photographer_fsm's ways of handling abandonment, and the CLI's --fsm-mode
+ABANDONMENT_MODES = ("none", "transitions", "timeouts")
 
 def greeting_text(n: int) -> str:
     """Consent question for a group of n persons; small counts are spelled out."""
@@ -90,12 +92,6 @@ class Catalogue:
 
     def register_condition(self, name: str, predicate: Callable[[InteractionContext], bool]) -> None:
         self._conditions[name] = predicate
-
-    def has_behavior(self, name: str) -> bool:
-        return name in self._behaviors
-
-    def has_condition(self, name: str) -> bool:
-        return name in self._conditions
 
     def behavior(self, name: str) -> Behavior:
         try:
@@ -257,7 +253,7 @@ def build_photographer_fsm(
     from every other state), or ``"timeouts"`` (a per-state timeout instead).
     ``include_halt=False`` drops the HaltMotion state and its paired edges.
     """
-    if abandonment not in ("none", "transitions", "timeouts"):
+    if abandonment not in ABANDONMENT_MODES:
         raise ValueError(f"unknown abandonment mode {abandonment!r}")
     cat = catalogue or default_catalogue()
 

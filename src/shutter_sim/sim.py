@@ -112,18 +112,15 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# One match for a line the field walk in ``_raise_trace_error`` accepts.  Counts
-# are ASCII decimals with no sign, separator or leading zero, and int payloads
-# are the same with an optional ``-`` before a nonzero value, as str(int) writes
-# them; either has at most ``_MAX_DIGITS`` digits, so int() takes it as it is;
-# ctl and status hold no space; the emissions end at the line's last ``] ``,
-# since the fields after it hold none; an emission is an action up to its first
-# ``(`` and a payload up to its last ``)``, neither holding ``;``.
-_DIGITS = rf"[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
-_COUNT = rf"(?:0|{_DIGITS})"
-_INT_ACTIONS = "|".join(re.escape(a) for a, declared in ACTION_PAYLOADS.items() if declared is int)
-_EMISSION_TEXT = (rf"(?:(?:{_INT_ACTIONS})\((?:0|-?{_DIGITS})\)"
-                  rf"|(?!(?:{_INT_ACTIONS})\()[^;(]*\([^;]*\))")
+# One match for a line whose fields have the shape the field walk in
+# ``_raise_trace_error`` accepts.  Counts are ASCII decimals with no sign,
+# separator or leading zero and at most ``_MAX_DIGITS`` digits, so int() takes
+# them as they are; ctl and status hold no space; the emissions end at the
+# line's last ``] ``, since the fields after it hold none; an emission is an
+# action up to its first ``(`` and a payload up to its last ``)``, neither
+# holding ``;``.  An int payload is checked by ``_int_payload`` alone.
+_COUNT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+_EMISSION_TEXT = r"[^;(]*\([^;]*\)"
 _TRACE_LINE = re.compile(
     rf"tick=({_COUNT}) ctl=([^ ]*) status=([^ ]*) "
     rf"emit=\[((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)\] "
@@ -192,16 +189,18 @@ def _payload(action: str, text: str) -> str | int | None:
     if declared is str:
         return text
     if declared is int:
-        return int(text)
+        return _int_payload(action, text)
     return text or None
 
 
-def _int_payload(action: str, text: str) -> None:
+def _int_payload(action: str, text: str) -> int:
     """An int payload as ``serialize_trace`` writes it, within int()'s limit."""
     if sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:  # int() could refuse it with its own advice
         raise ValueError(f"{action} payload has more than {_MAX_DIGITS} digits")
-    if str(int(text)) != text:
+    value = int(text)
+    if str(value) != text:
         raise ValueError(f"{action} payload {text!r} is not an integer")
+    return value
 
 
 def _split(text: str, fields: str) -> list[str]:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +30,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt, sim
 
-from conftest import LeafScript
+from conftest import PKG_ROOT, LeafScript
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 
@@ -338,6 +341,32 @@ def test_validation_rejects_a_node_met_twice(make_tree, first):
     # sim.run stops at the tick gate before its reset walks the tree
     with pytest.raises(ConfigurationError, match="validate_tree"):
         sim.run(make_tree(), parse_scenario("scenario shared ticks 3\n"))
+
+
+_RESET_TWICE_MET = """
+from shutter_sim import Action, ConfigurationError, Fallback, Sequence
+shared = Fallback("f", [Action("a")])
+cycle = Sequence("s", [])
+cycle.children.append(cycle)
+for root in (Sequence("s", [Action("a")] * 2), Sequence("s", [shared, Action("b"), shared]), cycle):
+    try:
+        root.reset()
+    except ConfigurationError as exc:
+        print(exc)
+"""
+
+
+def test_reset_refuses_a_node_met_twice():
+    # a fresh interpreter with a timeout, so a reset that walks a cycle
+    # forever fails the test instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _RESET_TWICE_MET], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        f"{first} appears more than once in the tree"
+        for first in ("action 'a'", "fallback 'f'", "sequence 's'")
+    ]
 
 
 def test_structural_signature_tracks_shape_not_runtime_state():

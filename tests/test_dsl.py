@@ -61,6 +61,40 @@ def test_comments_blank_lines_and_signed_coordinates():
     assert script.events[0].y == -1.25
 
 
+LINE_READING = (
+    "# a comment before the header\n"
+    "scenario s ticks 8\n"
+    "@1 person_appear id=4 x=-0.4 y=-1.25\n"
+    "\n"
+    "@2 button yes\n"
+    "@5 person_leave id=4\n"
+)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_lines_end_where_universal_newlines_end_them(tmp_path, newline):
+    # the CLI reads a file with Path.read_text, so a file and its text parse alike
+    text = LINE_READING.replace("\n", newline)
+    path = tmp_path / "s.scn"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_scenario(text) == parse_scenario(path.read_text(encoding="utf-8"))
+    assert parse_scenario(text) == parse_scenario(LINE_READING)
+
+
+def test_a_form_feed_or_a_vertical_tab_is_not_a_line_break():
+    with pytest.raises(ParseError) as err:
+        parse_scenario("scenario s ticks 8\n@2 button yes\x0c@3 button no\n")
+    assert (err.value.line, err.value.column) == (2, 14)
+
+
+@pytest.mark.parametrize("line", ["\xa0", "\x0c# note", " \t\u3000", "\v#"],
+                         ids=["nbsp", "form-feed-comment", "ideographic-space", "vt-comment"])
+def test_a_line_skipped_before_the_header_is_skipped_after_it(line):
+    assert parse_scenario(f"{line}\nscenario s ticks 8\n") == parse_scenario("scenario s ticks 8\n")
+    after = LINE_READING.replace("\n\n", f"\n{line}\n")
+    assert parse_scenario(after) == parse_scenario(LINE_READING)
+
+
 def test_switch_events_map_to_context_event_kinds():
     script = parse_scenario(
         "scenario s ticks 9\n"

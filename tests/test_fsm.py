@@ -4,7 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from shutter_sim import ConfigurationError, InteractionContext, State, StateMachine, Timeout, Transition
+from shutter_sim import (
+    ConfigurationError,
+    InteractionContext,
+    State,
+    StateMachine,
+    Timeout,
+    Transition,
+    build_photographer_fsm,
+    default_catalogue,
+    parse_scenario,
+    parse_trace,
+    run,
+    serialize_trace,
+)
+from shutter_sim.interaction import ABANDONMENT_MODES
 
 from conftest import LeafScript
 
@@ -237,6 +251,28 @@ def test_construction_names_the_first_defect_in_table_order():
         with pytest.raises(ConfigurationError) as excinfo:
             machine(script, states, transitions, initial, timeouts)
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("state_id", ["Ask Consent", "Ask\nConsent", "Ask\r\n", "\x85", "Ask\u2028Consent"],
+                         ids=["space", "newline", "crlf", "next-line", "line-separator"])
+def test_a_state_id_a_trace_line_cannot_carry_is_refused(state_id):
+    # run writes the id as the status= field, which ends at a space and a line
+    # at anything str.splitlines splits on; the id is checked with the states,
+    # so before the initial state and the behaviors
+    message = f"state {state_id!r} holds a space or a line break, which a trace line cannot carry"
+    with pytest.raises(ConfigurationError) as excinfo:
+        StateMachine([State(state_id, on_tick="ghost")], [], "Z", default_catalogue())
+    assert str(excinfo.value) == message
+
+
+def test_the_shipped_machines_build_and_a_tab_in_a_state_id_round_trips():
+    for mode in ABANDONMENT_MODES:
+        for include_halt in (True, False):
+            build_photographer_fsm(mode, include_halt=include_halt)
+    m = StateMachine([State("Ask\tConsent", on_tick="idle")], [], "Ask\tConsent", default_catalogue())
+    records = run(m, parse_scenario("scenario s ticks 3\n"))
+    assert records[0].status == "Ask\tConsent"
+    assert parse_trace(serialize_trace(records)) == records
 
 
 def test_a_built_machine_has_no_mutators():
