@@ -48,9 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 input file; a decode error names the file."""
+    """The text of a UTF-8 input file, without a leading byte-order mark; a
+    decode error names the file and the byte's offset in it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SimError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -38,20 +38,11 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from math import isfinite
 from operator import attrgetter
-from typing import NoReturn
 
 from . import bt
 from .errors import ParseError, ValidationError
 from .world import BUTTONS, Event, Frame, PersonObservation
 
-# Each switch event's word, the words that may follow it, and what a parse
-# error calls them.  The event-line regex and its error walk both read this.
-_SWITCHES = {
-    "button": (BUTTONS, "button"),
-    "hazard": (("on", "off"), "hazard switch"),
-    "network": (("down", "up"), "network switch"),
-}
-_EVENT_WORDS = ("person_appear", "person_move", "person_leave", *_SWITCHES)
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # The interpreter's limit for converting a digit string to int (set by
 # PYTHONINTMAXSTRDIGITS or -X int_max_str_digits); a longer run of digits is a
@@ -137,139 +128,76 @@ class ScenarioScript:
 
 # --- scenario format ---------------------------------------------------------
 
-
-class _LineScanner:
-    """Single-line cursor with 1-based column reporting."""
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line = line_no
-        self.pos = 0
-
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def fail(self, message: str, expected: str | None = None) -> ParseError:
-        return ParseError(self.line, self.column, message, expected)
-
-    def expect_char(self, ch: str) -> None:
-        self.skip_spaces()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.fail(f"expected {ch!r}", expected=ch)
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        self.skip_spaces()
-        start = self.pos
-        if start >= len(self.text) or not (self.text[start].isalpha() or self.text[start] == "_"):
-            raise self.fail(f"expected {what}", expected="identifier")
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def keyword(self, word: str) -> None:
-        self.skip_spaces()
-        col = self.column
-        got = self.ident(f"keyword {word!r}")
-        if got != word:
-            raise ParseError(self.line, col, f"expected {word!r}, got {got!r}", expected=word)
-
-    def choice(self, options: tuple[str, ...], what: str) -> str:
-        self.skip_spaces()
-        col = self.column
-        got = self.ident(what)
-        if got not in options:
-            raise ParseError(self.line, col, f"unknown {what} {got!r}", expected="|".join(options))
-        return got
-
-    def integer(self, what: str) -> int:
-        self.skip_spaces()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(self.line, start + 1, f"expected {what}", expected="integer")
-        if self.pos - start > _MAX_DIGITS:
-            raise ParseError(self.line, start + 1, f"{what} too long",
-                             expected=f"at most {_MAX_DIGITS} digits")
-        return int(self.text[start:self.pos])
-
-    def floating(self, what: str) -> float:
-        self.skip_spaces()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError(self.line, start + 1, f"expected {what}", expected="number")
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            frac = self.pos
-            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-                self.pos += 1
-            if self.pos == frac:
-                raise ParseError(self.line, self.column, "expected digits after decimal point",
-                                 expected="digit")
-        return float(self.text[start:self.pos])
-
-    def key(self, name: str) -> None:
-        self.keyword(name)
-        self.expect_char("=")
-
-    def end(self) -> None:
-        self.skip_spaces()
-        if self.pos < len(self.text):
-            raise self.fail("unexpected trailing input", expected="end of line")
-
-
-# One event line, as _LineScanner reads it: spacing between tokens is
-# optional, digits are ASCII, and an event or switch word must not run on into
-# another word character (``person_appearid`` and ``yes7`` are single words).
-_SP = r"[ \t]*"
-_INT = rf"([0-9]{{1,{_MAX_DIGITS}}})"
-_NUM = r"(-?[0-9]+(?:\.[0-9]+)?)"
-_EVENT_LINE = re.compile(
-    rf"{_SP}@{_SP}{_INT}{_SP}(?:"
-    rf"(person_appear|person_move)(?!\w){_SP}id{_SP}={_SP}{_INT}"
-    rf"{_SP}x{_SP}={_SP}{_NUM}{_SP}y{_SP}={_SP}{_NUM}"
-    rf"|person_leave(?!\w){_SP}id{_SP}={_SP}{_INT}"
-    + "".join(rf"|{kind}(?!\w){_SP}({'|'.join(words)})(?!\w)"
-              for kind, (words, _) in _SWITCHES.items())
-    + rf"){_SP}"
+# A scenario line is a table of pieces ``(kind, arg, what)``: a ``sym`` (the
+# text ``arg``), an ``int``, a ``num``, a ``keyword`` (the identifier ``arg``)
+# or a ``word`` (an identifier from the set ``arg``, any if None).  ``what``
+# names the piece in its errors; ints, nums and words are captured.
+# ``_EVENT_LINE`` is built from these tables, and ``_walk`` reads them.
+_EQ = ("sym", "=", None)
+_HEADER = (("keyword", "scenario", None), ("word", None, "scenario name"),
+           ("keyword", "ticks", None), ("int", None, "tick count"))
+_TICK = (("sym", "@", None), ("int", None, "tick"))
+# One alternative per event kind, or per kinds with the same fields; its first
+# piece names the kind, and is captured only when it names one of several.
+_EVENTS = (
+    (("word", ("person_appear", "person_move"), "event"), ("keyword", "id", None), _EQ,
+     ("int", None, "person id"), ("keyword", "x", None), _EQ, ("num", None, "x coordinate"),
+     ("keyword", "y", None), _EQ, ("num", None, "y coordinate")),
+    (("keyword", "person_leave", None), ("keyword", "id", None), _EQ, ("int", None, "person id")),
+    (("keyword", "button", None), ("word", BUTTONS, "button")),
+    (("keyword", "hazard", None), ("word", ("on", "off"), "hazard switch")),
+    (("keyword", "network", None), ("word", ("down", "up"), "network switch")),
 )
+_CAPTURED = ("int", "num", "word")
+_SPACING = re.compile(r"[ \t]*")
+_DIGITS = re.compile(r"[0-9]*")
+_NUMBER = re.compile(r"-?([0-9]*)(\.[0-9]*)?")
+_WORD = re.compile(r"\w*")  # \w is str.isalnum() or "_", as an identifier continues
+_PATTERNS = {
+    "sym": re.escape,
+    "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}})",
+    "num": lambda _: r"(-?[0-9]+(?:\.[0-9]+)?)",
+    "keyword": lambda word: rf"{word}(?!\w)",  # a whole identifier: person_appearid is one
+    "word": lambda words: rf"({'|'.join(words)})(?!\w)",
+}
+
+
+def _pattern(pieces: tuple) -> str:
+    """The regex of ``pieces``, each followed by optional spacing."""
+    return "".join(_PATTERNS[kind](arg) + _SPACING.pattern for kind, arg, _ in pieces)
+
+
+def _names(piece: tuple) -> tuple[str, ...]:
+    """The words a keyword, or a word from a set, accepts."""
+    return (piece[1],) if piece[0] == "keyword" else piece[1]
+
+
+_EVENT_LINE = re.compile(
+    _SPACING.pattern + _pattern(_TICK) + "(?:" + "|".join(map(_pattern, _EVENTS)) + ")")
+_EVENT = ("word", tuple(word for alternative in _EVENTS for word in _names(alternative[0])), "event")
 
 
 def parse_scenario(text: str) -> ScenarioScript:
     """Parse and validate a scenario; events come back stably sorted by tick."""
-    # the line breaks Path.read_text's universal newlines reads: \r\n, \r and \n
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _universal_newlines(text).split("\n")
     first = 0  # comments and blank lines may precede the header
     while first < len(lines) and _skipped(lines[first]):
         first += 1
-    header = _LineScanner(lines[first] if first < len(lines) else "", min(first + 1, len(lines)) or 1)
-    header.keyword("scenario")
-    name = header.ident("scenario name")
-    header.keyword("ticks")
-    duration = header.integer("tick count")
-    header.end()
+    header = lines[first] if first < len(lines) else ""
+    (name, duration), _ = _walk(header, min(first + 1, len(lines)), _HEADER)
 
     events: list[Event] = []
     append = events.append
     match = _EVENT_LINE.fullmatch
     for line_no, raw in enumerate(lines[first + 1:], start=first + 2):
         m = match(raw)
-        if m is None:
-            if _skipped(raw):
-                continue
-            _raise_event_error(raw, line_no)
-        tick, moved, pid, x, y, left, button, hazard, network = m.groups()  # _SWITCHES order
+        if m is not None:
+            groups = m.groups()
+        elif _skipped(raw):
+            continue
+        else:
+            groups = _event_groups(raw, line_no)
+        tick, moved, pid, x, y, left, button, hazard, network = groups  # _EVENTS order
         at_tick = int(tick)
         if moved is not None:
             append(Event(at_tick, moved, int(pid), float(x), float(y)))
@@ -283,7 +211,12 @@ def parse_scenario(text: str) -> ScenarioScript:
             append(Event(at_tick, f"network_{network}"))
 
     events.sort(key=lambda ev: ev.at_tick)  # stable: file order within a tick
-    return ScenarioScript(name, duration, tuple(events))
+    return ScenarioScript(name, int(duration), tuple(events))
+
+
+def _universal_newlines(text: str) -> str:
+    """``text`` with each CRLF and lone CR written as LF, as universal newlines read it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _skipped(line: str) -> bool:
@@ -292,26 +225,63 @@ def _skipped(line: str) -> bool:
     return not body or body[0] == "#"
 
 
-def _raise_event_error(raw: str, line_no: int) -> NoReturn:
-    """Walk a line ``_EVENT_LINE`` rejected and raise the located ParseError."""
-    scanner = _LineScanner(raw, line_no)
-    scanner.expect_char("@")
-    scanner.integer("tick")
-    kind = scanner.choice(_EVENT_WORDS, "event")
-    if kind in ("person_appear", "person_move"):
-        scanner.key("id")
-        scanner.integer("person id")
-        scanner.key("x")
-        scanner.floating("x coordinate")
-        scanner.key("y")
-        scanner.floating("y coordinate")
-    elif kind == "person_leave":
-        scanner.key("id")
-        scanner.integer("person id")
-    else:
-        scanner.choice(*_SWITCHES[kind])
-    scanner.end()
-    raise AssertionError(f"line {line_no}: the scanner accepts a line _EVENT_LINE rejects")
+def _event_groups(text: str, line_no: int) -> tuple[str | None, ...]:
+    """The groups ``_EVENT_LINE`` gives a line, or the ParseError of its first
+    fault: in the tick, the event word, or the rest of that word's alternative."""
+    (tick, word), at = _walk(text, line_no, (*_TICK, _EVENT), end=False)
+    groups = [tick]
+    for alternative in _EVENTS:
+        if word in _names(alternative[0]):
+            groups += _walk(text, line_no, alternative, at - len(word))[0]
+        else:
+            groups += [None] * sum(kind in _CAPTURED for kind, _, _ in alternative)
+    return tuple(groups)
+
+
+def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
+          end: bool = True) -> tuple[list[str], int]:
+    """Read ``pieces`` from ``text[pos:]``, then the line's end if ``end``: the
+    captured texts and the position after them, or the first fault's ParseError."""
+    groups = []
+    for kind, arg, what in pieces:
+        start = pos = _SPACING.match(text, pos).end()
+        if kind == "sym":
+            if not text.startswith(arg, pos):
+                raise ParseError(line_no, pos + 1, f"expected {arg!r}", expected=arg)
+            pos += len(arg)
+        elif kind == "int":
+            pos = _DIGITS.match(text, pos).end()
+            if pos == start:
+                raise ParseError(line_no, start + 1, f"expected {what}", expected="integer")
+            if pos - start > _MAX_DIGITS:
+                raise ParseError(line_no, start + 1, f"{what} too long",
+                                 expected=f"at most {_MAX_DIGITS} digits")
+        elif kind == "num":
+            number = _NUMBER.match(text, pos)
+            pos = number.end()
+            if not number[1]:
+                raise ParseError(line_no, start + 1, f"expected {what}", expected="number")
+            if number[2] == ".":
+                raise ParseError(line_no, pos + 1, "expected digits after decimal point",
+                                 expected="digit")
+        else:  # a keyword or a word: one identifier
+            pos = _WORD.match(text, pos).end()
+            word = text[start:pos]
+            if not (word[:1].isalpha() or word[:1] == "_"):
+                wanted = what if kind == "word" else f"keyword {arg!r}"
+                raise ParseError(line_no, start + 1, f"expected {wanted}", expected="identifier")
+            if kind == "keyword" and word != arg:
+                raise ParseError(line_no, start + 1, f"expected {arg!r}, got {word!r}", expected=arg)
+            if kind == "word" and arg is not None and word not in arg:
+                raise ParseError(line_no, start + 1, f"unknown {what} {word!r}",
+                                 expected="|".join(arg))
+        if kind in _CAPTURED:
+            groups.append(text[start:pos])
+    if end:
+        pos = _SPACING.match(text, pos).end()
+        if pos < len(text):
+            raise ParseError(line_no, pos + 1, "unexpected trailing input", expected="end of line")
+    return groups, pos
 
 
 # --- tree format -------------------------------------------------------------
@@ -444,7 +414,7 @@ class _TreeParser:
 
 def parse_tree(text: str) -> bt.Node:
     """Parse a tree description; names stay unresolved until validate_tree."""
-    parser = _TreeParser(text)
+    parser = _TreeParser(_universal_newlines(text))
     root = parser.parse_node()
     trailing = parser.peek()
     if trailing[0] != "eof":

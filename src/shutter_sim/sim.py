@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn
 from typing import Sequence as Seq
 
 from . import bt
@@ -112,21 +111,32 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# One match for a line whose fields have the shape the field walk in
-# ``_raise_trace_error`` accepts.  Counts are ASCII decimals with no sign,
-# separator or leading zero and at most ``_MAX_DIGITS`` digits, so int() takes
-# them as they are; ctl and status hold no space; the emissions end at the
-# line's last ``] ``, since the fields after it hold none; an emission is an
-# action up to its first ``(`` and a payload up to its last ``)``, neither
-# holding ``;``.  An int payload is checked by ``_int_payload`` alone.
-_COUNT = rf"(?:0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+# The fields on each side of a trace line's emissions, as (key, value regex).
+# Counts are ASCII decimals without sign, separator or leading zero, and at
+# most ``_MAX_DIGITS`` digits, so int() takes them as they are.  The emissions
+# end at the line's last ``] ``, as the fields after it hold none; an emission
+# is an action up to its first ``(`` and a payload up to its last ``)``, neither
+# holding ``;``, and only ``_payload`` checks an int payload.
+# ``_TRACE_LINE`` is built from these tables, and ``_trace_groups`` reads them.
+_COUNT = rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_FLAG = "[01]"
+_HEAD = (("tick", _COUNT), ("ctl", "[^ ]*"), ("status", "[^ ]*"))
+_TAIL = (("persons", _COUNT), ("hazard", _FLAG), ("net", _FLAG))
+_SHAPES = {_COUNT: "a decimal count", _FLAG: "0 or 1"}  # as a fault names them
+_OPEN, _CLOSE = " emit=[", "] "
 _EMISSION_TEXT = r"[^;(]*\([^;]*\)"
-_TRACE_LINE = re.compile(
-    rf"tick=({_COUNT}) ctl=([^ ]*) status=([^ ]*) "
-    rf"emit=\[((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)\] "
-    rf"persons=({_COUNT}) hazard=([01]) net=([01])"
-)
 _EMISSION = re.compile(r"([^;(]*)\(([^;]*)\)")
+
+
+def _fields_pattern(fields: tuple[tuple[str, str], ...]) -> str:
+    return " ".join(f"{key}=({value})" for key, value in fields)
+
+
+_TRACE_LINE = re.compile(
+    _fields_pattern(_HEAD) + re.escape(_OPEN)
+    + rf"((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)"
+    + re.escape(_CLOSE) + _fields_pattern(_TAIL)
+)
 
 
 def parse_trace(text: str) -> list[TickRecord]:
@@ -142,11 +152,13 @@ def parse_trace(text: str) -> list[TickRecord]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         try:
             m = match(line)
-            if m is None:
-                if line.strip():
-                    _raise_trace_error(line)
+            if m is not None:
+                groups = m.groups()
+            elif line.strip():
+                groups = _trace_groups(line)
+            else:
                 continue
-            tick, ctl, status, body, persons, hazard, net = m.groups()
+            tick, ctl, status, body, persons, hazard, net = groups
             emissions = tuple(ActionEmission(action, _payload(action, payload))
                               for action, payload in _EMISSION.findall(body))
             records.append(TickRecord(int(tick), ctl, status, emissions, int(persons),
@@ -156,84 +168,61 @@ def parse_trace(text: str) -> list[TickRecord]:
     return records
 
 
-def _raise_trace_error(line: str) -> NoReturn:
-    """Walk a line ``_TRACE_LINE`` rejected, field by field, and raise a ValueError
-    that names the first field at fault."""
-    head, found, rest = line.partition(" emit=[")
+def _trace_groups(line: str) -> tuple[str, ...]:
+    """The groups ``_TRACE_LINE`` gives a line, or a ValueError naming the first
+    fault: a missing ``emit=[`` or ``] ``, a side of the line with too few or
+    too many fields, then the tick, the emissions and the other fields in
+    line order."""
+    head, found, rest = line.partition(_OPEN)
     if not found:
         raise ValueError("expected emit=[ after status=")
-    body, found, tail = rest.rpartition("] ")
+    body, found, tail = rest.rpartition(_CLOSE)
     if not found:
         raise ValueError("expected ] before persons=")
-    tick_part, ctl_part, status_part = _split(head, "tick= ctl= status= before emit=[")
-    persons_part, hazard_part, net_part = _split(tail, "persons= hazard= net= after the emissions")
-    _count(tick_part, "tick")
+    parts = []
+    for side, fields, where in ((head, _HEAD, "before emit=["), (tail, _TAIL, "after the emissions")):
+        texts = side.split(" ")
+        if len(texts) != len(fields):
+            raise ValueError(f"expected {' '.join(key + '=' for key, _ in fields)} {where}")
+        parts += zip(texts, fields)
+    tick = _field(*parts[0])
     if body:
         for item in body.split(";"):
-            action, _, payload = item.partition("(")
-            if not payload.endswith(")"):
+            emission = _EMISSION.fullmatch(item)
+            if emission is None:
                 raise ValueError("unterminated emission")
-            if ACTION_PAYLOADS.get(action) is int:
-                _int_payload(action, payload[:-1])
-    _field(ctl_part, "ctl")
-    _field(status_part, "status")
-    _count(persons_part, "persons")
-    _flag(hazard_part, "hazard")
-    _flag(net_part, "net")
-    raise AssertionError("the field walk accepts a line _TRACE_LINE rejects")
+            _payload(*emission.groups())
+    ctl, status, persons, hazard, net = (_field(*part) for part in parts[1:])
+    return tick, ctl, status, body, persons, hazard, net
+
+
+def _field(part: str, field: tuple[str, str]) -> str:
+    """The value of a ``key=value`` field that matches its value regex."""
+    key, value = field
+    if not part.startswith(key + "="):
+        raise ValueError(f"expected {key}=")
+    text = part[len(key) + 1:]
+    if re.fullmatch(value, text) is None:
+        if value == _COUNT and re.fullmatch("[1-9][0-9]*", text):
+            raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
+        raise ValueError(f"{key} {text!r} is not {_SHAPES[value]}")
+    return text
 
 
 def _payload(action: str, text: str) -> str | int | None:
-    """A payload text ``_TRACE_LINE`` accepted, as the type its action declares."""
+    """A payload text as the type its action declares; an int payload must be
+    written as ``serialize_trace`` writes it, within int()'s limit."""
     declared = ACTION_PAYLOADS.get(action)
     if declared is str:
         return text
-    if declared is int:
-        return _int_payload(action, text)
-    return text or None
-
-
-def _int_payload(action: str, text: str) -> int:
-    """An int payload as ``serialize_trace`` writes it, within int()'s limit."""
+    if declared is not int:
+        return text or None
     if sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:  # int() could refuse it with its own advice
         raise ValueError(f"{action} payload has more than {_MAX_DIGITS} digits")
     value = int(text)
     if str(value) != text:
         raise ValueError(f"{action} payload {text!r} is not an integer")
     return value
-
-
-def _split(text: str, fields: str) -> list[str]:
-    """The three fields on one side of a trace line's emissions, named by ``fields``."""
-    parts = text.split(" ")
-    if len(parts) != 3:
-        raise ValueError(f"expected {fields}")
-    return parts
-
-
-def _field(part: str, key: str) -> str:
-    prefix = key + "="
-    if not part.startswith(prefix):
-        raise ValueError(f"expected {prefix}")
-    return part[len(prefix):]
-
-
-def _count(part: str, key: str) -> None:
-    """A ``key=`` field holding a count as ``serialize_trace`` writes it: ASCII
-    digits, no sign, separator or leading zero, and no more digits than int()
-    takes."""
-    text = _field(part, key)
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
-        raise ValueError(f"{key} {text!r} is not a decimal count")
-    if len(text) > _MAX_DIGITS:
-        raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
-
-
-def _flag(part: str, key: str) -> None:
-    """A ``key=`` field holding ``0`` or ``1``."""
-    text = _field(part, key)
-    if text not in ("0", "1"):
-        raise ValueError(f"{key} {text!r} is not 0 or 1")
 
 
 def flatten_emissions(records: Seq[TickRecord]) -> list[tuple[str, str]]:

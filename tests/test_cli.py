@@ -12,6 +12,7 @@ from importlib.metadata import EntryPoint, entry_points
 import pytest
 
 from shutter_sim.cli import main
+from shutter_sim.dsl import _MAX_DIGITS
 
 from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE
 
@@ -157,7 +158,7 @@ def test_non_ascii_digits_in_a_tree_exit_2_with_a_location(tmp_path, capsys, dur
         f"error: line 2, column {column}: unexpected character {duration[-1]!r}")
 
 
-LONG = "1" * 5000  # past Python's 4300-digit limit for int strings
+LONG = "1" * (_MAX_DIGITS + 700)  # past the interpreter's limit for int strings
 
 
 @pytest.mark.parametrize("text,located", [
@@ -170,7 +171,7 @@ def test_overlong_digit_runs_in_a_scenario_exit_2_with_a_location(tmp_path, caps
     bad = tmp_path / "bad.scn"
     bad.write_text(text, encoding="utf-8")
     assert main(["check", "--scenario", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {located} (expected at most 4300 digits)\n"
+    assert capsys.readouterr().err == f"error: {located} (expected at most {_MAX_DIGITS} digits)\n"
 
 
 def test_an_overlong_tree_duration_exits_2_with_a_location(tmp_path, capsys):
@@ -178,7 +179,7 @@ def test_an_overlong_tree_duration_exits_2_with_a_location(tmp_path, capsys):
     bad.write_text(f"sequence s {{\n  action idle dur={LONG}\n}}\n", encoding="utf-8")
     assert main(["check", "--scenario", SOLO, "--tree", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        "error: line 2, column 19: number too long (expected at most 4300 digits)\n")
+        f"error: line 2, column 19: number too long (expected at most {_MAX_DIGITS} digits)\n")
 
 
 DIGITS_1000 = "1" * 1000
@@ -223,11 +224,11 @@ def test_trace_digit_runs_exit_2_with_a_message_of_our_own(tmp_path, capsys, fie
     # process and under a lower one in a fresh interpreter: int() never sees a
     # run it would reject
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-    for digits in (4301, 5000):
+    for digits in (_MAX_DIGITS + 1, _MAX_DIGITS + 700):
         bad.write_text(_trace_with(**{field: "1" * digits}), encoding="utf-8")
         assert main(["compare", "--a", str(bad), "--b", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: bad trace line 1: {message.format(4300)}\n"
-    good.write_text(_trace_with(**{field: "1" * 4300}), encoding="utf-8")
+        assert capsys.readouterr().err == f"error: bad trace line 1: {message.format(_MAX_DIGITS)}\n"
+    good.write_text(_trace_with(**{field: "1" * _MAX_DIGITS}), encoding="utf-8")
     assert main(["compare", "--a", str(good), "--b", str(good)]) == 0
     assert capsys.readouterr().out == "equivalent\n"
 
@@ -394,6 +395,30 @@ def test_compare_refuses_a_trace_line_with_a_wrong_or_missing_field(tmp_path, ca
     bad.write_text(line + "\n", encoding="utf-8")
     assert main(["compare", "--a", str(bad), "--b", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: bad trace line 1: {message}\n"
+
+
+BOM = "\ufeff"
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys):
+    # an editor may save UTF-8 with a byte-order mark; each command reads the
+    # file as if it had none
+    scenario, tree, trace = tmp_path / "s.scn", tmp_path / "t.tree", tmp_path / "a.txt"
+    scenario.write_text(BOM + (SCENARIO_DIR / "solo.scn").read_text(encoding="utf-8"), encoding="utf-8")
+    tree.write_text(BOM + TREE_FILE.read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["check", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out == "scenario solo: 40 ticks, 3 events\n"
+    assert main(["check", "--scenario", SOLO, "--tree", str(tree)]) == 0
+    assert capsys.readouterr().out.endswith("tree root: 23 nodes\n")
+    assert main(["run", "--controller", "bt", "--scenario", SOLO, "--out", str(trace)]) == 0
+    marked = tmp_path / "b.txt"
+    marked.write_text(BOM + trace.read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["compare", "--a", str(marked), "--b", str(trace)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    # a decode error still counts bytes from the start of the file, the mark's included
+    scenario.write_bytes(BOM.encode("utf-8") + "scenario caf\xe9 ticks 5\n".encode("latin-1"))
+    assert main(["check", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err.endswith("(invalid continuation byte at byte 15)\n")
 
 
 def test_check_summarizes_inputs(capsys):

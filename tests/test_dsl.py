@@ -279,6 +279,23 @@ def test_tree_syntax_errors():
         parse_tree("sequence s {\n  action a\n")
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_tree_lines_end_where_universal_newlines_end_them(tmp_path, newline):
+    # the CLI reads a file with Path.read_text, so a file and its text parse
+    # alike, and an error is located on the same line and column
+    text = SAMPLE_TEXT.replace("\n", newline)
+    path = tmp_path / "t.tree"
+    path.write_bytes(text.encode("utf-8"))
+    assert print_tree(parse_tree(text)) == print_tree(parse_tree(path.read_text(encoding="utf-8")))
+    assert print_tree(parse_tree(text)) == SAMPLE_TEXT
+    bad = "sequence s {\n  action a\n}\n}\n".replace("\n", newline)
+    path.write_bytes(bad.encode("utf-8"))
+    for source in (bad, path.read_text(encoding="utf-8")):
+        with pytest.raises(ParseError) as err:
+            parse_tree(source)
+        assert (err.value.line, err.value.column) == (4, 1)
+
+
 # tree defects that neither the malformed files nor the test above reach
 TREE_DEFECTS = [
     ("sequence { action idle }", 1, 10, "expected node name", "identifier"),

@@ -1,19 +1,30 @@
-"""Property test of the scenario event-line grammar against a small reference.
+"""Property tests of the scenario line grammar against two references.
 
 Lines are drawn from the grammar with random spacing, then mutated by one
 inserted, deleted or replaced character. ``reference`` derives what each line
 means with a token-level reading of its own; ``parse_scenario`` must agree, and
 must fail on every line the reference rejects with a ``ParseError`` located on
 that line, never with another exception.
+
+The message oracle is a copy of the character scanner ``parse_scenario`` used
+to name the first fault of an event line or a header before both were read
+from one table of pieces: ``_LineScanner``, ``_raise_event_error`` (which ends
+in an ``AssertionError`` when it accepts the line) and the header read.  On
+the seeded lines, on mutations of them and on mutated header lines, the
+``ParseError`` of ``parse_scenario`` must equal the scanner's in line, column,
+message and expected.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from typing import NoReturn
 
 import pytest
 
-from shutter_sim import Event, ParseError, parse_scenario
+from shutter_sim import Event, ParseError, ValidationError, parse_scenario
+from shutter_sim.dsl import _MAX_DIGITS
 
 HEADER = "scenario s ticks 1000000000"
 SKIP = "skip"
@@ -186,6 +197,180 @@ def check_line(line: str) -> str:
     return "accepted"
 
 
+# --- the message oracle: the scanner, as it was --------------------------------
+
+BUTTONS = ("yes", "no", "aux")
+_SWITCHES = {
+    "button": (BUTTONS, "button"),
+    "hazard": (("on", "off"), "hazard switch"),
+    "network": (("down", "up"), "network switch"),
+}
+_EVENT_WORDS = ("person_appear", "person_move", "person_leave", *_SWITCHES)
+
+
+class _LineScanner:
+    """Single-line cursor with 1-based column reporting."""
+
+    def __init__(self, text: str, line_no: int):
+        self.text = text
+        self.line = line_no
+        self.pos = 0
+
+    @property
+    def column(self) -> int:
+        return self.pos + 1
+
+    def skip_spaces(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def fail(self, message: str, expected: str | None = None) -> ParseError:
+        return ParseError(self.line, self.column, message, expected)
+
+    def expect_char(self, ch: str) -> None:
+        self.skip_spaces()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise self.fail(f"expected {ch!r}", expected=ch)
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        self.skip_spaces()
+        start = self.pos
+        if start >= len(self.text) or not (self.text[start].isalpha() or self.text[start] == "_"):
+            raise self.fail(f"expected {what}", expected="identifier")
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def keyword(self, word: str) -> None:
+        self.skip_spaces()
+        col = self.column
+        got = self.ident(f"keyword {word!r}")
+        if got != word:
+            raise ParseError(self.line, col, f"expected {word!r}, got {got!r}", expected=word)
+
+    def choice(self, options: tuple[str, ...], what: str) -> str:
+        self.skip_spaces()
+        col = self.column
+        got = self.ident(what)
+        if got not in options:
+            raise ParseError(self.line, col, f"unknown {what} {got!r}", expected="|".join(options))
+        return got
+
+    def integer(self, what: str) -> int:
+        self.skip_spaces()
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(self.line, start + 1, f"expected {what}", expected="integer")
+        if self.pos - start > _MAX_DIGITS:
+            raise ParseError(self.line, start + 1, f"{what} too long",
+                             expected=f"at most {_MAX_DIGITS} digits")
+        return int(self.text[start:self.pos])
+
+    def floating(self, what: str) -> float:
+        self.skip_spaces()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == digits:
+            raise ParseError(self.line, start + 1, f"expected {what}", expected="number")
+        if self.pos < len(self.text) and self.text[self.pos] == ".":
+            self.pos += 1
+            frac = self.pos
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+                self.pos += 1
+            if self.pos == frac:
+                raise ParseError(self.line, self.column, "expected digits after decimal point",
+                                 expected="digit")
+        return float(self.text[start:self.pos])
+
+    def key(self, name: str) -> None:
+        self.keyword(name)
+        self.expect_char("=")
+
+    def end(self) -> None:
+        self.skip_spaces()
+        if self.pos < len(self.text):
+            raise self.fail("unexpected trailing input", expected="end of line")
+
+
+def _skipped(line: str) -> bool:
+    """A blank or comment line: nothing, or a ``#``, after its leading whitespace."""
+    body = line.lstrip()
+    return not body or body[0] == "#"
+
+
+def _raise_event_error(raw: str, line_no: int) -> NoReturn:
+    """Walk a line ``_EVENT_LINE`` rejected and raise the located ParseError."""
+    scanner = _LineScanner(raw, line_no)
+    scanner.expect_char("@")
+    scanner.integer("tick")
+    kind = scanner.choice(_EVENT_WORDS, "event")
+    if kind in ("person_appear", "person_move"):
+        scanner.key("id")
+        scanner.integer("person id")
+        scanner.key("x")
+        scanner.floating("x coordinate")
+        scanner.key("y")
+        scanner.floating("y coordinate")
+    elif kind == "person_leave":
+        scanner.key("id")
+        scanner.integer("person id")
+    else:
+        scanner.choice(*_SWITCHES[kind])
+    scanner.end()
+    raise AssertionError(f"line {line_no}: the scanner accepts a line _EVENT_LINE rejects")
+
+
+def _read_header(text: str) -> None:
+    # the line breaks Path.read_text's universal newlines reads: \r\n, \r and \n
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    first = 0  # comments and blank lines may precede the header
+    while first < len(lines) and _skipped(lines[first]):
+        first += 1
+    header = _LineScanner(lines[first] if first < len(lines) else "", min(first + 1, len(lines)) or 1)
+    header.keyword("scenario")
+    name = header.ident("scenario name")
+    header.keyword("ticks")
+    duration = header.integer("tick count")
+    header.end()
+
+
+def located(err: ParseError) -> tuple[int, int, str, str | None]:
+    return (err.line, err.column, err.message, err.expected)
+
+
+def scanner_error(read, *args):
+    """The located ParseError ``read(*args)`` raises; None when it reads its input."""
+    try:
+        read(*args)
+    except ParseError as err:
+        return located(err)
+    except AssertionError:  # _raise_event_error read the whole line
+        pass
+    return None
+
+
+def parse_error(text: str):
+    """``parse_scenario``'s ParseError for ``text``; None when it parses, or
+    fails only a rule of ``ScenarioScript``."""
+    try:
+        parse_scenario(text)
+    except ParseError as err:
+        return located(err)
+    except ValidationError:
+        pass
+    return None
+
+
+# --- the token reference --------------------------------------------------------
+
+
 def test_the_reference_reads_the_documented_shapes():
     assert reference("@5person_appear id=1x=1.0y=2.0") == Event(5, "person_appear", 1, 1.0, 2.0)
     assert reference("@5 person_appearid=1 x=1.0 y=2.0") is None
@@ -213,3 +398,55 @@ def test_seeded_lines_parse_as_the_reference_reads_them():
 ])
 def test_optional_spacing_parses(line):
     assert check_line(line) == "accepted"
+
+
+def grammar_header(rng: random.Random) -> str:
+    parts = ["scenario", rng.choice(["s", "solo", "crowd_churn", "x1", "_a", "Ab_9"]),
+             "ticks", str(rng.choice([0, 1, 40, rng.randint(0, 10**6)]))]
+    seps = ["", " ", " ", " ", "\t", "  ", " \t"]
+    return rng.choice(["", "", " ", "\t"]) + " ".join(p + rng.choice(seps) for p in parts)
+
+
+def faults(outcomes) -> set[tuple[str, str | None]]:
+    """The distinct (message, expected) pairs, quoted text left out of the message."""
+    return {(re.sub(r"'[^']*'", "''", outcome[2]), outcome[3])
+            for outcome in outcomes if outcome is not None}
+
+
+def test_event_line_faults_match_the_scanner():
+    rng = random.Random(71)
+    lines = seeded_lines()
+    lines += [mutate(rng, line) for line in lines]
+    too_long = "1" * (_MAX_DIGITS + 1)
+    lines += [f"@{too_long} button yes", f"@1 person_leave id={too_long}"]
+    outcomes = []
+    for line in lines:
+        expected = None if _skipped(line) else scanner_error(_raise_event_error, line, 2)
+        assert parse_error(f"scenario s ticks 1000000000\n{line}\n") == expected, repr(line)
+        outcomes.append(expected)
+    # the draw must reach many lines and every fault the scanner names
+    assert sum(outcome is not None for outcome in outcomes) > 10000
+    assert len(faults(outcomes)) >= 22  # every fault an event line can have
+
+
+def test_header_faults_match_the_scanner():
+    rng = random.Random(83)
+    headers = []
+    for _ in range(1500):
+        header = grammar_header(rng)
+        headers.append(header)
+        for _ in range(4):
+            mutated = header
+            for _ in range(rng.randint(1, 2)):
+                mutated = mutate(rng, mutated)
+            headers.append(mutated)
+    headers += ["", "# only a comment", "scenario s ticks " + "7" * (_MAX_DIGITS + 1)]
+    outcomes = []
+    for header in headers:
+        text = header + "\n"
+        expected = scanner_error(_read_header, text)
+        assert parse_error(text) == expected, repr(header)
+        outcomes.append(expected)
+    assert sum(outcome is not None for outcome in outcomes) > 4000
+    assert len(faults(outcomes)) >= 7  # every fault a header can have
+    assert {outcome[0] for outcome in outcomes if outcome is not None} == {1, 2}

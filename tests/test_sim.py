@@ -32,6 +32,7 @@ from shutter_sim import (
     tick,
 )
 from shutter_sim.cli import main
+from shutter_sim.dsl import _MAX_DIGITS
 
 from conftest import SCENARIO_DIR, ContextProbe, WorldView
 
@@ -106,8 +107,8 @@ def test_trace_records_round_trip_with_typed_payloads(name):
 
 def test_parse_trace_restores_int_payloads():
     records = [record(3, ("take_photo", 1), ("show_photo", 12), ("say", "1"), ("say", ""), ("idle", None)),
-               # a sign is not a digit: 4300 of them after a minus still fit int()'s limit
-               record(4, ("take_photo", -5), ("show_photo", -int("9" * 4300)))]
+               # a sign is not a digit: _MAX_DIGITS of them after a minus still fit int()'s limit
+               record(4, ("take_photo", -5), ("show_photo", -int("9" * _MAX_DIGITS)))]
     parsed = parse_trace(serialize_trace(records))
     assert parsed == records
     assert [type(e.payload) for e in parsed[0].emissions] == [int, int, str, str, type(None)]
