@@ -40,8 +40,8 @@ from math import isfinite
 from operator import attrgetter
 
 from . import bt
-from .errors import ParseError, ValidationError
-from .world import BUTTONS, Event, Frame, PersonObservation
+from .errors import ConfigurationError, ParseError, ValidationError
+from .world import BUTTONS, Event, Frame, InteractionContext, PersonObservation
 
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # The interpreter's limit for converting a digit string to int (set by
@@ -80,7 +80,7 @@ class ScenarioScript:
             raise ValidationError(f"scenario {self.name!r} needs a positive duration")
         present: set[int] = set()
         frames: list[Frame] = []
-        hazard, network = False, True
+        hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
         last = 0
         for tick, group in groupby(self.events, attrgetter("at_tick")):
             if tick >= duration:
@@ -170,6 +170,11 @@ def _pattern(pieces: tuple) -> str:
 def _names(piece: tuple) -> tuple[str, ...]:
     """The words a keyword, or a word from a set, accepts."""
     return (piece[1],) if piece[0] == "keyword" else piece[1]
+
+
+def _starts_identifier(word: str) -> bool:
+    """Whether ``word`` starts as a scenario or tree identifier does: with a letter or ``_``."""
+    return word[:1].isalpha() or word[:1] == "_"
 
 
 _EVENT_LINE = re.compile(
@@ -267,7 +272,7 @@ def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
         else:  # a keyword or a word: one identifier
             pos = _WORD.match(text, pos).end()
             word = text[start:pos]
-            if not (word[:1].isalpha() or word[:1] == "_"):
+            if not _starts_identifier(word):
                 wanted = what if kind == "word" else f"keyword {arg!r}"
                 raise ParseError(line_no, start + 1, f"expected {wanted}", expected="identifier")
             if kind == "keyword" and word != arg:
@@ -291,8 +296,8 @@ def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
 # newlines that separate tokens: a symbol, an ASCII number, a word, any other
 # character (an error), or the end of the text, so that every match attempt
 # succeeds where it starts.  ``\w`` is ``str.isalnum()`` or ``_``, as an
-# identifier continues; a word must also start like one, with a letter or
-# ``_``, so a leading ``²`` or ``½`` is an unexpected character.
+# identifier continues; a word must also start like one (``_starts_identifier``),
+# so a leading ``²`` or ``½`` is an unexpected character.
 _TREE_TOKEN = re.compile(r"[ \t\r\n]*(?:([{}()*=])|([0-9]+)|(\w+)|([^ \t\r\n])|\Z)")
 
 
@@ -306,7 +311,7 @@ def _tokenize_tree(text: str) -> list[tuple[str, str, int]]:
         end = m.end()
         if sym:
             append((sym, sym, end - 1))
-        elif word and (word[0].isalpha() or word[0] == "_"):
+        elif word and _starts_identifier(word):
             append(("ident", word, end - len(word)))
         elif number:
             if len(number) > _MAX_DIGITS:
@@ -423,7 +428,11 @@ def parse_tree(text: str) -> bt.Node:
 
 
 def print_tree(root: bt.Node) -> str:
-    """Canonical rendering: two-space indent, one node per line, reparseable."""
+    """Canonical rendering: two-space indent, one node per line, reparseable.
+
+    A node name, condition name or behavior name that ``parse_tree`` would not
+    read back as one identifier raises ConfigurationError naming its node.
+    """
     lines: list[str] = []
     closing: list[str] = []  # one brace line per open composite or guard
     for node, depth in bt._preorder(root):
@@ -431,16 +440,25 @@ def print_tree(root: bt.Node) -> str:
             lines.append(closing.pop())
         pad = "  " * (depth - 1)
         if isinstance(node, bt.Condition):
-            lines.append(f"{pad}condition {node.condition_name}")
+            lines.append(f"{pad}condition {_tree_word(node, node.condition_name)}")
         elif isinstance(node, bt.Action):
             suffix = f" dur={node.duration_override}" if node.duration_override is not None else ""
-            lines.append(f"{pad}action {node.behavior_name}{suffix}")
+            lines.append(f"{pad}action {_tree_word(node, node.behavior_name)}{suffix}")
         else:
+            name = _tree_word(node, node.name)
             if isinstance(node, bt.Guard):
-                lines.append(f"{pad}guard({node.condition_name}) {node.name} {{")
+                lines.append(f"{pad}guard({_tree_word(node, node.condition_name)}) {name} {{")
             else:
                 star = "*" if getattr(node, "memory", False) else ""
-                lines.append(f"{pad}{node.kind}{star} {node.name} {{")
+                lines.append(f"{pad}{node.kind}{star} {name} {{")
             closing.append(f"{pad}}}")
     lines.extend(reversed(closing))
     return "\n".join(lines) + "\n"
+
+
+def _tree_word(node: bt.Node, word: str) -> str:
+    """``word``, which ``print_tree`` writes for ``node``, if it is one tree identifier."""
+    if _WORD.fullmatch(word) and _starts_identifier(word):
+        return word
+    raise ConfigurationError(f"{node.kind} {node.name!r} cannot be printed: "
+                             f"{word!r} is not a tree identifier")

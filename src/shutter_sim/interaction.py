@@ -221,12 +221,8 @@ def build_photographer_bt(
         bt.Action("greet"),
         consent,
         maybe_guarded("announce_guard", bt.Action("announce")),
-        maybe_guarded("photo_guard", bt.Action("take_photo")),
-        maybe_guarded("photo_guard", bt.Action("take_photo")),
-        maybe_guarded("photo_guard", bt.Action("take_photo")),
-        bt.Action("show_and_praise"),
-        bt.Action("show_and_praise"),
-        bt.Action("show_and_praise"),
+        *(maybe_guarded("photo_guard", bt.Action("take_photo")) for _ in range(PHOTOS_PER_SESSION)),
+        *(bt.Action("show_and_praise") for _ in range(PHOTOS_PER_SESSION)),
     ]
     if abandonment:
         main = bt.Sequence("main", session, memory=True)

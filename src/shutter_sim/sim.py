@@ -103,11 +103,9 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
     """One record per line; deterministic bytes for identical runs."""
     lines = []
     for r in records:
-        emitted = ";".join(f"{e.action}({_payload_str(e.payload)})" for e in r.emissions)
-        lines.append(
-            f"tick={r.tick} ctl={r.controller} status={r.status} emit=[{emitted}]"
-            f" persons={r.persons} hazard={int(r.hazard)} net={int(r.network)}"
-        )
+        emitted = ";".join([f"{e.action}({_payload_str(e.payload)})" for e in r.emissions])
+        lines.append(_RECORD % (r.tick, r.controller, r.status, emitted,
+                                r.persons, int(r.hazard), int(r.network)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -117,7 +115,7 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
 # end at the line's last ``] ``, as the fields after it hold none; an emission
 # is an action up to its first ``(`` and a payload up to its last ``)``, neither
 # holding ``;``, and only ``_payload`` checks an int payload.
-# ``_TRACE_LINE`` is built from these tables, and ``_trace_groups`` reads them.
+# ``_TRACE_LINE`` and ``_RECORD`` are built from these tables; ``_trace_groups`` reads them.
 _COUNT = rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
 _FLAG = "[01]"
 _HEAD = (("tick", _COUNT), ("ctl", "[^ ]*"), ("status", "[^ ]*"))
@@ -128,15 +126,17 @@ _EMISSION_TEXT = r"[^;(]*\([^;]*\)"
 _EMISSION = re.compile(r"([^;(]*)\(([^;]*)\)")
 
 
-def _fields_pattern(fields: tuple[tuple[str, str], ...]) -> str:
-    return " ".join(f"{key}=({value})" for key, value in fields)
+def _fields(fields: tuple[tuple[str, str], ...], value: str) -> str:
+    """``key=value`` for each field, ``{}`` in ``value`` standing for its value regex."""
+    return " ".join(f"{key}={value.format(regex)}" for key, regex in fields)
 
 
 _TRACE_LINE = re.compile(
-    _fields_pattern(_HEAD) + re.escape(_OPEN)
+    _fields(_HEAD, "({})") + re.escape(_OPEN)
     + rf"((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)"
-    + re.escape(_CLOSE) + _fields_pattern(_TAIL)
+    + re.escape(_CLOSE) + _fields(_TAIL, "({})")
 )
+_RECORD = _fields(_HEAD, "%s") + _OPEN + "%s" + _CLOSE + _fields(_TAIL, "%s")
 
 
 def parse_trace(text: str) -> list[TickRecord]:

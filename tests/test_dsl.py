@@ -7,6 +7,7 @@ import pytest
 from shutter_sim import (
     Action,
     Condition,
+    ConfigurationError,
     Fallback,
     Guard,
     ParseError,
@@ -243,6 +244,27 @@ def test_parse_print_round_trip():
     parsed = parse_tree(SAMPLE_TEXT)
     assert structural_signature(parsed) == structural_signature(SAMPLE_TREE)
     assert print_tree(parsed) == SAMPLE_TEXT
+
+
+@pytest.mark.parametrize("tree,message", [
+    (Sequence("a b", [Action("idle")]), "sequence 'a b' cannot be printed: 'a b'"),
+    (Condition("no person"), "condition 'no person' cannot be printed: 'no person'"),
+    (Fallback("f", [Action("2x")]), "action '2x' cannot be printed: '2x'"),
+    (Guard("no-hazard", "g", Action("idle")), "guard 'g' cannot be printed: 'no-hazard'"),
+    (Parallel("", [Action("idle")]), "parallel '' cannot be printed: ''"),
+    (Sequence("s", [Action("½")]), "action '½' cannot be printed: '½'"),
+], ids=["space", "condition", "digit-first", "guard-condition", "empty", "vulgar-fraction"])
+def test_print_tree_refuses_a_name_that_would_not_reparse(tree, message):
+    # each of these texts would be a syntax error or another tree in parse_tree
+    with pytest.raises(ConfigurationError) as err:
+        print_tree(tree)
+    assert str(err.value) == message + " is not a tree identifier"
+
+
+def test_print_tree_prints_any_identifier_parse_tree_reads():
+    tree = Sequence("_", [Condition("é2"), Guard("ǅx", "sequence", Action("dur"))])
+    assert print_tree(parse_tree(print_tree(tree))) == print_tree(tree)
+    assert structural_signature(parse_tree(print_tree(tree))) == structural_signature(tree)
 
 
 def test_whitespace_is_insignificant():

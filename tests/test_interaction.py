@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -24,11 +25,13 @@ from shutter_sim import (
     node_count,
     parse_scenario,
     praise_text,
+    print_tree,
     run,
     structural_economy_report,
     structural_signature,
 )
 from shutter_sim import bt
+from shutter_sim.interaction import ABANDONMENT_MODES
 from shutter_sim.world import BUTTONS
 
 from conftest import SCENARIO_DIR, reference_engaged_size
@@ -260,6 +263,23 @@ def test_hazard_guards_cost_four_tree_nodes():
     ) == 4
 
 
+# sha256 of print_tree for each builder variant, with its node count; the
+# default one is also trees/photographer.tree
+BUILT_TREES = {
+    (True, True): (23, "68040205568da511c12576b2459b8dc9a136e06c92c30ccb002a37859f8c186c"),
+    (True, False): (19, "5978f835ed87c6a66d0c6a44e17107206a3fdc2623de9a2f66738819ff334d9d"),
+    (False, True): (22, "6ac7446ba59e20362b4db3d1cc26d611dbf50338f725ac0aec011c96421eee18"),
+    (False, False): (18, "c4ec50dfff5e0e026579579427f7b7336196ccb94617751c574a9f6edf63a080"),
+}
+
+
+@pytest.mark.parametrize("abandonment,hazard_guards", list(BUILT_TREES))
+def test_every_tree_builder_variant_prints_as_pinned(abandonment, hazard_guards):
+    tree = build_photographer_bt(abandonment=abandonment, hazard_guards=hazard_guards)
+    text = print_tree(tree).encode("utf-8")
+    assert (node_count(tree), hashlib.sha256(text).hexdigest()) == BUILT_TREES[abandonment, hazard_guards]
+
+
 def test_machine_builder_element_counts():
     assert build_photographer_fsm("none").count_elements() == {
         "n_states": 8, "n_transitions": 12, "n_timeouts": 0,
@@ -347,6 +367,25 @@ def test_tree_and_machine_traces_are_emission_equivalent_on_the_solo_scenario():
         run(build_photographer_fsm(), scenario),
     )
     assert report.equivalent
+
+
+@pytest.mark.parametrize("mode", ABANDONMENT_MODES)
+def test_a_consent_withdrawn_a_tick_later_is_outside_the_equivalence_claim(mode):
+    # nominal events only: the tree finishes its greeting and reads the yes on
+    # tick 1, while the machine spends tick 1 leaving Greet, misses the yes
+    # and reads the no on tick 2
+    scenario = parse_scenario(
+        "scenario w ticks 3\n"
+        "@0 person_appear id=1 x=1.0 y=0.0\n"
+        "@1 button yes\n"
+        "@2 button no\n"
+    )
+    report = compare(run(build_photographer_bt(), scenario), run(build_photographer_fsm(mode), scenario))
+    assert not report.equivalent
+    divergence = report.first_divergence
+    assert divergence.position == 1
+    assert divergence.emission_a == ("say", ANNOUNCE_TEXT)
+    assert divergence.emission_b == ("say", FAREWELL_TEXT)
 
 
 def test_network_outage_holds_the_tree_in_place():
