@@ -49,18 +49,11 @@ class Node:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Clear runtime state for this node and its whole subtree, with a
-        stack rather than recursion.  Idempotent.  A node met a second time
-        raises ConfigurationError, as in ``_preorder``."""
-        seen: set[Node] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                raise _met_twice(node)
-            seen.add(node)
+        """Clear runtime state for this node and its whole subtree, over
+        ``_preorder``.  Idempotent.  A node met a second time raises
+        ConfigurationError."""
+        for node, _ in _preorder(self):
             node._reset_self()
-            stack.extend(node.children)
 
     def _reset_self(self) -> None:
         pass
@@ -260,8 +253,8 @@ def validate_tree(root: Node, catalogue) -> Node:
     Nodes are visited in preorder, without recursion, and numbered in that
     order.  Raises ConfigurationError on the first node met twice (a shared
     node or a cycle), on the first node nested deeper than
-    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard, and
-    then listing every unresolved condition/behavior name.
+    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard or
+    action duration, and then listing every unresolved condition/behavior name.
     """
     missing: list[str] = []
     for node_id, (node, depth) in enumerate(_preorder(root)):
@@ -288,12 +281,19 @@ def validate_tree(root: Node, catalogue) -> Node:
                 node._duration = (
                     behavior.duration if node.duration_override is None else node.duration_override
                 )
-                if node._duration < 1:
-                    raise ConfigurationError(f"action {node.behavior_name!r} duration must be positive")
+                _check_duration(f"action {node.behavior_name!r}", node._duration)
     if missing:
         raise ConfigurationError("unresolved names: " + ", ".join(sorted(set(missing))))
     root._validated = True
     return root
+
+
+def _check_duration(owner: str, duration) -> None:
+    """Refuse a duration that is not a positive ``int`` (a ``bool`` is not one)."""
+    if type(duration) is not int:
+        raise ConfigurationError(f"{owner} duration must be an integer")
+    if duration < 1:
+        raise ConfigurationError(f"{owner} duration must be positive")
 
 
 def node_count(root: Node) -> int:

@@ -8,22 +8,19 @@ behavior; a quiet step runs the current state's on_tick behavior instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigurationError
-from .world import InteractionContext
+from .world import InteractionContext, breaks_line
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     state_id: str
     on_entry: str | None = None
     on_tick: str | None = None
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A guarded edge.  Lower priority numbers are tried first.
 
     ``record_origin`` stores the source state in the machine's return slot
@@ -40,8 +37,7 @@ class Transition:
     require_origin: str | None = None
 
 
-@dataclass(frozen=True)
-class Timeout:
+class Timeout(NamedTuple):
     state: str
     after_ticks: int
     target: str
@@ -63,7 +59,7 @@ class StateMachine:
             if sid in self.states:
                 raise ConfigurationError(f"duplicate state {sid!r}")
             # a trace line writes the id as its status= field, which ends at a space
-            if " " in sid or sid.splitlines() not in ([], [sid]):
+            if " " in sid or breaks_line(sid):
                 raise ConfigurationError(f"state {sid!r} holds a space or a line break, "
                                          "which a trace line cannot carry")
             self.states[sid] = state

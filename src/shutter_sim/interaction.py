@@ -14,7 +14,7 @@ from . import bt
 from .bt import NodeStatus
 from .errors import ConfigurationError
 from .fsm import State, StateMachine, Timeout, Transition
-from .groups import DEFAULT_DIST_THRESHOLD, DEFAULT_ZONE_RADIUS, engaged_group_size, someone_in_zone
+from .groups import engaged_group_size, someone_in_zone
 from .world import (
     ACTION_HALT,
     ACTION_IDLE,
@@ -86,8 +86,7 @@ class Catalogue:
         self._conditions: dict[str, Callable[[InteractionContext], bool]] = {}
 
     def register_behavior(self, behavior: Behavior) -> None:
-        if behavior.duration < 1:
-            raise ConfigurationError(f"behavior {behavior.name!r} duration must be positive")
+        bt._check_duration(f"behavior {behavior.name!r}", behavior.duration)
         self._behaviors[behavior.name] = behavior
 
     def register_condition(self, name: str, predicate: Callable[[InteractionContext], bool]) -> None:
@@ -112,21 +111,15 @@ class Catalogue:
         return sorted(self._conditions)
 
 
-def default_catalogue(
-    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-    zone_radius: float = DEFAULT_ZONE_RADIUS,
-    cooldown_ticks: int = DEFAULT_COOLDOWN_TICKS,
-) -> Catalogue:
-    """The photographer's behaviors and conditions with the given tuning."""
+def default_catalogue() -> Catalogue:
+    """The photographer's behaviors and conditions: perception at the ``groups``
+    defaults, and a cooldown of ``DEFAULT_COOLDOWN_TICKS`` after a decline."""
     cat = Catalogue()
-
-    def group_size(ctx: InteractionContext) -> int:
-        return engaged_group_size(ctx.persons.values(), dist_threshold, zone_radius)
 
     def person_detected(ctx: InteractionContext) -> bool:
         # the cheap cooldown test first: no perception while cooling down; and
-        # group_size(ctx) >= 1 exactly when someone is in the zone
-        return ctx.clock >= ctx.cooldown_until and someone_in_zone(ctx.persons.values(), zone_radius)
+        # the engaged group size is >= 1 exactly when someone is in the zone
+        return ctx.clock >= ctx.cooldown_until and someone_in_zone(ctx.persons.values())
 
     cat.register_condition("person_detected", person_detected)
     cat.register_condition("no_person", lambda ctx: not person_detected(ctx))
@@ -145,7 +138,7 @@ def default_catalogue(
 
     def do_greet(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            n = group_size(ctx)
+            n = engaged_group_size(ctx.persons.values())
             # a new greeting opens a fresh photo session
             ctx.photos_taken = 0
             ctx.photos_shown = 0
@@ -180,7 +173,7 @@ def default_catalogue(
     def do_farewell(ctx: InteractionContext, step: int) -> None:
         if step == 0:
             emit(ctx, ACTION_SAY, FAREWELL_TEXT)
-            ctx.cooldown_until = ctx.clock + cooldown_ticks
+            ctx.cooldown_until = ctx.clock + DEFAULT_COOLDOWN_TICKS
 
     def do_hold(ctx: InteractionContext, step: int) -> None:
         emit(ctx, ACTION_HALT)

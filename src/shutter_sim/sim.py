@@ -8,8 +8,7 @@ record per line so repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence as Seq
+from typing import NamedTuple, Sequence as Seq
 
 from . import bt
 from .dsl import _MAX_DIGITS, ScenarioScript
@@ -27,8 +26,7 @@ from .world import (
 PADDING_ACTIONS = frozenset({ACTION_IDLE, ACTION_HALT})
 
 
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(NamedTuple):
     """What one controller did during one tick."""
 
     tick: int
@@ -40,15 +38,13 @@ class TickRecord:
     network: bool
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     position: int
     emission_a: tuple[str, str] | None
     emission_b: tuple[str, str] | None
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     equivalent: bool
     first_divergence: Divergence | None
 

@@ -4,6 +4,11 @@ One simulated tick is one controller decision cycle.  A tick's events reach
 the context at the start of the tick, as one ``Frame`` that
 ``dsl.ScenarioScript`` built from them; the controller runs against the
 resulting context, and ``end_tick`` flushes whatever the controller emitted.
+
+Every plain value record, here and in ``fsm`` and ``sim``, is a
+``typing.NamedTuple``: it equals the plain tuple of its fields (so two record
+types with equal fields compare equal), unpacks and indexes in field order,
+and refuses attribute assignment.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ BUTTON_NO = "no"
 BUTTONS = (BUTTON_YES, BUTTON_NO, "aux")
 
 
-@dataclass(frozen=True)
-class PersonObservation:
+class PersonObservation(NamedTuple):
     """A tracked person at a 2-D position, in meters, robot at the origin."""
 
     person_id: int
@@ -41,8 +45,7 @@ class PersonObservation:
     y: float
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A timed stimulus applied to the context at the start of its tick."""
 
     at_tick: int
@@ -71,8 +74,7 @@ class Frame(NamedTuple):
     network: bool
 
 
-@dataclass(frozen=True)
-class ActionEmission:
+class ActionEmission(NamedTuple):
     """One action produced by a controller; its tick is that of the
     ``sim.TickRecord`` that holds it."""
 
@@ -95,6 +97,11 @@ class InteractionContext:
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
 
 
+def breaks_line(text: str) -> bool:
+    """Whether ``text`` holds anything ``str.splitlines`` splits on."""
+    return text.splitlines() not in ([], [text])
+
+
 def emit(ctx: InteractionContext, action: str, payload: str | int | None = None) -> None:
     """Record one emission of ``action`` on the current tick.
 
@@ -109,7 +116,7 @@ def emit(ctx: InteractionContext, action: str, payload: str | int | None = None)
     if type(payload) is not (type(None) if declared is None else declared):
         wanted = "no payload" if declared is None else f"a {declared.__name__} payload"
         raise ValueError(f"{action} takes {wanted}, got {payload!r}")
-    if isinstance(payload, str) and (";" in payload or payload.splitlines() not in ([], [payload])):
+    if isinstance(payload, str) and (";" in payload or breaks_line(payload)):
         raise ValueError(f"payload {payload!r} of {action} holds ';' or a line break")
     ctx.emissions_this_tick.append(ActionEmission(action, payload))
 

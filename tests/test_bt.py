@@ -244,6 +244,9 @@ def test_validation_rejects_nonpositive_durations():
     script = LeafScript()
     with pytest.raises(ConfigurationError, match="duration must be positive"):
         validate_tree(Sequence("s", [Action("stub_0", duration=0)]), script.catalogue)
+    for duration in (True, False, 2.5):
+        with pytest.raises(ConfigurationError, match="'stub_0' duration must be an integer"):
+            validate_tree(Sequence("s", [Action("stub_0", duration=duration)]), script.catalogue)
 
 
 def test_validation_assigns_preorder_node_ids():

@@ -107,10 +107,10 @@ def test_person_detected_ignores_groups_outside_the_zone():
 
 
 def test_person_detected_uses_the_catalogue_zone_radius():
-    ctx = ctx_with_persons((1.2, 1.6))  # 2 m from the robot
-    assert not default_catalogue(zone_radius=1.5).condition("person_detected")(ctx)
-    assert default_catalogue(zone_radius=2.0).condition("person_detected")(ctx)
-    assert default_catalogue(zone_radius=3.0).condition("person_detected")(ctx)
+    # the zone reaches 2.5 m from the robot
+    detected = default_catalogue().condition("person_detected")
+    assert detected(ctx_with_persons((1.2, 1.6)))  # 2 m away
+    assert not detected(ctx_with_persons((1.8, 2.4)))  # 3 m away
 
 
 def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
@@ -222,7 +222,7 @@ def test_show_and_praise_alternates_and_tracks_progress():
 
 
 def test_farewell_speaks_once_and_starts_the_cooldown():
-    cat = default_catalogue(cooldown_ticks=10)
+    cat = default_catalogue()
     ctx = InteractionContext(clock=4)
     cat.behavior("farewell").step_fn(ctx, 0)
     assert ctx.cooldown_until == 14
@@ -239,6 +239,9 @@ def test_catalogue_rejects_unknowns_and_bad_durations():
         cat.condition("ghost")
     with pytest.raises(ConfigurationError, match="duration must be positive"):
         cat.register_behavior(Behavior("bad", 0))
+    for duration in (True, False, 2.5):
+        with pytest.raises(ConfigurationError, match="'bad' duration must be an integer"):
+            cat.register_behavior(Behavior("bad", duration))
 
 
 # --- builders -------------------------------------------------------------------

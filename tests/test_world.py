@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from collections import namedtuple
 
 import pytest
 
 from shutter_sim import (
     ActionEmission,
+    Behavior,
+    Divergence,
+    DivergenceReport,
     Event,
     InteractionContext,
+    PersonObservation,
     ScenarioScript,
+    State,
     TickRecord,
+    Timeout,
+    Transition,
     ValidationError,
     flatten_emissions,
     parse_trace,
@@ -168,3 +177,37 @@ def test_random_accepted_payloads_round_trip():
                 assert ";" in payload or len(f"a{payload}b".splitlines()) > 1
         expected = [("say", e.payload) for e in ctx.emissions_this_tick]
         assert _round_trip(ctx.emissions_this_tick) == expected
+
+
+# Every plain value record, with its fields in order.
+RECORDS = [
+    (PersonObservation, ("person_id", "x", "y")),
+    (Event, ("at_tick", "kind", "person_id", "x", "y", "button")),
+    (ActionEmission, ("action", "payload")),
+    (TickRecord, ("tick", "controller", "status", "emissions", "persons", "hazard", "network")),
+    (Divergence, ("position", "emission_a", "emission_b")),
+    (DivergenceReport, ("equivalent", "first_divergence")),
+    (State, ("state_id", "on_entry", "on_tick")),
+    (Transition, ("source", "guard", "target", "priority", "record_origin", "require_origin")),
+    (Timeout, ("state", "after_ticks", "target")),
+]
+
+
+@pytest.mark.parametrize("record_type, fields", RECORDS, ids=[t.__name__ for t, _ in RECORDS])
+def test_value_records_are_tuples_of_their_fields(record_type, fields):
+    values = tuple(f"{name}-value" for name in fields)
+    record = record_type(*values)
+    assert record == values
+    assert record == namedtuple("Other", fields)(*values)  # the type takes no part
+    *unpacked, = record
+    assert unpacked == [getattr(record, name) for name in fields] == list(values)
+    assert record[-1] == values[-1]
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+
+
+def test_behavior_stays_a_dataclass():
+    behavior = Behavior("wave", 2)
+    assert dataclasses.is_dataclass(behavior)
+    assert dataclasses.replace(behavior, duration=3) == Behavior("wave", 3)
+    assert behavior != ("wave", 2, None, None)
