@@ -333,97 +333,74 @@ def _tree_error(text: str, offset: int, message: str, expected: str) -> ParseErr
     return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
 
 
-class _TreeParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_tree(text)
-        self.pos = 0
-
-    def fail(self, token: tuple[str, str, int], message: str, expected: str) -> ParseError:
-        return _tree_error(self.text, token[2], message, expected)
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect_sym(self, ch: str) -> None:
-        tok = self.advance()
-        if tok[0] != ch:
-            raise self.fail(tok, f"expected {ch!r}", ch)
-
-    def expect_ident(self, what: str) -> str:
-        tok = self.advance()
-        if tok[0] != "ident":
-            raise self.fail(tok, f"expected {what}", "identifier")
-        return tok[1]
-
-    def parse_node(self, depth: int = 1) -> bt.Node:
-        tok = self.advance()
-        kind, word, _ = tok
-        if kind != "ident":
-            raise self.fail(tok, "expected a node", _NODE_WORDS)
-        if depth > bt._MAX_TREE_DEPTH:
-            raise self.fail(tok, "tree nested too deep", f"at most {bt._MAX_TREE_DEPTH} levels")
-        if word in ("sequence", "fallback"):
-            memory = self.peek()[0] == "*"
-            if memory:
-                self.advance()
-            name = self.expect_ident("node name")
-            children = self.parse_children(depth)
-            cls = bt.Sequence if word == "sequence" else bt.Fallback
-            return cls(name, children, memory=memory)
-        if word == "parallel":
-            name = self.expect_ident("node name")
-            return bt.Parallel(name, self.parse_children(depth))
-        if word == "guard":
-            self.expect_sym("(")
-            condition = self.expect_ident("guard condition")
-            self.expect_sym(")")
-            name = self.expect_ident("node name")
-            self.expect_sym("{")
-            child = self.parse_node(depth + 1)
-            self.expect_sym("}")
-            return bt.Guard(condition, name, child)
-        if word == "condition":
-            return bt.Condition(self.expect_ident("condition name"))
-        if word == "action":
-            name = self.expect_ident("behavior name")
-            duration = None
-            if self.peek()[1] == "dur":
-                self.advance()
-                self.expect_sym("=")
-                dur_tok = self.advance()
-                if dur_tok[0] != "int":
-                    raise self.fail(dur_tok, "expected a duration", "integer")
-                duration = int(dur_tok[1])
-            return bt.Action(name, duration=duration)
-        raise self.fail(tok, f"unknown node kind {word!r}", _NODE_WORDS)
-
-    def parse_children(self, depth: int) -> list[bt.Node]:
-        self.expect_sym("{")
-        if self.peek()[0] == "}":
-            raise self.fail(self.peek(), "composite requires at least one child", _NODE_WORDS)
-        children = []
-        while self.peek()[0] != "}":
-            if self.peek()[0] == "eof":
-                raise self.fail(self.peek(), "unexpected end of input", "}")
-            children.append(self.parse_node(depth + 1))
-        self.advance()  # the closing brace
-        return children
-
-
 def parse_tree(text: str) -> bt.Node:
     """Parse a tree description; names stay unresolved until validate_tree."""
-    parser = _TreeParser(_universal_newlines(text))
-    root = parser.parse_node()
-    trailing = parser.peek()
-    if trailing[0] != "eof":
-        raise parser.fail(trailing, "unexpected input after tree", "end of input")
+    text = _universal_newlines(text)
+    tokens = _tokenize_tree(text)
+    at = 0
+
+    def take(kind: str | None = None, what: str = "", expected: str = "") -> tuple[str, str, int]:
+        """The next token, which must be of ``kind`` if one is given (a symbol
+        names itself in the error by default); the cursor stays on ``eof``."""
+        nonlocal at
+        tok = tokens[at]
+        if kind is not None and tok[0] != kind:
+            raise _tree_error(text, tok[2], f"expected {what or repr(kind)}", expected or kind)
+        if tok[0] != "eof":
+            at += 1
+        return tok
+
+    def node(depth: int) -> bt.Node:
+        _, word, offset = take("ident", "a node", _NODE_WORDS)
+        if depth > bt._MAX_TREE_DEPTH:
+            raise _tree_error(text, offset, "tree nested too deep",
+                              f"at most {bt._MAX_TREE_DEPTH} levels")
+        if word in ("sequence", "fallback"):
+            memory = tokens[at][0] == "*"
+            if memory:
+                take()
+            name = take("ident", "node name", "identifier")[1]
+            cls = bt.Sequence if word == "sequence" else bt.Fallback
+            return cls(name, children(depth), memory=memory)
+        if word == "parallel":
+            return bt.Parallel(take("ident", "node name", "identifier")[1], children(depth))
+        if word == "guard":
+            take("(")
+            condition = take("ident", "guard condition", "identifier")[1]
+            take(")")
+            name = take("ident", "node name", "identifier")[1]
+            take("{")
+            child = node(depth + 1)
+            take("}")
+            return bt.Guard(condition, name, child)
+        if word == "condition":
+            return bt.Condition(take("ident", "condition name", "identifier")[1])
+        if word == "action":
+            name = take("ident", "behavior name", "identifier")[1]
+            duration = None
+            if tokens[at][1] == "dur":
+                take()
+                take("=")
+                duration = int(take("int", "a duration", "integer")[1])
+            return bt.Action(name, duration=duration)
+        raise _tree_error(text, offset, f"unknown node kind {word!r}", _NODE_WORDS)
+
+    def children(depth: int) -> list[bt.Node]:
+        take("{")
+        if tokens[at][0] == "}":
+            raise _tree_error(text, tokens[at][2], "composite requires at least one child",
+                              _NODE_WORDS)
+        nodes = []
+        while tokens[at][0] != "}":
+            if tokens[at][0] == "eof":
+                raise _tree_error(text, tokens[at][2], "unexpected end of input", "}")
+            nodes.append(node(depth + 1))
+        take()  # the closing brace
+        return nodes
+
+    root = node(1)
+    if tokens[at][0] != "eof":
+        raise _tree_error(text, tokens[at][2], "unexpected input after tree", "end of input")
     return root
 
 

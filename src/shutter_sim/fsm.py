@@ -102,9 +102,7 @@ class StateMachine:
             if timeout.after_ticks < 1:
                 raise ConfigurationError("timeout after_ticks must be positive")
             self.timeouts[timeout.state] = timeout
-        self.current = initial
-        self.ticks_in_state = 0
-        self.return_slot: str | None = None
+        self.reset()
 
     def step(self, ctx: InteractionContext) -> None:
         """Advance one tick: fire the first eligible transition or run on_tick."""
@@ -135,7 +133,7 @@ class StateMachine:
     def reset(self) -> None:
         self.current = self.initial
         self.ticks_in_state = 0
-        self.return_slot = None
+        self.return_slot: str | None = None
 
     def count_elements(self) -> dict[str, int]:
         return {

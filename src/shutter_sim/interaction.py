@@ -195,7 +195,6 @@ def default_catalogue() -> Catalogue:
 def build_photographer_bt(
     abandonment: bool = True,
     hazard_guards: bool = True,
-    catalogue: Catalogue | None = None,
 ) -> bt.Node:
     """The photographer tree, validated and ready to tick.
 
@@ -203,7 +202,6 @@ def build_photographer_bt(
     then only tested once, at session start).  ``hazard_guards=False`` drops
     the hold guards around the arm-motion actions.
     """
-    cat = catalogue or default_catalogue()
 
     def maybe_guarded(label: str, node: bt.Node) -> bt.Node:
         return bt.Guard("no_hazard", label, node) if hazard_guards else node
@@ -227,7 +225,7 @@ def build_photographer_bt(
         main = bt.Sequence("main", [bt.Condition("person_detected"), *session], memory=True)
         interact = bt.Guard("network_up", "net_guard", main)
     root = bt.Fallback("root", [wait, interact])
-    return bt.validate_tree(root, cat)
+    return bt.validate_tree(root, default_catalogue())
 
 
 def build_photographer_fsm(

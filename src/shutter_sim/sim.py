@@ -55,39 +55,44 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     The scenario's events arrive as its prebuilt ``frames``: on a tick with a
     frame, its person operations are applied in order to this run's own
     ``ctx.persons``, its buttons are pressed, and the hazard and network levels
-    are set.  The frames are read only, so no run can change the next.
+    are set.  The frames are read only, so no run can change the next.  A
+    ValueError from the controller, such as a behavior that cannot act on the
+    world it sees, is re-raised as a ValidationError naming the tick.
     """
     frames = iter(scenario.frames)
     frame = next(frames, None)
     is_tree = isinstance(controller, bt.Node)
-    if is_tree:  # before reset walks a tree that could hold a cycle
+    if is_tree:  # first: reset refuses only a cycle, the gate any unvalidated tree
         bt.require_validated(controller)
     controller.reset()
     ctx = InteractionContext()
     records: list[TickRecord] = []
-    for t in range(scenario.duration):
-        if frame is not None and frame.tick == t:
-            _, ids, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
-            roster = ctx.persons
-            for pid, person in zip(ids, persons):
-                if person is None:
-                    del roster[pid]
-                else:
-                    roster[pid] = person
-            ctx.buttons_pressed_this_tick.update(buttons)
-            frame = next(frames, None)
-        if is_tree:
-            status = bt.tick(controller, ctx).value
-            label = "bt"
-        else:
-            controller.step(ctx)
-            status = controller.current
-            label = "fsm"
-        persons = len(ctx.persons)
-        hazard = ctx.hazard_hand_near_arm
-        network = ctx.network_ok
-        emissions = end_tick(ctx)
-        records.append(TickRecord(t, label, status, tuple(emissions), persons, hazard, network))
+    try:
+        for t in range(scenario.duration):
+            if frame is not None and frame.tick == t:
+                _, ids, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
+                roster = ctx.persons
+                for pid, person in zip(ids, persons):
+                    if person is None:
+                        del roster[pid]
+                    else:
+                        roster[pid] = person
+                ctx.buttons_pressed_this_tick.update(buttons)
+                frame = next(frames, None)
+            if is_tree:
+                status = bt.tick(controller, ctx).value
+                label = "bt"
+            else:
+                controller.step(ctx)
+                status = controller.current
+                label = "fsm"
+            persons = len(ctx.persons)
+            hazard = ctx.hazard_hand_near_arm
+            network = ctx.network_ok
+            emissions = end_tick(ctx)
+            records.append(TickRecord(t, label, status, tuple(emissions), persons, hazard, network))
+    except ValueError as exc:
+        raise ValidationError(f"tick {t}: {exc}") from None
     return records
 
 

@@ -315,6 +315,20 @@ def test_an_overflowing_coordinate_exits_2(tmp_path, capsys, command):
         "error: event person_appear at tick 0 needs finite coordinates\n")
 
 
+@pytest.mark.parametrize("tree,message", [
+    ("sequence s { action greet }", "tick 0: greeting requires at least one person"),
+    ("action show_and_praise dur=9", "tick 7: photo index 4 out of range"),
+], ids=["greet-nobody", "praise-past-the-session"])
+def test_a_behavior_that_cannot_act_exits_2_naming_the_tick(tmp_path, capsys, tree, message):
+    # nobody is present, so the greeting has no group and the praise runs past
+    # the session's photos
+    (tmp_path / "t.tree").write_text(tree + "\n", encoding="utf-8")
+    (tmp_path / "e.scn").write_text("scenario e ticks 9\n", encoding="utf-8")
+    assert main(["run", "--controller", "bt", "--tree", str(tmp_path / "t.tree"),
+                 "--scenario", str(tmp_path / "e.scn")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsysbinary, monkeypatch):
     # the same calls, each in a fresh interpreter and then back to back in
     # this one, give the same exit codes and bytes; a one-leaf tree makes a

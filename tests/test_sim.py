@@ -30,6 +30,7 @@ from shutter_sim import (
     run,
     serialize_trace,
     tick,
+    validate_tree,
 )
 from shutter_sim.cli import main
 from shutter_sim.dsl import _MAX_DIGITS
@@ -358,7 +359,7 @@ def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
         frames = scenario.frames
         plain = [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
         before = [run(controller, scenario) for controller in plain]
-        meddlers = [build_photographer_bt(catalogue=cat)]
+        meddlers = [validate_tree(build_photographer_bt(), cat)]
         meddlers += [build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]
         for controller, records in zip(meddlers, before):
             assert run(controller, scenario) != records  # the meddling shows in its own run

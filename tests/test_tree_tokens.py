@@ -38,6 +38,17 @@ SMALL_TREES = [
     "sequence a {\n" * 100 + "action idle\n" + "}\n" * 100,  # one level too deep
 ]
 
+# every message the tokenizer and parser raise, a quoted word after an
+# ``unknown node kind`` or ``unexpected character`` left out
+READER_MESSAGES = {
+    *(f"expected {sym!r}" for sym in "{()}="),
+    *(f"expected {what}" for what in ("a node", "node name", "guard condition", "condition name",
+                                      "behavior name", "a duration")),
+    "composite requires at least one child", "unexpected end of input",
+    "unexpected input after tree", "unknown node kind", "tree nested too deep",
+    "unexpected character", "number too long",
+}
+
 
 # --- the tokenizer and parser, as they were ----------------------------------
 
@@ -258,9 +269,10 @@ def test_seeded_texts_tokenize_and_parse_as_the_reference_does():
         else:
             kinds["parsed"] += 1
         if expected[0] == "error":
-            messages.add(expected[3].split(" '")[0])
-    # the draw must reach every outcome and most of the parser's messages
+            message = expected[3]
+            messages.add(message if message.startswith("expected") else message.split(" '")[0])
+    # the draw must reach every outcome and every message the reader can raise
     assert kinds["parsed"] > 300
     assert kinds["parse error"] > 1000
     assert kinds["token error"] > 300
-    assert len(messages) >= 10
+    assert messages == READER_MESSAGES
