@@ -5,6 +5,10 @@ Semantics in brief:
 * ``tick`` traverses from the root each tick and returns Success, Running, or
   Failure.  Sequence and Fallback stop at the first child that breaks their
   chain; Parallel ticks every child every tick and fails if any child fails.
+* The traversal is the one ``validate_tree`` compiles: a closure per node
+  over one state list for the tree.  A validated tree ticks the shape and the
+  callables validation saw; validating it again picks up a change to it, with
+  fresh state.
 * Composites marked ``memory`` resume at the child that last returned Running
   instead of re-ticking earlier children.
 * A Guard with a false condition returns Running without ticking its child and
@@ -34,29 +38,33 @@ class NodeStatus(enum.Enum):
     FAILURE = "Failure"
 
 
+SUCCESS, RUNNING, FAILURE = NodeStatus
+
+
 class Node:
-    """Base node: a name, children and a preorder id; subclasses define ``tick``."""
+    """Base node: a name, children and a preorder id.
+
+    Its runtime state, if any, is one slot of a list: the tree's shared list
+    once ``validate_tree`` accepts the tree, its own one-slot list before.
+    """
 
     kind = "node"
+    _initial = None  # the slot's value after a reset
 
     def __init__(self, name: str, children: list[Node] | None = None):
         self.name = name
         self.children: list[Node] = list(children or [])
         self.node_id: int | None = None
-        self._validated = False
-
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        raise NotImplementedError
+        self._state: list = [self._initial]
+        self._slot = 0
+        self._compiled: Callable[[InteractionContext], NodeStatus] | None = None
 
     def reset(self) -> None:
         """Clear runtime state for this node and its whole subtree, over
         ``_preorder``.  Idempotent.  A node met a second time raises
         ConfigurationError."""
         for node, _ in _preorder(self):
-            node._reset_self()
-
-    def _reset_self(self) -> None:
-        pass
+            node._state[node._slot] = node._initial
 
     def iter_nodes(self) -> Iterator[Node]:
         """This node and every descendant, in preorder."""
@@ -80,27 +88,11 @@ class _Chain(Node):
     def __init__(self, name: str, children: list[Node], memory: bool = False):
         super().__init__(name, children)
         self.memory = memory
-        self.last_running: int | None = None
 
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        prev = self.last_running
-        start = (prev or 0) if self.memory else 0
-        for i in range(start, len(self.children)):
-            status = self.children[i].tick(ctx)
-            if status is NodeStatus.RUNNING or status is self.stop_on:
-                break
-        else:
-            status = self.otherwise
-
-        # child i is the last one ticked; a memory chain starts at prev, so
-        # only a plain chain can be broken before it reaches prev
-        if prev is not None and prev > i:
-            self.children[prev].reset()
-        self.last_running = i if status is NodeStatus.RUNNING else None
-        return status
-
-    def _reset_self(self) -> None:
-        self.last_running = None
+    @property
+    def last_running(self) -> int | None:
+        """Index of the child that returned Running on the last tick, else None."""
+        return self._state[self._slot]
 
 
 class Sequence(_Chain):
@@ -128,16 +120,6 @@ class Parallel(Node):
 
     kind = "parallel"
 
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        statuses = [child.tick(ctx) for child in self.children]
-        if NodeStatus.FAILURE in statuses:
-            # the children still Running are cut off; a reset emits nothing
-            for child, status in zip(self.children, statuses):
-                if status is NodeStatus.RUNNING:
-                    child.reset()
-            return NodeStatus.FAILURE
-        return NodeStatus.RUNNING if NodeStatus.RUNNING in statuses else NodeStatus.SUCCESS
-
 
 class Guard(Node):
     """Decorator that freezes its subtree while a condition is false.
@@ -151,17 +133,10 @@ class Guard(Node):
     def __init__(self, condition_name: str, name: str, child: Node):
         super().__init__(name, [child])
         self.condition_name = condition_name
-        self._predicate: Callable[[InteractionContext], bool] | None = None
 
     @property
     def child(self) -> Node:
         return self.children[0]
-
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        if self._predicate(ctx):
-            return self.child.tick(ctx)
-        emit(ctx, ACTION_HALT)
-        return NodeStatus.RUNNING
 
 
 class Condition(Node):
@@ -172,10 +147,6 @@ class Condition(Node):
     def __init__(self, condition_name: str):
         super().__init__(condition_name)
         self.condition_name = condition_name
-        self._predicate: Callable[[InteractionContext], bool] | None = None
-
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        return NodeStatus.SUCCESS if self._predicate(ctx) else NodeStatus.FAILURE
 
 
 class Action(Node):
@@ -186,31 +157,17 @@ class Action(Node):
     """
 
     kind = "action"
+    _initial = 0
 
     def __init__(self, behavior_name: str, duration: int | None = None):
         super().__init__(behavior_name)
         self.behavior_name = behavior_name
         self.duration_override = duration
-        self.elapsed = 0
-        self._behavior = None  # set by validate_tree
-        self._duration: int | None = None
 
-    def tick(self, ctx: InteractionContext) -> NodeStatus:
-        step = self.elapsed
-        if self._behavior.step_fn is not None:
-            self._behavior.step_fn(ctx, step)
-        if self._behavior.status_fn is not None:
-            status = self._behavior.status_fn(ctx, step)
-        else:
-            status = NodeStatus.RUNNING if step + 1 < self._duration else NodeStatus.SUCCESS
-        if status is NodeStatus.RUNNING:
-            self.elapsed += 1
-        else:
-            self.elapsed = 0
-        return status
-
-    def _reset_self(self) -> None:
-        self.elapsed = 0
+    @property
+    def elapsed(self) -> int:
+        """Steps taken in the current activation."""
+        return self._state[self._slot]
 
 
 def _preorder(root: Node) -> Iterator[tuple[Node, int]]:
@@ -235,65 +192,170 @@ def _met_twice(node: Node) -> ConfigurationError:
     return ConfigurationError(f"{node.kind} {node.name!r} appears more than once in the tree")
 
 
-def require_validated(root: Node) -> Node:
+def require_validated(root: Node) -> None:
     """The tree's only check: ``root`` is a root validate_tree accepted."""
-    if not root._validated:
+    if root._compiled is None:
         raise ConfigurationError("tree must pass validate_tree before it is ticked")
-    return root
 
 
 def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
     """Advance by one tick a root validate_tree accepted."""
-    return require_validated(root).tick(ctx)
+    compiled = root._compiled
+    if compiled is None:
+        require_validated(root)  # raises
+    return compiled(ctx)
 
 
 def validate_tree(root: Node, catalogue) -> Node:
-    """Check structure, assign node ids, and resolve names against a catalogue.
+    """Check structure, assign node ids, resolve names against a catalogue,
+    and compile the tree.
 
     Nodes are visited in preorder, without recursion, and numbered in that
     order.  Raises ConfigurationError on the first node met twice (a shared
     node or a cycle), on the first node nested deeper than
     ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard or
     action duration, and then listing every unresolved condition/behavior name.
+
+    An accepted tree gets one state list, a slot per node at its id, and the
+    root keeps the closure that ticks it.  Each node's closure holds its
+    children's closures, the callables resolved here, the list and its own id,
+    and no node, so the tree holds no reference cycle.  The closures tick the
+    shape and callables seen here; validating again picks up a change to the
+    tree, with fresh state.
     """
     missing: list[str] = []
+    order: list[tuple[Node, object]] = []  # each node with what it resolved, in preorder
     for node_id, (node, depth) in enumerate(_preorder(root)):
         if depth > _MAX_TREE_DEPTH:
             raise ConfigurationError(
                 f"{node.kind} {node.name!r} is nested deeper than {_MAX_TREE_DEPTH} levels")
         node.node_id = node_id
-        if isinstance(node, (_Chain, Parallel)) and not node.children:
-            raise ConfigurationError(f"composite {node.name!r} must have at least one child")
-        if isinstance(node, Guard) and len(node.children) != 1:
-            raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
-        if isinstance(node, (Guard, Condition)):
-            try:
-                node._predicate = catalogue.condition(node.condition_name)
-            except ConfigurationError:
-                missing.append(f"condition {node.condition_name!r}")
-        if isinstance(node, Action):
+        resolved = None
+        if isinstance(node, (_Chain, Parallel)):
+            if not node.children:
+                raise ConfigurationError(f"composite {node.name!r} must have at least one child")
+        elif isinstance(node, Action):
             try:
                 behavior = catalogue.behavior(node.behavior_name)
             except ConfigurationError:
                 missing.append(f"behavior {node.behavior_name!r}")
             else:
-                node._behavior = behavior
-                node._duration = (
+                duration = (
                     behavior.duration if node.duration_override is None else node.duration_override
                 )
-                _check_duration(f"action {node.behavior_name!r}", node._duration)
+                _check_duration(f"action {node.behavior_name!r} duration", duration)
+                resolved = (behavior.step_fn, behavior.status_fn, duration)
+        elif isinstance(node, (Guard, Condition)):
+            if isinstance(node, Guard) and len(node.children) != 1:
+                raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
+            try:
+                resolved = catalogue.condition(node.condition_name)
+            except ConfigurationError:
+                missing.append(f"condition {node.condition_name!r}")
+        else:
+            raise ConfigurationError(f"{node.kind} {node.name!r} is not a node kind the engine ticks")
+        order.append((node, resolved))
     if missing:
         raise ConfigurationError("unresolved names: " + ", ".join(sorted(set(missing))))
-    root._validated = True
+
+    initial = [node._initial for node, _ in order]
+    state = list(initial)
+    compiled: list = [None] * len(order)
+    ends = [0] * len(order)  # one past the last id of each node's subtree
+    for node, resolved in reversed(order):  # children before their parent
+        slot = node.node_id
+        ids = [child.node_id for child in node.children]
+        ends[slot] = ends[ids[-1]] if ids else slot + 1
+        children = [compiled[i] for i in ids]
+        compiled[slot] = _compile(node, resolved, children, ids + [ends[slot]], state, initial)
+        node._state, node._slot, node._compiled = state, slot, None
+    root._compiled = compiled[0]
     return root
 
 
-def _check_duration(owner: str, duration) -> None:
-    """Refuse a duration that is not a positive ``int`` (a ``bool`` is not one)."""
+def _compile(node: Node, resolved, children: list, bounds: list[int],
+             state: list, initial: list) -> Callable[[InteractionContext], NodeStatus]:
+    """The closure that ticks ``node``.
+
+    Child i ticks as ``children[i]``, and its subtree holds the ids from
+    ``bounds[i]`` up to ``bounds[i + 1]``, so ``state[a:b] = initial[a:b]``
+    resets it.  Each closure binds what it reads as default arguments: they
+    are fast locals on the tick, and they cost the garbage collector one
+    tuple per closure where cells would cost one object per value.
+    """
+    slot = node.node_id
+    if isinstance(node, _Chain):
+        pairs = list(enumerate(children))
+
+        def chain(ctx, state=state, slot=slot, pairs=pairs, memory=node.memory, stop_on=node.stop_on,
+                  otherwise=node.otherwise, bounds=bounds, initial=initial):
+            prev = state[slot]
+            for i, child in pairs[prev:] if memory and prev else pairs:
+                status = child(ctx)
+                if status is RUNNING or status is stop_on:
+                    break
+            else:
+                status = otherwise
+            # child i is the last one ticked; a memory chain starts at prev, so
+            # only a plain chain can be broken before it reaches prev
+            if prev is not None and prev > i:
+                a, b = bounds[prev], bounds[prev + 1]
+                state[a:b] = initial[a:b]
+            state[slot] = i if status is RUNNING else None
+            return status
+
+        return chain
+    if isinstance(node, Parallel):
+        def parallel(ctx, children=children, state=state, bounds=bounds, initial=initial):
+            statuses = []
+            for child in children:
+                statuses.append(child(ctx))
+            if FAILURE in statuses:
+                # the children still Running are cut off; a reset emits nothing
+                for a, b, status in zip(bounds, bounds[1:], statuses):
+                    if status is RUNNING:
+                        state[a:b] = initial[a:b]
+                return FAILURE
+            return RUNNING if RUNNING in statuses else SUCCESS
+
+        return parallel
+    if isinstance(node, Guard):
+        def guard(ctx, predicate=resolved, child=children[0]):
+            if predicate(ctx):
+                return child(ctx)
+            emit(ctx, ACTION_HALT)
+            return RUNNING
+
+        return guard
+    if isinstance(node, Condition):
+        def condition(ctx, predicate=resolved):
+            return SUCCESS if predicate(ctx) else FAILURE
+
+        return condition
+    step_fn, status_fn, duration = resolved
+
+    def action(ctx, state=state, slot=slot, step_fn=step_fn, status_fn=status_fn,
+               duration=duration):
+        step = state[slot]
+        if step_fn is not None:
+            step_fn(ctx, step)
+        if status_fn is not None:
+            status = status_fn(ctx, step)
+        else:
+            status = RUNNING if step + 1 < duration else SUCCESS
+        state[slot] = step + 1 if status is RUNNING else 0
+        return status
+
+    return action
+
+
+def _check_duration(what: str, duration) -> None:
+    """Refuse a duration in ticks that is not a positive ``int`` (a ``bool``
+    is not one); ``what`` names it in the message."""
     if type(duration) is not int:
-        raise ConfigurationError(f"{owner} duration must be an integer")
+        raise ConfigurationError(f"{what} must be an integer")
     if duration < 1:
-        raise ConfigurationError(f"{owner} duration must be positive")
+        raise ConfigurationError(f"{what} must be positive")
 
 
 def node_count(root: Node) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .bt import _check_duration
 from .errors import ConfigurationError
 from .world import InteractionContext, breaks_line
 
@@ -81,6 +82,9 @@ class StateMachine:
                 raise ConfigurationError(f"transition to unknown state {tr.target!r}")
             if tr.require_origin is not None and tr.require_origin not in self.states:
                 raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
+            if type(tr.priority) is not int:
+                raise ConfigurationError(f"priority {tr.priority!r} on a transition from "
+                                         f"{tr.source!r} is not an integer")
             if any(t.priority == tr.priority for t, _ in self._outgoing[tr.source]):
                 raise ConfigurationError(f"duplicate priority {tr.priority} "
                                          f"on transitions from {tr.source!r}")
@@ -99,8 +103,7 @@ class StateMachine:
                 raise ConfigurationError(f"timeout to unknown state {timeout.target!r}")
             if timeout.state in self.timeouts:
                 raise ConfigurationError(f"state {timeout.state!r} already has a timeout")
-            if timeout.after_ticks < 1:
-                raise ConfigurationError("timeout after_ticks must be positive")
+            _check_duration("timeout after_ticks", timeout.after_ticks)
             self.timeouts[timeout.state] = timeout
         self.reset()
 

@@ -86,7 +86,7 @@ class Catalogue:
         self._conditions: dict[str, Callable[[InteractionContext], bool]] = {}
 
     def register_behavior(self, behavior: Behavior) -> None:
-        bt._check_duration(f"behavior {behavior.name!r}", behavior.duration)
+        bt._check_duration(f"behavior {behavior.name!r} duration", behavior.duration)
         self._behaviors[behavior.name] = behavior
 
     def register_condition(self, name: str, predicate: Callable[[InteractionContext], bool]) -> None:

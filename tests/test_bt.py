@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -22,6 +24,7 @@ from shutter_sim import (
     NodeStatus,
     Parallel,
     Sequence,
+    build_photographer_bt,
     node_count,
     parse_scenario,
     print_tree,
@@ -30,7 +33,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt, sim
 
-from conftest import PKG_ROOT, LeafScript
+from conftest import PKG_ROOT, SCENARIO_DIR, LeafScript
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 
@@ -392,6 +395,60 @@ def test_reset_is_recursive_and_idempotent():
     assert root.last_running is None
     assert all(c.elapsed == 0 for c in root.children)
     assert tick(script, root, [S, S]) == (S, [0, 1])
+
+
+def test_runtime_state_reads_through_read_only_properties():
+    script = LeafScript()
+    root = make(script, Sequence("s", leaves(2), memory=True))
+    tick(script, root, [S, R])
+    assert (root.last_running, root.children[1].elapsed) == (1, 1)
+    for node, field in ((root, "last_running"), (root.children[1], "elapsed")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, 0)
+    # a node that was never validated reads and resets its own slot
+    assert (Sequence("s", leaves(1)).last_running, Action("stub_0").elapsed) == (None, 0)
+
+
+def test_validating_again_picks_up_a_changed_tree_with_fresh_state():
+    script = LeafScript()
+    root = make(script, Sequence("s", [Action("stub_0"), Action("stub_1")], memory=True))
+    assert tick(script, root, [S, R]) == (R, [0, 1])
+    new = Action("stub_2")
+    root.children[1] = new
+    # until it is validated again, the tree ticks the shape validation saw:
+    # the memory chain resumes the replaced child at its second step
+    assert tick(script, root, [S, R, S]) == (R, [1])
+    assert script.calls[-1] == (1, 1)
+    validate_tree(root, script.catalogue)
+    assert (root.last_running, new.elapsed) == (None, 0)
+    assert [n.node_id for n in root.iter_nodes()] == [0, 1, 2]
+    # the next tick runs the new child from step 0
+    assert tick(script, root, [S, R, R]) == (R, [0, 2])
+    assert script.calls[-1] == (2, 0)
+    assert (root.last_running, new.elapsed) == (1, 1)
+
+
+def test_validation_refuses_a_node_of_no_ticked_kind():
+    script = LeafScript()
+    with pytest.raises(ConfigurationError, match="^node 'bare' is not a node kind"):
+        validate_tree(Sequence("s", [bt.Node("bare")]), script.catalogue)
+
+
+def test_a_run_tree_is_freed_by_reference_counting():
+    # the compiled closures hold each other, the resolved callables and the
+    # state list, never a node, so dropping a run tree frees it at once
+    scenario = parse_scenario((SCENARIO_DIR / "solo.scn").read_text(encoding="utf-8"))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        root = build_photographer_bt()
+        assert sim.run(root, scenario)
+        freed = weakref.ref(root)
+        del root
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- memory and the switch rule over many ticks, against a reference model ------

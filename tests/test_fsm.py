@@ -204,6 +204,40 @@ def test_timeout_wiring_is_checked():
         timed(Timeout("A", 2, "B"), Timeout("A", 3, "B"))
 
 
+@pytest.mark.parametrize("after_ticks,message", [
+    (True, "timeout after_ticks must be an integer"),
+    (2.5, "timeout after_ticks must be an integer"),
+    ("3", "timeout after_ticks must be an integer"),
+    (None, "timeout after_ticks must be an integer"),
+    (0, "timeout after_ticks must be positive"),
+    (-1, "timeout after_ticks must be positive"),
+])
+def test_a_timeout_is_a_positive_int_number_of_ticks(after_ticks, message):
+    # the rule of an action's duration: a bool or a float that would fire on a
+    # rounded tick is refused, and so is a type that cannot be compared
+    script = LeafScript()
+    with pytest.raises(ConfigurationError) as excinfo:
+        machine(script, [State("A"), State("B")], [], "A", [Timeout("A", after_ticks, "B")])
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("priority", ["1", None, 1.5, True])
+def test_a_transition_priority_is_an_int(priority):
+    script = LeafScript()
+    transitions = [Transition("A", "never", "B", 2), Transition("A", "always", "B", priority)]
+    with pytest.raises(ConfigurationError) as excinfo:
+        machine(script, [State("A"), State("B")], transitions, "A")
+    assert str(excinfo.value) == f"priority {priority!r} on a transition from 'A' is not an integer"
+
+
+@pytest.mark.parametrize("priority", [0, -3])
+def test_zero_and_negative_priorities_are_legal_and_fire_first(priority):
+    script = LeafScript()
+    transitions = [Transition("A", "always", "B", 1), Transition("A", "always", "C", priority)]
+    m = machine(script, [State("A"), State("B"), State("C")], transitions, "A")
+    assert step(script, m)[0] == "C"
+
+
 def test_reset_returns_to_the_initial_state():
     script = LeafScript()
     m = machine(
