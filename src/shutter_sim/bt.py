@@ -45,19 +45,32 @@ class Node:
     """Base node: a name, children and a preorder id.
 
     Its runtime state, if any, is one slot of a list: the tree's shared list
-    once ``validate_tree`` accepts the tree, its own one-slot list before.
+    once ``validate_tree`` accepts the tree, its own one-slot list before.  A
+    copy or an unpickled node is a fresh, unvalidated description: it keeps
+    the shape and settings, and neither the id, the state nor the closure.
     """
 
     kind = "node"
     _initial = None  # the slot's value after a reset
+    _RUNTIME = ("node_id", "_state", "_slot", "_compiled")  # what validate_tree sets
 
     def __init__(self, name: str, children: list[Node] | None = None):
         self.name = name
         self.children: list[Node] = list(children or [])
+        self._unvalidated()
+
+    def _unvalidated(self) -> None:
         self.node_id: int | None = None
         self._state: list = [self._initial]
         self._slot = 0
         self._compiled: Callable[[InteractionContext], NodeStatus] | None = None
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key not in self._RUNTIME}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._unvalidated()
 
     def reset(self) -> None:
         """Clear runtime state for this node and its whole subtree, over
@@ -213,8 +226,9 @@ def validate_tree(root: Node, catalogue) -> Node:
     Nodes are visited in preorder, without recursion, and numbered in that
     order.  Raises ConfigurationError on the first node met twice (a shared
     node or a cycle), on the first node nested deeper than
-    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite or guard or
-    action duration, and then listing every unresolved condition/behavior name.
+    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite, guard, leaf
+    (a condition or action with children) or action duration, and then
+    listing every unresolved condition/behavior name.
 
     An accepted tree gets one state list, a slot per node at its id, and the
     root keeps the closure that ticks it.  Each node's closure holds its
@@ -234,6 +248,8 @@ def validate_tree(root: Node, catalogue) -> Node:
         if isinstance(node, (_Chain, Parallel)):
             if not node.children:
                 raise ConfigurationError(f"composite {node.name!r} must have at least one child")
+        elif isinstance(node, (Condition, Action)) and node.children:
+            raise ConfigurationError(f"{node.kind} {node.name!r} is a leaf and cannot have children")
         elif isinstance(node, Action):
             try:
                 behavior = catalogue.behavior(node.behavior_name)

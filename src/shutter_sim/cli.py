@@ -101,7 +101,7 @@ def _show(emission: tuple[str, str] | None) -> str:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     scenario = parse_scenario(_read(args.scenario))
-    print(f"scenario {scenario.name}: {scenario.duration} ticks, {len(scenario.events)} events")
+    print(f"scenario {scenario.name}: {scenario.duration} ticks, {len(scenario.rows)} events")
     if args.tree is not None:
         root = _load_bt(args.tree)
         print(f"tree {root.name}: {bt.node_count(root)} nodes")

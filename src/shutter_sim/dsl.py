@@ -35,9 +35,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from math import isfinite
-from operator import attrgetter
+from operator import itemgetter
 
 from . import bt
 from .errors import ConfigurationError, ParseError, ValidationError
@@ -52,37 +53,39 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScenarioScript:
     """A named, fixed-duration stimulus timeline, events sorted by tick.
 
-    Construction checks every rule a run relies on, however the script was
-    made, and raises ValidationError on the first event that breaks one: a
+    Construction takes ``world.Event`` records, or the plain rows in Event's
+    field order that ``parse_scenario`` makes, checks every rule a run relies
+    on and raises ValidationError on the first event that breaks one: a
     positive duration; ticks in ``0..duration-1`` and in order; a known kind
     and a button from ``world.BUTTONS``; finite coordinates on every
-    appearance and move; and a roster where a person appears only while absent
-    and moves or leaves only while present.
-
-    The same walk builds ``frames``: one ``world.Frame`` per tick that has
-    events, in tick order, which is all ``sim.run`` reads of the script
-    besides its duration.  Frames cost memory per event, never per tick, and
-    take no part in equality, hashing or ``repr``.
+    appearance and move; and a person who appears only while absent and moves
+    or leaves only while present.  The same walk, one pass over the rows by
+    position, builds ``frames``: one ``world.Frame`` per tick that has events,
+    in tick order, which is all ``sim.run`` reads besides the duration.
+    ``rows`` keeps the rows; ``events`` makes them ``Event`` records on first
+    read, then keeps them.  Equality, hashing and ``repr`` go by name,
+    duration and events.
     """
 
     name: str
     duration: int
-    events: tuple[Event, ...]
+    rows: tuple[tuple, ...] = field(repr=False)  # the events in Event's field order
     frames: tuple[Frame, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        duration = self.duration
+    def __init__(self, name: str, duration: int, events: tuple[tuple, ...]) -> None:
+        rows = tuple(events)
         if duration < 1:
-            raise ValidationError(f"scenario {self.name!r} needs a positive duration")
+            raise ValidationError(f"scenario {name!r} needs a positive duration")
         present: set[int] = set()
         frames: list[Frame] = []
+        observe = PersonObservation._make
         hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
         last = 0
-        for tick, group in groupby(self.events, attrgetter("at_tick")):
+        for tick, group in groupby(rows, itemgetter(0)):
             if tick >= duration:
                 raise ValidationError(f"event at {tick} beyond duration {duration}")
             if tick < last:
@@ -92,8 +95,7 @@ class ScenarioScript:
             ids: list[int] = []
             persons: list[PersonObservation | None] = []
             buttons: list[str] = []
-            for ev in group:
-                kind, pid = ev.kind, ev.person_id
+            for _, kind, pid, x, y, button in group:
                 if kind == "person_appear" or kind == "person_move":
                     if kind == "person_appear":
                         if pid in present:
@@ -101,11 +103,10 @@ class ScenarioScript:
                         present.add(pid)
                     elif pid not in present:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
-                    x, y = ev.x, ev.y
                     if x is None or y is None or not (isfinite(x) and isfinite(y)):
                         raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
                     ids.append(pid)
-                    persons.append(PersonObservation(pid, x, y))
+                    persons.append(observe((pid, x, y)))
                 elif kind == "person_leave":
                     if pid not in present:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
@@ -113,9 +114,9 @@ class ScenarioScript:
                     ids.append(pid)
                     persons.append(None)
                 elif kind == "button_press":
-                    if ev.button not in BUTTONS:
-                        raise ValidationError(f"unknown button {ev.button!r} at tick {tick}")
-                    buttons.append(ev.button)
+                    if button not in BUTTONS:
+                        raise ValidationError(f"unknown button {button!r} at tick {tick}")
+                    buttons.append(button)
                 elif kind == "hazard_on" or kind == "hazard_off":
                     hazard = kind == "hazard_on"
                 elif kind == "network_down" or kind == "network_up":
@@ -123,7 +124,14 @@ class ScenarioScript:
                 else:
                     raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
             frames.append(Frame(tick, tuple(ids), tuple(persons), tuple(buttons), hazard, network))
-        object.__setattr__(self, "frames", tuple(frames))
+        vars(self).update(name=name, duration=duration, rows=rows, frames=tuple(frames))
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(map(Event._make, self.rows))
+
+    def __repr__(self) -> str:
+        return f"ScenarioScript(name={self.name!r}, duration={self.duration!r}, events={self.events!r})"
 
 
 # --- scenario format ---------------------------------------------------------
@@ -191,8 +199,8 @@ def parse_scenario(text: str) -> ScenarioScript:
     header = lines[first] if first < len(lines) else ""
     (name, duration), _ = _walk(header, min(first + 1, len(lines)), _HEADER)
 
-    events: list[Event] = []
-    append = events.append
+    rows: list[tuple] = []  # Event's field order
+    append = rows.append
     match = _EVENT_LINE.fullmatch
     for line_no, raw in enumerate(lines[first + 1:], start=first + 2):
         m = match(raw)
@@ -205,18 +213,18 @@ def parse_scenario(text: str) -> ScenarioScript:
         tick, moved, pid, x, y, left, button, hazard, network = groups  # _EVENTS order
         at_tick = int(tick)
         if moved is not None:
-            append(Event(at_tick, moved, int(pid), float(x), float(y)))
+            append((at_tick, moved, int(pid), float(x), float(y), None))
         elif left is not None:
-            append(Event(at_tick, "person_leave", person_id=int(left)))
+            append((at_tick, "person_leave", int(left), None, None, None))
         elif button is not None:
-            append(Event(at_tick, "button_press", button=button))
+            append((at_tick, "button_press", None, None, None, button))
         elif hazard is not None:
-            append(Event(at_tick, f"hazard_{hazard}"))
+            append((at_tick, f"hazard_{hazard}", None, None, None, None))
         else:
-            append(Event(at_tick, f"network_{network}"))
+            append((at_tick, f"network_{network}", None, None, None, None))
 
-    events.sort(key=lambda ev: ev.at_tick)  # stable: file order within a tick
-    return ScenarioScript(name, int(duration), tuple(events))
+    rows.sort(key=itemgetter(0))  # stable: file order within a tick
+    return ScenarioScript(name, int(duration), tuple(rows))
 
 
 def _universal_newlines(text: str) -> str:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -23,10 +25,13 @@ from shutter_sim import (
     InteractionContext,
     NodeStatus,
     Parallel,
+    PersonObservation,
     Sequence,
     build_photographer_bt,
+    default_catalogue,
     node_count,
     parse_scenario,
+    parse_tree,
     print_tree,
     structural_signature,
     validate_tree,
@@ -449,6 +454,56 @@ def test_a_run_tree_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("make_leaf", [lambda: Condition("no_person"), lambda: Action("idle")],
+                         ids=["condition", "action"])
+def test_validation_refuses_a_leaf_with_children(make_leaf):
+    leaf = make_leaf()
+    leaf.children.append(Action("idle"))
+    root = Sequence("s", [leaf])
+    # the tick would never run the child, and print_tree's text would read it
+    # back as the leaf's sibling, so the tree is refused naming the leaf
+    assert structural_signature(parse_tree(print_tree(root))) != structural_signature(root)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{leaf.kind} '{leaf.name}' is a leaf and cannot have children$"):
+        validate_tree(root, default_catalogue())
+
+
+def _greet(root):
+    return next(node for node in root.iter_nodes() if getattr(node, "behavior_name", None) == "greet")
+
+
+def test_a_copied_tree_is_unvalidated_and_ticks_apart_from_the_original():
+    def present():
+        return InteractionContext(persons={1: PersonObservation(1, 1.0, 0.5)})
+
+    original = build_photographer_bt()
+    bt.tick(original, present())
+    assert _greet(original).elapsed == 1
+    copied = copy.deepcopy(original)
+    # a fresh description: no ids, its own initial state, no closure
+    assert {node.node_id for node in copied.iter_nodes()} == {None}
+    assert _greet(copied).elapsed == 0
+    with pytest.raises(ConfigurationError, match="validate_tree"):
+        bt.tick(copied, present())
+    validate_tree(copied, default_catalogue())
+    bt.tick(copied, present())
+    assert (_greet(original).elapsed, _greet(copied).elapsed) == (1, 1)
+    bt.tick(copied, present())
+    assert (_greet(original).elapsed, _greet(copied).elapsed) == (1, 0)
+    assert [n.node_id for n in original.iter_nodes()] == [n.node_id for n in copied.iter_nodes()]
+
+
+def test_a_built_tree_pickles_as_its_description():
+    scenario = parse_scenario((SCENARIO_DIR / "solo.scn").read_text(encoding="utf-8"))
+    original = build_photographer_bt()
+    expected = sim.run(original, scenario)
+    restored = pickle.loads(pickle.dumps(original))
+    assert structural_signature(restored) == structural_signature(original)
+    with pytest.raises(ConfigurationError, match="validate_tree"):
+        sim.run(restored, scenario)
+    assert sim.run(validate_tree(restored, default_catalogue()), scenario) == expected
 
 
 # --- memory and the switch rule over many ticks, against a reference model ------

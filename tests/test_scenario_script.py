@@ -8,6 +8,10 @@ messages they raised, plus the tick order and lower bound the type's
 docstring promises.  The validator must accept exactly the event lists the
 replay accepts and reject every other one with the replay's message, and the
 frames it builds must leave a run with the roster the events describe.
+
+``parse_scenario`` hands the same walk plain rows instead of ``Event``
+records: rendered scenario texts must parse to the script, or fail with the
+message, that the events they render give through the constructor.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import random
 from collections import Counter
 
-from shutter_sim import Event, ScenarioScript, ValidationError, run
+from shutter_sim import Event, ScenarioScript, ValidationError, dsl, parse_scenario, run
 from shutter_sim.world import BUTTONS
 
 from conftest import ContextProbe
@@ -137,3 +141,125 @@ def test_the_validator_matches_the_replayed_rules():
     # every rule was exercised, and most timelines were well formed
     assert outcomes["accepted"] > 1000, outcomes
     assert set(outcomes) == {"accepted", *RULES}, outcomes
+
+
+# --- the parse path against the constructor -------------------------------------
+
+HUGE = "1" * 401  # a literal too large for a float: it reads as infinity
+
+
+def rendered_scenario(rng: random.Random, features: Counter) -> tuple[str, int, list[Event]]:
+    """A scenario text, its duration and the events its lines render, in file
+    order.  Events are drawn in tick order, mostly keeping the roster, then
+    written as an interleaving of the ticks that keeps each tick's own order."""
+    duration = 0 if rng.random() < 0.03 else rng.randint(1, 12)
+    present: set[int] = set()
+    drawn: list[tuple[Event, str]] = []
+    tick = 0
+
+    def person(kind: str, pid: int) -> None:
+        if kind == "person_leave":
+            present.discard(pid)
+            drawn.append((Event(tick, kind, pid), f"@{tick} {kind} id={pid}"))
+            return
+        present.add(pid)
+        x, y = (HUGE if rng.random() < 0.02 else f"{rng.uniform(-5, 5):.2f}" for _ in "xy")
+        drawn.append((Event(tick, kind, pid, float(x), float(y)), f"@{tick} {kind} id={pid} x={x} y={y}"))
+
+    for _ in range(rng.randint(0, 10)):
+        tick += rng.choice((0, 0, 1, 2))
+        roll = rng.random()
+        if roll < 0.6:
+            kind = rng.choice(("person_appear", "person_move", "person_leave"))
+            if kind != "person_appear" and not present and rng.random() < 0.9:
+                kind = "person_appear"
+            if kind == "person_appear" and rng.random() < 0.9:
+                pid = min(set(range(1, 10)) - present)
+            elif kind != "person_appear" and present and rng.random() < 0.95:
+                pid = rng.choice(sorted(present))
+            else:
+                pid = rng.randint(1, 4)
+            person(kind, pid)
+            if kind == "person_leave" and rng.random() < 0.3:
+                person("person_appear", pid)  # back on the same tick
+                features["leave and return on one tick"] += 1
+        elif roll < 0.8:
+            button = rng.choice(("yes", "no", "aux"))
+            drawn.append((Event(tick, "button_press", button=button), f"@{tick} button {button}"))
+        else:
+            word, switch = rng.choice((("hazard", "on"), ("hazard", "off"),
+                                       ("network", "down"), ("network", "up")))
+            drawn.append((Event(tick, f"{word}_{switch}"), f"@{tick} {word} {switch}"))
+
+    by_tick: dict[int, list[tuple[Event, str]]] = {}
+    for event, line in drawn:
+        by_tick.setdefault(event.at_tick, []).append((event, line))
+    queues = list(by_tick.values())
+    in_file: list[tuple[Event, str]] = []
+    while queues:
+        queue = rng.choice(queues)
+        in_file.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    events = [event for event, _ in in_file]
+    if [ev.at_tick for ev in events] != sorted(ev.at_tick for ev in events):
+        features["ticks out of order"] += 1
+    text = "\n".join([f"scenario r ticks {duration}", *(line for _, line in in_file)]) + "\n"
+    return text, duration, events
+
+
+def _outcome(make) -> tuple | str:
+    """The events, frames and the script itself ``make()`` gives, or its
+    ValidationError's text."""
+    try:
+        script = make()
+    except ValidationError as exc:
+        return str(exc)
+    assert all(type(ev) is Event for ev in script.events)
+    return script.events, script.frames, script
+
+
+def test_the_parse_path_and_the_constructor_agree():
+    rng = random.Random(2121)
+    features: Counter[str] = Counter()
+    for _ in range(2000):
+        text, duration, events = rendered_scenario(rng, features)
+        in_order = tuple(sorted(events, key=lambda ev: ev.at_tick))  # stable: file order in a tick
+        parsed = _outcome(lambda: parse_scenario(text))
+        built = _outcome(lambda: ScenarioScript("r", duration, in_order))
+        assert parsed == built, text
+        if isinstance(parsed, str):
+            features[next(rule for rule in RULES if rule in parsed)] += 1
+        else:
+            features["accepted"] += 1
+            assert hash(parsed[2]) == hash(built[2]) and repr(parsed[2]) == repr(built[2])
+    wanted = {"accepted", "positive duration", "beyond duration", "already present",
+              "unknown person", "finite coordinates", "ticks out of order",
+              "leave and return on one tick"}
+    assert all(features[name] >= 10 for name in wanted), features
+
+
+def test_parsing_makes_no_event_until_events_is_read(monkeypatch):
+    made = Counter()
+
+    class CountedEvent:
+        """Stands in for the ``Event`` that ``dsl`` names, counting what it makes."""
+
+        def __new__(cls, *fields, **named):
+            made["call"] += 1
+            return Event(*fields, **named)
+
+        @staticmethod
+        def _make(row):
+            made["_make"] += 1
+            return Event._make(row)
+
+    monkeypatch.setattr(dsl, "Event", CountedEvent)
+    script = parse_scenario("scenario s ticks 9\n@2 button yes\n@0 person_appear id=1 x=1.0 y=0.5\n"
+                            "@4 person_leave id=1\n@4 hazard on\n")
+    assert len(script.frames) == 3 and script == script
+    assert sum(made.values()) == 0
+    assert script.events == (Event(0, "person_appear", 1, 1.0, 0.5), Event(2, "button_press", button="yes"),
+                             Event(4, "person_leave", 1), Event(4, "hazard_on"))
+    assert script.events is script.events  # made once, then kept
+    assert sum(made.values()) == 4
