@@ -6,9 +6,11 @@ Semantics in brief:
   Failure.  Sequence and Fallback stop at the first child that breaks their
   chain; Parallel ticks every child every tick and fails if any child fails.
 * The traversal is the one ``validate_tree`` compiles: a closure per node
-  over one state list for the tree.  A validated tree ticks the shape and the
-  callables validation saw; validating it again picks up a change to it, with
-  fresh state.
+  over one state list, which the validated root holds.  It ticks the shape and
+  callables validation saw; validating again picks up a change, fresh.
+* A validated root is a controller with the protocol ``fsm.StateMachine`` has:
+  a trace ``label``, ``reset()``, ``step(ctx)`` returning the status text, and
+  ``snapshot()``/``restore(snapshot)`` of all its runtime state.
 * Composites marked ``memory`` resume at the child that last returned Running
   instead of re-ticking earlier children.
 * A Guard with a false condition returns Running without ticking its child and
@@ -42,42 +44,51 @@ SUCCESS, RUNNING, FAILURE = NodeStatus
 
 
 class Node:
-    """Base node: a name, children and a preorder id.
+    """A description: a name, children and, once validated, a preorder id.
 
-    Its runtime state, if any, is one slot of a list: the tree's shared list
-    once ``validate_tree`` accepts the tree, its own one-slot list before.  A
-    copy or an unpickled node is a fresh, unvalidated description: it keeps
-    the shape and settings, and neither the id, the state nor the closure.
+    The root validate_tree accepts also holds the tree's runtime, one
+    ``(closure, state, initial)`` record, which the protocol methods use; on
+    any other node they raise the tick gate's ConfigurationError.  A copy or
+    an unpickled node keeps neither the id nor the record.
     """
 
     kind = "node"
-    _initial = None  # the slot's value after a reset
-    _RUNTIME = ("node_id", "_state", "_slot", "_compiled")  # what validate_tree sets
+    label = "bt"  # the trace's controller field
+    _initial = None  # the node's state slot after a reset
+    node_id: int | None = None
+    _runtime: tuple[Callable[[InteractionContext], NodeStatus], list, list] | None = None
 
     def __init__(self, name: str, children: list[Node] | None = None):
         self.name = name
         self.children: list[Node] = list(children or [])
-        self._unvalidated()
-
-    def _unvalidated(self) -> None:
-        self.node_id: int | None = None
-        self._state: list = [self._initial]
-        self._slot = 0
-        self._compiled: Callable[[InteractionContext], NodeStatus] | None = None
 
     def __getstate__(self) -> dict:
-        return {key: value for key, value in vars(self).items() if key not in self._RUNTIME}
+        return {key: value for key, value in vars(self).items() if key not in ("node_id", "_runtime")}
 
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._unvalidated()
+    def _record(self) -> tuple:
+        """The runtime record; the tick gate: refuses a node that holds none."""
+        if self._runtime is None:
+            raise ConfigurationError("tree must pass validate_tree before it is ticked")
+        return self._runtime
 
     def reset(self) -> None:
-        """Clear runtime state for this node and its whole subtree, over
-        ``_preorder``.  Idempotent.  A node met a second time raises
-        ConfigurationError."""
-        for node, _ in _preorder(self):
-            node._state[node._slot] = node._initial
+        """Put every node's state back to its value after validation."""
+        self.restore(self._record()[2])
+
+    def step(self, ctx: InteractionContext) -> str:
+        """Tick once via ``bt.tick``, found by name so a wrapper over it sees each step."""
+        return tick(self, ctx).value
+
+    def snapshot(self) -> tuple:
+        """The tree's state, indexed by ``node_id``: a chain's Running child or
+        None, an action's steps in its activation, None for other nodes."""
+        return tuple(self._record()[1])
+
+    def restore(self, snapshot: tuple) -> None:
+        """Set the tree's state to a ``snapshot`` this tree's shape took."""
+        state = self._record()[1]
+        _check_snapshot(snapshot, len(state))
+        state[:] = snapshot  # in place: the closures hold this list
 
     def iter_nodes(self) -> Iterator[Node]:
         """This node and every descendant, in preorder."""
@@ -101,11 +112,6 @@ class _Chain(Node):
     def __init__(self, name: str, children: list[Node], memory: bool = False):
         super().__init__(name, children)
         self.memory = memory
-
-    @property
-    def last_running(self) -> int | None:
-        """Index of the child that returned Running on the last tick, else None."""
-        return self._state[self._slot]
 
 
 class Sequence(_Chain):
@@ -177,11 +183,6 @@ class Action(Node):
         self.behavior_name = behavior_name
         self.duration_override = duration
 
-    @property
-    def elapsed(self) -> int:
-        """Steps taken in the current activation."""
-        return self._state[self._slot]
-
 
 def _preorder(root: Node) -> Iterator[tuple[Node, int]]:
     """Each node under ``root`` with its level (the root's is 1), in preorder.
@@ -205,18 +206,15 @@ def _met_twice(node: Node) -> ConfigurationError:
     return ConfigurationError(f"{node.kind} {node.name!r} appears more than once in the tree")
 
 
-def require_validated(root: Node) -> None:
-    """The tree's only check: ``root`` is a root validate_tree accepted."""
-    if root._compiled is None:
-        raise ConfigurationError("tree must pass validate_tree before it is ticked")
-
-
 def tick(root: Node, ctx: InteractionContext) -> NodeStatus:
     """Advance by one tick a root validate_tree accepted."""
-    compiled = root._compiled
-    if compiled is None:
-        require_validated(root)  # raises
-    return compiled(ctx)
+    return (root._runtime or root._record())[0](ctx)
+
+
+def _check_snapshot(snapshot, size: int) -> None:
+    """Refuse a controller snapshot that does not hold ``size`` values."""
+    if len(snapshot) != size:
+        raise ConfigurationError(f"snapshot holds {len(snapshot)} values, not {size}")
 
 
 def validate_tree(root: Node, catalogue) -> Node:
@@ -230,12 +228,11 @@ def validate_tree(root: Node, catalogue) -> Node:
     (a condition or action with children) or action duration, and then
     listing every unresolved condition/behavior name.
 
-    An accepted tree gets one state list, a slot per node at its id, and the
-    root keeps the closure that ticks it.  Each node's closure holds its
-    children's closures, the callables resolved here, the list and its own id,
-    and no node, so the tree holds no reference cycle.  The closures tick the
-    shape and callables seen here; validating again picks up a change to the
-    tree, with fresh state.
+    The accepted root alone keeps a runtime: the closure that ticks it, one
+    state list with a slot per node id, and the list's initial values.  Each
+    node's closure holds its children's closures, the callables resolved here,
+    the lists and its own id, and no node, so the tree holds no reference
+    cycle.  Validating again picks up a change to the tree, with fresh state.
     """
     missing: list[str] = []
     order: list[tuple[Node, object]] = []  # each node with what it resolved, in preorder
@@ -284,8 +281,8 @@ def validate_tree(root: Node, catalogue) -> Node:
         ends[slot] = ends[ids[-1]] if ids else slot + 1
         children = [compiled[i] for i in ids]
         compiled[slot] = _compile(node, resolved, children, ids + [ends[slot]], state, initial)
-        node._state, node._slot, node._compiled = state, slot, None
-    root._compiled = compiled[0]
+        node._runtime = None
+    root._runtime = (compiled[0], state, initial)
     return root
 
 

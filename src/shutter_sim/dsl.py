@@ -60,15 +60,15 @@ class ScenarioScript:
     Construction takes ``world.Event`` records, or the plain rows in Event's
     field order that ``parse_scenario`` makes, checks every rule a run relies
     on and raises ValidationError on the first event that breaks one: a
-    positive duration; ticks in ``0..duration-1`` and in order; a known kind
-    and a button from ``world.BUTTONS``; finite coordinates on every
-    appearance and move; and a person who appears only while absent and moves
-    or leaves only while present.  The same walk, one pass over the rows by
-    position, builds ``frames``: one ``world.Frame`` per tick that has events,
-    in tick order, which is all ``sim.run`` reads besides the duration.
-    ``rows`` keeps the rows; ``events`` makes them ``Event`` records on first
-    read, then keeps them.  Equality, hashing and ``repr`` go by name,
-    duration and events.
+    positive duration and ticks in ``0..duration-1``, in order, all ``int``
+    (a ``bool`` is not one); a known kind and a button from ``world.BUTTONS``;
+    finite coordinates on every appearance and move; and a person who appears
+    only while absent and moves or leaves only while present.  The same walk,
+    one pass over the rows by position, builds ``frames``: one ``world.Frame``
+    per tick that has events, in tick order, which is all ``sim.run`` reads
+    besides the duration.  ``rows`` keeps the rows; ``events`` makes them
+    ``Event`` records on first read, then keeps them.  Equality, hashing and
+    ``repr`` go by name, duration and events.
     """
 
     name: str
@@ -78,6 +78,8 @@ class ScenarioScript:
 
     def __init__(self, name: str, duration: int, events: tuple[tuple, ...]) -> None:
         rows = tuple(events)
+        if type(duration) is not int:
+            raise ValidationError(f"scenario {name!r} duration {duration!r} is not an integer")
         if duration < 1:
             raise ValidationError(f"scenario {name!r} needs a positive duration")
         present: set[int] = set()
@@ -86,6 +88,8 @@ class ScenarioScript:
         hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
         last = 0
         for tick, group in groupby(rows, itemgetter(0)):
+            if type(tick) is not int:  # once per tick: a parsed tick is always an int
+                raise ValidationError(f"event tick {tick!r} is not an integer")
             if tick >= duration:
                 raise ValidationError(f"event at {tick} beyond duration {duration}")
             if tick < last:

@@ -4,13 +4,15 @@ Each step fires at most one transition.  Out-transitions of the current state
 are tried in ascending priority order; if none fires and the state has been
 resident long enough, its timeout fires.  Entering a state runs its on_entry
 behavior; a quiet step runs the current state's on_tick behavior instead.
+A machine has a validated ``bt`` root's controller protocol; its snapshot is
+``(current, ticks_in_state, return_slot)``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .bt import _check_duration
+from .bt import _check_duration, _check_snapshot
 from .errors import ConfigurationError
 from .world import InteractionContext, breaks_line
 
@@ -51,6 +53,8 @@ class StateMachine:
     transitions, timeouts) and resolves every behavior and guard name through
     ``catalogue`` once; the built machine holds the callables and never changes.
     """
+
+    label = "fsm"  # the trace's controller field
 
     def __init__(self, states: list[State], transitions: list[Transition], initial: str,
                  catalogue, timeouts: Sequence[Timeout] = ()):
@@ -107,36 +111,41 @@ class StateMachine:
             self.timeouts[timeout.state] = timeout
         self.reset()
 
-    def step(self, ctx: InteractionContext) -> None:
-        """Advance one tick: fire the first eligible transition or run on_tick."""
+    def step(self, ctx: InteractionContext) -> str:
+        """Fire the first eligible transition, or else run on_tick; returns the state id."""
         for tr, guard in self._outgoing[self.current]:
             if tr.require_origin is not None and self.return_slot != tr.require_origin:
                 continue
             if guard(ctx):
                 if tr.record_origin:
                     self.return_slot = self.current
-                self._enter(tr.target, ctx)
-                return
+                return self._enter(tr.target, ctx)
         self.ticks_in_state += 1
         timeout = self.timeouts.get(self.current)
         if timeout is not None and self.ticks_in_state >= timeout.after_ticks:
-            self._enter(timeout.target, ctx)
-            return
+            return self._enter(timeout.target, ctx)
         on_tick = self._steps[self.current][1]
         if on_tick is not None:
             on_tick(ctx, self.ticks_in_state)
+        return self.current
 
-    def _enter(self, target: str, ctx: InteractionContext) -> None:
+    def _enter(self, target: str, ctx: InteractionContext) -> str:
         self.current = target
         self.ticks_in_state = 0
         on_entry = self._steps[target][0]
         if on_entry is not None:
             on_entry(ctx, 0)
+        return target
 
     def reset(self) -> None:
-        self.current = self.initial
-        self.ticks_in_state = 0
-        self.return_slot: str | None = None
+        self.restore((self.initial, 0, None))
+
+    def snapshot(self) -> tuple[str, int, str | None]:
+        return self.current, self.ticks_in_state, self.return_slot
+
+    def restore(self, snapshot: tuple[str, int, str | None]) -> None:
+        _check_snapshot(snapshot, 3)
+        self.current, self.ticks_in_state, self.return_slot = snapshot
 
     def count_elements(self) -> dict[str, int]:
         return {

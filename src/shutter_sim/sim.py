@@ -52,6 +52,9 @@ class DivergenceReport(NamedTuple):
 def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[TickRecord]:
     """Run one controller over a scenario from a fresh context and fresh state.
 
+    A validated ``bt`` root and a ``fsm.StateMachine`` are run alike: one
+    ``reset()``, which refuses an unvalidated tree, then one ``step(ctx)`` per
+    tick, giving each record its status, under the controller's ``label``.
     The scenario's events arrive as its prebuilt ``frames``: on a tick with a
     frame, its person operations are applied in order to this run's own
     ``ctx.persons``, its buttons are pressed, and the hazard and network levels
@@ -61,9 +64,7 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     """
     frames = iter(scenario.frames)
     frame = next(frames, None)
-    is_tree = isinstance(controller, bt.Node)
-    if is_tree:  # first: reset refuses only a cycle, the gate any unvalidated tree
-        bt.require_validated(controller)
+    step, label = controller.step, controller.label
     controller.reset()
     ctx = InteractionContext()
     records: list[TickRecord] = []
@@ -79,18 +80,9 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
                         roster[pid] = person
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
-            if is_tree:
-                status = bt.tick(controller, ctx).value
-                label = "bt"
-            else:
-                controller.step(ctx)
-                status = controller.current
-                label = "fsm"
-            persons = len(ctx.persons)
-            hazard = ctx.hazard_hand_near_arm
-            network = ctx.network_ok
-            emissions = end_tick(ctx)
-            records.append(TickRecord(t, label, status, tuple(emissions), persons, hazard, network))
+            # arguments run left to right: the step, then end_tick's flush
+            records.append(TickRecord(t, label, step(ctx), tuple(end_tick(ctx)), len(ctx.persons),
+                                      ctx.hazard_hand_near_arm, ctx.network_ok))
     except ValueError as exc:
         raise ValidationError(f"tick {t}: {exc}") from None
     return records

@@ -67,7 +67,7 @@ class ContextProbe:
     """A stand-in controller for ``sim.run`` that records the ``WorldView`` of
     the context on every tick."""
 
-    current = "Probe"
+    label = "probe"
 
     def __init__(self):
         self.seen: list[WorldView] = []
@@ -75,8 +75,9 @@ class ContextProbe:
     def reset(self) -> None:
         self.seen = []
 
-    def step(self, ctx) -> None:
+    def step(self, ctx) -> str:
         self.seen.append(WorldView.of(ctx))
+        return "Probe"
 
 
 def reference_components(persons, dist_threshold):

@@ -111,10 +111,10 @@ def test_switch_resets_the_previously_running_child():
     root = make(script, Fallback("f", leaves(2)))
     c0, c1 = root.children
     assert tick(script, root, [F, R]) == (R, [0, 1])
-    assert c1.elapsed == 1
+    assert root.snapshot()[c1.node_id] == 1
     # child 0 takes over as the running child; child 1 must be reset unticked
     assert tick(script, root, [R, R]) == (R, [0])
-    assert c1.elapsed == 0
+    assert root.snapshot()[c1.node_id] == 0
 
 
 def test_finishing_resets_the_previously_running_child():
@@ -122,9 +122,9 @@ def test_finishing_resets_the_previously_running_child():
     root = make(script, Fallback("f", leaves(2)))
     c1 = root.children[1]
     assert tick(script, root, [F, R]) == (R, [0, 1])
-    assert c1.elapsed == 1
+    assert root.snapshot()[c1.node_id] == 1
     assert tick(script, root, [S, R]) == (S, [0])
-    assert c1.elapsed == 0
+    assert root.snapshot()[c1.node_id] == 0
 
 
 def test_parallel_ticks_every_child_even_after_a_failure():
@@ -146,11 +146,12 @@ def test_parallel_failure_resets_held_subtree_state():
     inner = Sequence("inner", [Action("stub_1"), Action("stub_2")], memory=True)
     root = make(script, Parallel("p", [Action("stub_0"), Guard("flag_0", "g", inner)]))
     stub_2 = inner.children[1]
+    ids = [inner.node_id, stub_2.node_id]
     assert tick(script, root, [R, S, R]) == (R, [0, 1, 2])
-    assert (inner.last_running, stub_2.elapsed) == (1, 1)
+    assert [root.snapshot()[i] for i in ids] == [1, 1]
     # child 0 fails: the whole parallel finalizes and held progress is cleared
     assert tick(script, root, [F, S, R]) == (F, [0, 2])
-    assert (inner.last_running, stub_2.elapsed) == (None, 0)
+    assert [root.snapshot()[i] for i in ids] == [None, 0]
 
 
 def test_guard_blocks_without_ticking_its_child():
@@ -172,10 +173,10 @@ def test_blocked_guard_preserves_progress_for_an_in_place_resume():
     guarded = Guard("flag_0", "g", Action("stub_0"))
     root = make(script, Sequence("s", [guarded, Action("stub_1")], memory=True))
     assert tick(script, root, [R, S], flags=[True]) == (R, [0])
-    assert guarded.child.elapsed == 1
+    assert root.snapshot()[guarded.child.node_id] == 1
     # blocked: no leaf runs, held progress stays put
     assert tick(script, root, flags=[False]) == (R, [])
-    assert guarded.child.elapsed == 1
+    assert root.snapshot()[guarded.child.node_id] == 1
     # unblocked: the action continues from its second step, then the chain ends
     status, log = tick(script, root, [S, S], flags=[True])
     assert (status, log) == (S, [0, 1])
@@ -303,10 +304,12 @@ def test_node_walks_reach_every_level_of_an_unvalidated_deep_tree():
 
 
 def test_every_walk_returns_on_a_deep_api_built_tree():
-    # reset, the signature and the printer keep their own stacks too, and
-    # sim.run refuses the unvalidated tree at the tick gate
+    # the signature and the printer keep their own stacks too, and reset
+    # walks nothing: it refuses the unvalidated tree with the tick gate's
+    # message, and so does sim.run
     root = _nest(1200, lambda i, child: Guard("always", f"g{i}", child))
-    root.reset()
+    with pytest.raises(ConfigurationError, match="validate_tree"):
+        root.reset()
     assert node_count(root) == 1200
     signature = structural_signature(root)
     assert signature[0] == (1, "guard", "g1198", False, "always", None)
@@ -349,7 +352,7 @@ def test_validation_rejects_a_node_met_twice(make_tree, first):
     for walk in (node_count, structural_signature, print_tree):
         with pytest.raises(ConfigurationError, match=message):
             walk(make_tree())
-    # sim.run stops at the tick gate before its reset walks the tree
+    # sim.run's reset stops at the tick gate, walking nothing
     with pytest.raises(ConfigurationError, match="validate_tree"):
         sim.run(make_tree(), parse_scenario("scenario shared ticks 3\n"))
 
@@ -369,15 +372,13 @@ for root in (Sequence("s", [Action("a")] * 2), Sequence("s", [shared, Action("b"
 
 def test_reset_refuses_a_node_met_twice():
     # a fresh interpreter with a timeout, so a reset that walks a cycle
-    # forever fails the test instead of hanging the suite
+    # forever fails the test instead of hanging the suite; reset walks
+    # nothing, so each unvalidated tree gets the tick gate's message
     env = {**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", _RESET_TWICE_MET], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines() == [
-        f"{first} appears more than once in the tree"
-        for first in ("action 'a'", "fallback 'f'", "sequence 's'")
-    ]
+    assert done.stdout.splitlines() == ["tree must pass validate_tree before it is ticked"] * 3
 
 
 def test_structural_signature_tracks_shape_not_runtime_state():
@@ -397,21 +398,31 @@ def test_reset_is_recursive_and_idempotent():
     tick(script, root, [S, R])
     root.reset()
     root.reset()
-    assert root.last_running is None
-    assert all(c.elapsed == 0 for c in root.children)
+    assert root.snapshot()[root.node_id] is None
+    assert all(root.snapshot()[c.node_id] == 0 for c in root.children)
     assert tick(script, root, [S, S]) == (S, [0, 1])
 
 
-def test_runtime_state_reads_through_read_only_properties():
+def test_runtime_state_reads_through_an_immutable_snapshot():
     script = LeafScript()
     root = make(script, Sequence("s", leaves(2), memory=True))
     tick(script, root, [S, R])
-    assert (root.last_running, root.children[1].elapsed) == (1, 1)
-    for node, field in ((root, "last_running"), (root.children[1], "elapsed")):
-        with pytest.raises(AttributeError):
-            setattr(node, field, 0)
-    # a node that was never validated reads and resets its own slot
-    assert (Sequence("s", leaves(1)).last_running, Action("stub_0").elapsed) == (None, 0)
+    snapshot = root.snapshot()
+    assert type(snapshot) is tuple
+    assert (snapshot[root.node_id], snapshot[root.children[1].node_id]) == (1, 1)
+    with pytest.raises(TypeError):
+        snapshot[root.node_id] = 0  # type: ignore[index]
+    # the snapshot is a copy: ticking on leaves it as it was
+    tick(script, root, [S, S])
+    assert (snapshot[root.node_id], snapshot[root.children[1].node_id]) == (1, 1)
+    assert root.snapshot() == (None, 0, 0)
+    # a node that was never validated, or is below the root, holds no state,
+    # and a root validated again as a subtree gives its state up
+    outer = make(script, Sequence("outer", [root]))
+    for node in (Sequence("s", leaves(1)), Action("stub_0"), root.children[0], root):
+        with pytest.raises(ConfigurationError, match="validate_tree"):
+            node.snapshot()
+    assert outer.snapshot() == (None, None, 0, 0)
 
 
 def test_validating_again_picks_up_a_changed_tree_with_fresh_state():
@@ -425,12 +436,12 @@ def test_validating_again_picks_up_a_changed_tree_with_fresh_state():
     assert tick(script, root, [S, R, S]) == (R, [1])
     assert script.calls[-1] == (1, 1)
     validate_tree(root, script.catalogue)
-    assert (root.last_running, new.elapsed) == (None, 0)
+    assert (root.snapshot()[root.node_id], root.snapshot()[new.node_id]) == (None, 0)
     assert [n.node_id for n in root.iter_nodes()] == [0, 1, 2]
     # the next tick runs the new child from step 0
     assert tick(script, root, [S, R, R]) == (R, [0, 2])
     assert script.calls[-1] == (2, 0)
-    assert (root.last_running, new.elapsed) == (1, 1)
+    assert (root.snapshot()[root.node_id], root.snapshot()[new.node_id]) == (1, 1)
 
 
 def test_validation_refuses_a_node_of_no_ticked_kind():
@@ -470,8 +481,10 @@ def test_validation_refuses_a_leaf_with_children(make_leaf):
         validate_tree(root, default_catalogue())
 
 
-def _greet(root):
-    return next(node for node in root.iter_nodes() if getattr(node, "behavior_name", None) == "greet")
+def _greet_steps(root):
+    """The steps the tree's ``greet`` action has taken in its activation."""
+    greet = next(node for node in root.iter_nodes() if getattr(node, "behavior_name", None) == "greet")
+    return root.snapshot()[greet.node_id]
 
 
 def test_a_copied_tree_is_unvalidated_and_ticks_apart_from_the_original():
@@ -480,18 +493,19 @@ def test_a_copied_tree_is_unvalidated_and_ticks_apart_from_the_original():
 
     original = build_photographer_bt()
     bt.tick(original, present())
-    assert _greet(original).elapsed == 1
+    assert _greet_steps(original) == 1
     copied = copy.deepcopy(original)
-    # a fresh description: no ids, its own initial state, no closure
+    # a fresh description: no ids, no runtime, so nothing to read or tick
     assert {node.node_id for node in copied.iter_nodes()} == {None}
-    assert _greet(copied).elapsed == 0
-    with pytest.raises(ConfigurationError, match="validate_tree"):
-        bt.tick(copied, present())
+    for use in (copied.snapshot, lambda: bt.tick(copied, present())):
+        with pytest.raises(ConfigurationError, match="validate_tree"):
+            use()
     validate_tree(copied, default_catalogue())
+    assert _greet_steps(copied) == 0
     bt.tick(copied, present())
-    assert (_greet(original).elapsed, _greet(copied).elapsed) == (1, 1)
+    assert (_greet_steps(original), _greet_steps(copied)) == (1, 1)
     bt.tick(copied, present())
-    assert (_greet(original).elapsed, _greet(copied).elapsed) == (1, 0)
+    assert (_greet_steps(original), _greet_steps(copied)) == (1, 0)
     assert [n.node_id for n in original.iter_nodes()] == [n.node_id for n in copied.iter_nodes()]
 
 
@@ -626,7 +640,8 @@ def test_memory_and_the_switch_rule_match_a_reference_over_many_ticks():
             expected = reference.tick(shape, (), statuses, flags, log)
             assert tick(script, root, statuses, flags) == (expected, log), (shape, t)
             elapsed = [reference.elapsed.get(path, 0) for path, _ in actions]
-            assert [node.elapsed for _, node in actions] == elapsed, (shape, t)
+            snapshot = root.snapshot()
+            assert [snapshot[node.node_id] for _, node in actions] == elapsed, (shape, t)
         seen += reference.seen
     assert min(seen[k] for k in ("guard held", "resumed past the first child",
                                  "progress cleared")) >= 100, seen
@@ -642,7 +657,7 @@ def chains_with_paths(node: bt.Node, path: tuple = ()):
 
 def test_the_switch_rule_matches_a_reference_on_deeper_trees():
     # up to 4 levels below the root, a chain is cut off below other chains,
-    # guards and parallels; each chain's last_running must be the one child
+    # guards and parallels; each chain's state slot must hold the one child
     # the reference records as Running
     rng = random.Random(2024)
     seen: Counter[str] = Counter()
@@ -658,19 +673,20 @@ def test_the_switch_rule_matches_a_reference_on_deeper_trees():
         for t in range(16):
             statuses = [rng.choice((S, R, R, F)) for _ in range(n_leaves)]
             flags = [rng.random() < 0.75 for _ in range(N_FLAGS)]
-            before = [chain.last_running for _, chain in chains]
+            before = root.snapshot()
             log: list[int] = []
             expected = reference.tick(shape, (), statuses, flags, log)
             assert tick(script, root, statuses, flags) == (expected, log), (shape, t)
             elapsed = [reference.elapsed.get(path, 0) for path, _ in actions]
-            assert [node.elapsed for _, node in actions] == elapsed, (shape, t)
-            for (path, chain), prev in zip(chains, before):
+            snapshot = root.snapshot()
+            assert [snapshot[node.node_id] for _, node in actions] == elapsed, (shape, t)
+            for path, chain in chains:
                 running = [i for i in range(len(chain.children))
                            if reference.last.get(path + (i,)) is R]
                 assert len(running) <= 1, (shape, t, path)
-                assert chain.last_running == (running[0] if running else None), (shape, t, path)
-                seen["deep chain switched"] += (
-                    len(path) >= 2 and prev is not None and chain.last_running != prev)
+                now, prev = snapshot[chain.node_id], before[chain.node_id]
+                assert now == (running[0] if running else None), (shape, t, path)
+                seen["deep chain switched"] += len(path) >= 2 and prev is not None and now != prev
         seen += reference.seen
     assert min(seen[k] for k in ("guard held", "resumed past the first child",
                                  "progress cleared", "deep chain switched")) >= 100, seen

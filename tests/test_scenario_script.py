@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
+
+import pytest
 
 from shutter_sim import Event, ScenarioScript, ValidationError, dsl, parse_scenario, run
 from shutter_sim.world import BUTTONS
@@ -263,3 +266,21 @@ def test_parsing_makes_no_event_until_events_is_read(monkeypatch):
                              Event(4, "person_leave", 1), Event(4, "hazard_on"))
     assert script.events is script.events  # made once, then kept
     assert sum(made.values()) == 4
+
+
+@pytest.mark.parametrize("duration", [2.5, "3", True, None], ids=repr)
+def test_a_duration_that_is_not_an_int_is_refused_naming_the_scenario(duration):
+    # 2.5 once ended sim.run in a bare TypeError, "3" raised one from the
+    # comparison, and True ran as one tick
+    with pytest.raises(ValidationError, match=rf"^scenario 'odd' duration {re.escape(repr(duration))} "
+                                              "is not an integer$"):
+        ScenarioScript("odd", duration, (Event(0, "hazard_on"),))
+
+
+@pytest.mark.parametrize("tick", [0.5, True, "1", None, 1.0], ids=repr)
+def test_an_event_tick_that_is_not_an_int_is_refused(tick):
+    # Event(0.5, ...) once made a frame that sim.run never matched, dropping it
+    # and every later frame; Event(True, ...) applied at tick 1
+    events = (Event(0, "network_down"), Event(tick, "hazard_on"), Event(2, "network_up"))
+    with pytest.raises(ValidationError, match=rf"^event tick {re.escape(repr(tick))} is not an integer$"):
+        ScenarioScript("odd", 3, events)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 import types
 from collections import Counter
@@ -11,10 +12,10 @@ import pytest
 import shutter_sim
 from shutter_sim import (
     ActionEmission,
+    ConfigurationError,
     Divergence,
     Event,
     InteractionContext,
-    Node,
     PersonObservation,
     ScenarioScript,
     TickRecord,
@@ -29,7 +30,6 @@ from shutter_sim import (
     parse_trace,
     run,
     serialize_trace,
-    tick,
     validate_tree,
 )
 from shutter_sim.cli import main
@@ -250,18 +250,20 @@ def test_the_package_exports_its_public_names_and_no_removed_wrappers():
 # --- the frames against a by-hand replay of the events ----------------------
 
 
-def replay_by_hand(controller, script):
-    """``sim.run``'s loop with each tick's events applied one by one, as they
-    read, without the script's frames.  Returns the records and, per tick, the
-    world half of the context the controller saw."""
+def events_by_tick(script: ScenarioScript) -> dict[int, list[Event]]:
     events_at: dict[int, list[Event]] = {}
     for ev in script.events:
         events_at.setdefault(ev.at_tick, []).append(ev)
-    is_tree = isinstance(controller, Node)
-    controller.reset()
-    ctx = InteractionContext()
+    return events_at
+
+
+def replay_ticks(controller, events_at: dict[int, list[Event]], ctx: InteractionContext, ticks):
+    """``sim.run``'s loop over ``ticks``, from the controller and ``ctx`` as
+    they stand, with each tick's events applied one by one, as they read,
+    without the script's frames.  Returns the records and, per tick, the
+    world half of the context the controller saw."""
     records, contexts = [], []
-    for t in range(script.duration):
+    for t in ticks:
         for ev in events_at.get(t, ()):
             if ev.kind in ("person_appear", "person_move"):
                 ctx.persons[ev.person_id] = PersonObservation(ev.person_id, ev.x, ev.y)
@@ -274,14 +276,18 @@ def replay_by_hand(controller, script):
             else:
                 ctx.network_ok = ev.kind == "network_up"
         contexts.append(WorldView.of(ctx))
-        if is_tree:
-            status, label = tick(controller, ctx).value, "bt"
-        else:
-            controller.step(ctx)
-            status, label = controller.current, "fsm"
+        status = controller.step(ctx)
         persons, hazard, network = len(ctx.persons), ctx.hazard_hand_near_arm, ctx.network_ok
-        records.append(TickRecord(t, label, status, tuple(end_tick(ctx)), persons, hazard, network))
+        records.append(TickRecord(t, controller.label, status, tuple(end_tick(ctx)),
+                                  persons, hazard, network))
     return records, contexts
+
+
+def replay_by_hand(controller, script):
+    """``replay_ticks`` over the whole script from a reset controller and a
+    fresh context."""
+    controller.reset()
+    return replay_ticks(controller, events_by_tick(script), InteractionContext(), range(script.duration))
 
 
 def random_script(rng: random.Random, features: Counter) -> ScenarioScript:
@@ -341,6 +347,43 @@ def test_runs_over_frames_match_a_by_hand_replay_of_the_events():
             assert run(controller, script) == expected, script
             assert probe.seen == contexts, script
     assert min(features[k] for k in ("same-tick return", "several buttons", "hazard", "network")) >= 50, features
+
+
+# --- the controller protocol: snapshot and restore --------------------------
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda path: path.stem)
+def test_a_restored_snapshot_and_context_copy_replay_the_same_records(path):
+    # at every tick: save the controller's snapshot and a deep copy of the
+    # context, run on to the end, restore both, then step on from the restored
+    # pair; every record, run on or stepped again, is the one sim.run gives
+    script = parse_scenario(path.read_text(encoding="utf-8"))
+    events_at = events_by_tick(script)
+    controllers = [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
+    for controller in controllers:
+        expected = run(controller, script)
+        controller.reset()
+        ctx = InteractionContext()
+        for t in range(script.duration):
+            saved, saved_ctx = controller.snapshot(), copy.deepcopy(ctx)
+            ran_on, _ = replay_ticks(controller, events_at, ctx, range(t, script.duration))
+            assert ran_on == expected[t:], (path.stem, controller.label, t)
+            controller.restore(saved)
+            ctx = saved_ctx
+            assert controller.snapshot() == saved
+            stepped, _ = replay_ticks(controller, events_at, ctx, [t])
+            assert stepped == expected[t:t + 1], (path.stem, controller.label, t)
+
+
+def test_restore_refuses_a_snapshot_of_the_wrong_length():
+    tree, machine = build_photographer_bt(), build_photographer_fsm()
+    for controller in (tree, machine):
+        snapshot = controller.snapshot()
+        for wrong in (snapshot[:-1], snapshot + (None,)):
+            with pytest.raises(ConfigurationError,
+                               match=f"^snapshot holds {len(wrong)} values, not {len(snapshot)}$"):
+                controller.restore(wrong)
+        assert controller.snapshot() == snapshot
 
 
 def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
