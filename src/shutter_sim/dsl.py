@@ -64,11 +64,13 @@ class ScenarioScript:
     (a ``bool`` is not one); a known kind and a button from ``world.BUTTONS``;
     finite coordinates on every appearance and move; and a person who appears
     only while absent and moves or leaves only while present.  The same walk,
-    one pass over the rows by position, builds ``frames``: one ``world.Frame``
-    per tick that has events, in tick order, which is all ``sim.run`` reads
-    besides the duration.  ``rows`` keeps the rows; ``events`` makes them
-    ``Event`` records on first read, then keeps them.  Equality, hashing and
-    ``repr`` go by name, duration and events.
+    one pass over the rows by position, keeps the roster and builds
+    ``frames``: one ``world.Frame`` per tick that has events, in tick order,
+    with a copy of the roster after a tick that moves anyone and the previous
+    frame's dict after any other.  The frames are all ``sim.run`` reads besides
+    the duration.  ``rows`` keeps the rows; ``events`` makes them ``Event``
+    records on first read, then keeps them.  Equality, hashing and ``repr`` go
+    by name, duration and events.
     """
 
     name: str
@@ -82,13 +84,14 @@ class ScenarioScript:
             raise ValidationError(f"scenario {name!r} duration {duration!r} is not an integer")
         if duration < 1:
             raise ValidationError(f"scenario {name!r} needs a positive duration")
-        present: set[int] = set()
+        roster: dict[int, PersonObservation] = {}
+        persons: dict[int, PersonObservation] = {}  # the last frame's roster
         frames: list[Frame] = []
         observe = PersonObservation._make
         hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
         last = 0
         for tick, group in groupby(rows, itemgetter(0)):
-            if type(tick) is not int:  # once per tick: a parsed tick is always an int
+            if type(tick) is not int:  # before the comparisons, which a str would break
                 raise ValidationError(f"event tick {tick!r} is not an integer")
             if tick >= duration:
                 raise ValidationError(f"event at {tick} beyond duration {duration}")
@@ -96,27 +99,25 @@ class ScenarioScript:
                 where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
                 raise ValidationError(f"event at {tick} {where}")
             last = tick
-            ids: list[int] = []
-            persons: list[PersonObservation | None] = []
+            moved = False
             buttons: list[str] = []
-            for _, kind, pid, x, y, button in group:
+            for at, kind, pid, x, y, button in group:
+                if type(at) is not int:  # groupby groups by ==: True and 1.0 join a group keyed 1
+                    raise ValidationError(f"event tick {at!r} is not an integer")
                 if kind == "person_appear" or kind == "person_move":
                     if kind == "person_appear":
-                        if pid in present:
+                        if pid in roster:
                             raise ValidationError(f"person {pid} already present at tick {tick}")
-                        present.add(pid)
-                    elif pid not in present:
+                    elif pid not in roster:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
                     if x is None or y is None or not (isfinite(x) and isfinite(y)):
                         raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
-                    ids.append(pid)
-                    persons.append(observe((pid, x, y)))
+                    roster[pid] = observe((pid, x, y))
+                    moved = True
                 elif kind == "person_leave":
-                    if pid not in present:
+                    if roster.pop(pid, None) is None:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
-                    present.remove(pid)
-                    ids.append(pid)
-                    persons.append(None)
+                    moved = True
                 elif kind == "button_press":
                     if button not in BUTTONS:
                         raise ValidationError(f"unknown button {button!r} at tick {tick}")
@@ -127,7 +128,9 @@ class ScenarioScript:
                     network = kind == "network_up"
                 else:
                     raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
-            frames.append(Frame(tick, tuple(ids), tuple(persons), tuple(buttons), hazard, network))
+            if moved:
+                persons = roster.copy()
+            frames.append(Frame(tick, persons, tuple(buttons), hazard, network))
         vars(self).update(name=name, duration=duration, rows=rows, frames=tuple(frames))
 
     @cached_property

@@ -56,11 +56,12 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     ``reset()``, which refuses an unvalidated tree, then one ``step(ctx)`` per
     tick, giving each record its status, under the controller's ``label``.
     The scenario's events arrive as its prebuilt ``frames``: on a tick with a
-    frame, its person operations are applied in order to this run's own
-    ``ctx.persons``, its buttons are pressed, and the hazard and network levels
-    are set.  The frames are read only, so no run can change the next.  A
-    ValueError from the controller, such as a behavior that cannot act on the
-    world it sees, is re-raised as a ValidationError naming the tick.
+    frame, ``ctx.persons`` becomes a copy of its roster, its buttons are
+    pressed, and the hazard and network levels are set.  A controller may
+    write the context, so the copy is what keeps one run from changing the
+    next; a write to the roster lasts until the next frame.  A ValueError from
+    the controller, such as a behavior that cannot act on the world it sees,
+    is re-raised as a ValidationError naming the tick.
     """
     frames = iter(scenario.frames)
     frame = next(frames, None)
@@ -71,13 +72,8 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     try:
         for t in range(scenario.duration):
             if frame is not None and frame.tick == t:
-                _, ids, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
-                roster = ctx.persons
-                for pid, person in zip(ids, persons):
-                    if person is None:
-                        del roster[pid]
-                    else:
-                        roster[pid] = person
+                _, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
+                ctx.persons = persons.copy()
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
             # arguments run left to right: the step, then end_tick's flush

@@ -57,18 +57,17 @@ class Event(NamedTuple):
 
 
 class Frame(NamedTuple):
-    """What one tick's events do to the world half of the context.
+    """The world half of the context after one tick's events.
 
-    ``person_ids`` and ``persons`` hold the tick's person events in file
-    order, pairwise: the observation for an appearance or a move, None for a
-    departure.  ``buttons`` are the buttons pressed on the tick; ``hazard``
-    and ``network`` are the levels after it.  A script has one frame per tick
-    that has events.
+    ``persons`` is the roster after the tick's person events, by person id: a
+    plain dict that a frame whose tick moves no one shares with the frame
+    before it, so a reader copies it before writing.  ``buttons`` are the
+    buttons pressed on the tick; ``hazard`` and ``network`` are the levels
+    after it.  A script has one frame per tick that has events.
     """
 
     tick: int
-    person_ids: tuple[int, ...]
-    persons: tuple[PersonObservation | None, ...]
+    persons: dict[int, PersonObservation]
     buttons: tuple[str, ...]
     hazard: bool
     network: bool

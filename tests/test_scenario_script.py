@@ -284,3 +284,13 @@ def test_an_event_tick_that_is_not_an_int_is_refused(tick):
     events = (Event(0, "network_down"), Event(tick, "hazard_on"), Event(2, "network_up"))
     with pytest.raises(ValidationError, match=rf"^event tick {re.escape(repr(tick))} is not an integer$"):
         ScenarioScript("odd", 3, events)
+
+
+@pytest.mark.parametrize("events, tick", [
+    ((Event(1, "hazard_on"), Event(True, "hazard_off"), Event(1.0, "network_down")), True),
+    ((Event(1, "hazard_on"), Event(1.0, "network_down")), 1.0),
+], ids=("True after 1", "1.0 after 1"))
+def test_a_tick_equal_to_the_int_tick_before_it_is_refused_too(events, tick):
+    # groupby groups by ==, so these ticks once joined tick 1's group unchecked
+    with pytest.raises(ValidationError, match=rf"^event tick {re.escape(repr(tick))} is not an integer$"):
+        ScenarioScript("odd", 3, events)

@@ -399,15 +399,15 @@ def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
         cat.register_condition(name, meddling(cat.condition(name)))
     for path in sorted(SCENARIO_DIR.glob("*.scn")):
         scenario = parse_scenario(path.read_text(encoding="utf-8"))
-        frames = scenario.frames
+        frames = copy.deepcopy(scenario.frames)
         plain = [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
         before = [run(controller, scenario) for controller in plain]
         meddlers = [validate_tree(build_photographer_bt(), cat)]
         meddlers += [build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]
         for controller, records in zip(meddlers, before):
             assert run(controller, scenario) != records  # the meddling shows in its own run
+        assert scenario.frames == frames, path.name  # no run wrote a frame's roster
         assert [run(controller, scenario) for controller in plain] == before, path.name
-        assert scenario.frames == frames
 
 
 def test_frames_take_no_part_in_equality_hashing_or_repr():
@@ -425,5 +425,17 @@ def test_frames_cost_one_per_tick_with_events_whatever_the_duration():
         "@0 person_appear id=1 x=1.0 y=0.5\n@0 button yes\n@999999999 person_leave id=1\n"
     )
     assert [f.tick for f in script.frames] == [0, 999_999_999]
-    assert script.frames[0] == (0, (1,), (PersonObservation(1, 1.0, 0.5),), ("yes",), False, True)
-    assert script.frames[1] == (999_999_999, (1,), (None,), (), False, True)
+    assert script.frames[0] == (0, {1: PersonObservation(1, 1.0, 0.5)}, ("yes",), False, True)
+    assert script.frames[1] == (999_999_999, {}, (), False, True)
+
+
+def test_a_frame_whose_tick_moves_no_one_shares_the_roster_before_it():
+    script = parse_scenario(
+        "scenario s ticks 5\n@0 person_appear id=1 x=1.0 y=0.5\n@1 button yes\n@2 hazard on\n"
+        "@3 person_move id=1 x=2.0 y=0.5\n"
+    )
+    first, button, hazard, move = script.frames
+    assert button.persons is first.persons and hazard.persons is first.persons
+    assert move.persons is not first.persons
+    assert first.persons == {1: PersonObservation(1, 1.0, 0.5)}
+    assert move.persons == {1: PersonObservation(1, 2.0, 0.5)}
