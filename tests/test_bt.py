@@ -214,6 +214,26 @@ def test_condition_maps_predicate_to_status():
     assert tick(script, root, flags=[False])[0] is F
 
 
+@pytest.mark.parametrize("status", list(NodeStatus), ids=lambda status: status.name)
+def test_step_returns_the_status_text_as_a_plain_str(status):
+    script = LeafScript()
+    root = make(script, Sequence("s", [Action("stub_0")]))
+    script.statuses[0] = status
+    text = root.step(InteractionContext())
+    root.reset()
+    assert type(text) is str and text == bt.tick(root, InteractionContext()).value == status.value
+
+
+def test_step_ticks_through_the_module_level_tick(monkeypatch):
+    # a wrapper bound over bt.tick sees every step, as the benchmark's spans need
+    seen = []
+    real = bt.tick
+    monkeypatch.setattr(bt, "tick", lambda root, ctx: seen.append(root) or real(root, ctx))
+    root = build_photographer_bt()
+    assert root.step(InteractionContext()) == "Success"
+    assert seen == [root]
+
+
 def test_tick_requires_a_validated_tree():
     with pytest.raises(ConfigurationError, match="validate_tree"):
         bt.tick(Sequence("s", [Action("stub_0")]), InteractionContext())

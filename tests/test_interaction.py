@@ -31,6 +31,7 @@ from shutter_sim import (
     structural_signature,
 )
 from shutter_sim import bt
+from shutter_sim.groups import someone_in_zone
 from shutter_sim.interaction import ABANDONMENT_MODES
 from shutter_sim.world import BUTTONS
 
@@ -140,6 +141,57 @@ def test_presence_and_greeting_agree_with_clustering_around_the_cooldown_edge():
             assert ctx.emissions_this_tick[-1].payload == greeting_text(expected)
 
 
+@pytest.mark.parametrize("crowd", [[(1.0, 0.5)], [(8.0, 8.0)], [(8.0, 8.0), (1.0, 0.5)]],
+                         ids=("inside", "outside", "both"))
+@pytest.mark.parametrize("offset", [-1, 0], ids=("cooling", "cooled"))
+def test_no_person_negates_person_detected_on_both_sides_of_the_cooldown_edge(crowd, offset):
+    cat = default_catalogue()
+    detected, vacant = cat.condition("person_detected"), cat.condition("no_person")
+    ctx = ctx_with_persons(*crowd, clock=20 + offset)
+    ctx.cooldown_until = 20
+    assert detected(ctx) is (offset == 0 and (1.0, 0.5) in crowd)
+    assert vacant(ctx) is (not detected(ctx))
+
+
+class PresenceCheck:
+    """Wraps a controller for ``run`` and checks, before and after each of its
+    steps, that ``no_person`` is the negation of ``person_detected``."""
+
+    def __init__(self, controller):
+        self.controller, self.label = controller, controller.label
+        cat = default_catalogue()
+        self.detected, self.vacant = cat.condition("person_detected"), cat.condition("no_person")
+        self.cases: set[tuple[bool, bool]] = set()  # (cooling down, someone in the zone)
+
+    def reset(self) -> None:
+        self.controller.reset()
+
+    def _check(self, ctx) -> None:
+        assert self.vacant(ctx) is (not self.detected(ctx))
+        self.cases.add((ctx.clock < ctx.cooldown_until, someone_in_zone(ctx.persons.values())))
+
+    def step(self, ctx) -> str:
+        self._check(ctx)
+        status = self.controller.step(ctx)
+        self._check(ctx)
+        return status
+
+
+@pytest.mark.parametrize("make", [build_photographer_bt, *(
+    lambda mode=mode: build_photographer_fsm(mode) for mode in ABANDONMENT_MODES)],
+    ids=("bt", *(f"fsm-{mode}" for mode in ABANDONMENT_MODES)))
+def test_no_person_negates_person_detected_at_every_corpus_tick(make):
+    cases = set()
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        checked = PresenceCheck(make())
+        assert run(checked, scenario) == run(make(), scenario)
+        cases |= checked.cases
+    # the corpus reaches a cooldown with someone in the zone, and outside a
+    # cooldown both an empty and an occupied zone
+    assert cases >= {(True, True), (False, True), (False, False)}
+
+
 def test_button_conditions_read_the_current_tick_only():
     cat = default_catalogue()
     ctx = InteractionContext()
@@ -242,6 +294,25 @@ def test_catalogue_rejects_unknowns_and_bad_durations():
     for duration in (True, False, 2.5):
         with pytest.raises(ConfigurationError, match="'bad' duration must be an integer"):
             cat.register_behavior(Behavior("bad", duration))
+
+
+def test_catalogue_refuses_entries_the_engines_could_not_call():
+    # each was once accepted, and the first tick that reached it ended sim.run
+    # in a bare TypeError
+    cat = default_catalogue()
+    with pytest.raises(ConfigurationError, match="^condition 'person_detected' predicate 5 is not callable$"):
+        cat.register_condition("person_detected", 5)
+    with pytest.raises(ConfigurationError, match="^condition 'ghost' predicate None is not callable$"):
+        cat.register_condition("ghost", None)
+    with pytest.raises(ConfigurationError, match="^behavior 'idle' step_fn 'notfn' is not callable$"):
+        cat.register_behavior(Behavior("idle", 1, "notfn"))
+    with pytest.raises(ConfigurationError, match="^behavior 'idle' status_fn 1 is not callable$"):
+        cat.register_behavior(Behavior("idle", 1, None, 1))
+    # the refused entries left the catalogue as it was
+    assert callable(cat.condition("person_detected")) and "ghost" not in cat.condition_names()
+    assert callable(cat.behavior("idle").step_fn)
+    cat.register_behavior(Behavior("pause", 1))  # a behavior may do nothing on its steps
+    assert cat.behavior("pause").step_fn is None
 
 
 # --- builders -------------------------------------------------------------------

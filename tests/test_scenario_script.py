@@ -294,3 +294,27 @@ def test_a_tick_equal_to_the_int_tick_before_it_is_refused_too(events, tick):
     # groupby groups by ==, so these ticks once joined tick 1's group unchecked
     with pytest.raises(ValidationError, match=rf"^event tick {re.escape(repr(tick))} is not an integer$"):
         ScenarioScript("odd", 3, events)
+
+
+@pytest.mark.parametrize("kind", ["person_appear", "person_move", "person_leave"])
+@pytest.mark.parametrize("pid", ["a", True, [1], None, 1.0], ids=repr)
+def test_a_person_id_that_is_not_an_int_is_refused(kind, pid):
+    # True once named person 1, a list ended in a bare TypeError from the roster
+    events = (Event(0, "person_appear", 1, 1.0, 1.0), Event(1, kind, pid, 1.0, 1.0))
+    with pytest.raises(ValidationError, match=rf"^person id {re.escape(repr(pid))} at tick 1 is not an integer$"):
+        ScenarioScript("odd", 3, events)
+
+
+@pytest.mark.parametrize("kind", ["person_appear", "person_move"])
+@pytest.mark.parametrize("x, y", [("1.0", 1.0), (True, 1.0), (1.0, False), (10 ** 400, 1.0), ([1.0], 1.0)],
+                         ids=("x='1.0'", "x=True", "y=False", "x=10**400", "x=[1.0]"))
+def test_a_coordinate_that_is_not_a_finite_float_or_int_is_refused(kind, x, y):
+    # '1.0' once ended in a bare TypeError from isfinite, and True was taken as 1
+    events = (Event(0, "person_appear", 1, 1.0, 1.0), Event(1, kind, 2 if kind == "person_appear" else 1, x, y))
+    with pytest.raises(ValidationError, match=rf"^event {kind} at tick 1 needs finite coordinates$"):
+        ScenarioScript("odd", 3, events)
+
+
+def test_int_coordinates_are_accepted():
+    script = ScenarioScript("ints", 3, (Event(0, "person_appear", 1, 1, -2), Event(1, "person_move", 1, 0, 0.5)))
+    assert _replay(script) == {1: (0, 0.5)}

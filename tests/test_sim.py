@@ -106,6 +106,29 @@ def test_trace_records_round_trip_with_typed_payloads(name):
         assert parse_trace(serialize_trace(records)) == records
 
 
+def _assert_exact_records(records: list) -> int:
+    """Assert that every record and emission has its exact type and all its
+    fields, as ``new_record`` builds them; returns the emissions seen."""
+    emissions = 0
+    for r in records:
+        assert type(r) is TickRecord and len(r) == len(TickRecord._fields)
+        for e in r.emissions:
+            assert type(e) is ActionEmission and len(e) == len(ActionEmission._fields)
+            emissions += 1
+    return emissions
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
+def test_runs_and_parsed_traces_build_records_of_their_exact_types(name):
+    # sim.run, emit and parse_trace build their records with tuple.__new__,
+    # which checks neither the type nor the number of fields
+    scenario = parse_scenario((SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8"))
+    for controller in [build_photographer_bt(), *map(build_photographer_fsm, FSM_MODES)]:
+        records = run(controller, scenario)
+        assert _assert_exact_records(records) > 0
+        assert _assert_exact_records(parse_trace(serialize_trace(records))) > 0
+
+
 def test_parse_trace_restores_int_payloads():
     records = [record(3, ("take_photo", 1), ("show_photo", 12), ("say", "1"), ("say", ""), ("idle", None)),
                # a sign is not a digit: _MAX_DIGITS of them after a minus still fit int()'s limit

@@ -147,6 +147,18 @@ def test_accepted_payloads_round_trip(payload):
     assert parse_trace(serialize_trace([record])) == [record]
 
 
+@pytest.mark.parametrize("action", sorted(ACTION_PAYLOADS))
+def test_emit_builds_an_action_emission_of_its_exact_type(action):
+    declared = ACTION_PAYLOADS[action]
+    payload = {str: "hi", int: 3, None: None}[declared]
+    ctx = InteractionContext()
+    emit(ctx, action, payload)
+    emission, = ctx.emissions_this_tick
+    assert type(emission) is ActionEmission and len(emission) == len(ActionEmission._fields)
+    assert emission == ActionEmission(action, payload)
+    assert emission.action is action and emission.payload is payload
+
+
 @pytest.mark.parametrize("action,payload", [
     ("say", 7), ("say", None), ("take_photo", "1"), ("take_photo", True), ("show_photo", 1.0),
     ("show_photo", None), ("idle", "x"), ("idle", 0), ("halt_motion_hold", ""),
