@@ -33,7 +33,6 @@ first offending character; referential problems raise ValidationError.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -42,15 +41,15 @@ from operator import itemgetter
 
 from . import bt
 from .errors import ConfigurationError, ParseError, ValidationError
-from .world import BUTTONS, Event, Frame, InteractionContext, PersonObservation
+from .world import BUTTONS, Event, Frame, InteractionContext, PersonObservation, new_record
 
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
-# The interpreter's limit for converting a digit string to int (set by
-# PYTHONINTMAXSTRDIGITS or -X int_max_str_digits); a longer run of digits is a
-# located syntax error instead of a ValueError from int().  With the limit off
-# (0), or on a 3.10 patch release that predates it, Python's default of 4300
-# still bounds the run.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# The most digits a number in a scenario, tree or trace may have; a longer run
+# is a located syntax error.  640 is the lowest nonzero int-string limit that
+# CPython accepts (``sys.int_info.str_digits_check_threshold``), so int() takes
+# every run this allows whatever PYTHONINTMAXSTRDIGITS or -X int_max_str_digits
+# sets, and an input gets the same verdict under every interpreter setting.
+_MAX_DIGITS = 640
 
 
 # A coordinate's type is exactly one of these: a bool is not a coordinate, and
@@ -64,12 +63,13 @@ class ScenarioScript:
 
     Construction takes ``world.Event`` records, or the plain rows in Event's
     field order that ``parse_scenario`` makes, checks every rule a run relies
-    on and raises ValidationError on the first event that breaks one: a
-    positive duration and ticks in ``0..duration-1``, in order, all ``int``
-    (a ``bool`` is not one); a known kind and a button from ``world.BUTTONS``;
-    an ``int`` person id and finite ``float`` or ``int`` coordinates on every
-    person event that takes them (a ``bool`` is neither); and a person who
-    appears only while absent and moves or leaves only while present.  The
+    on and raises ValidationError on the first event that breaks one: six
+    fields to a row; a positive duration and ticks in ``0..duration-1``, in
+    order, all ``int`` (a ``bool`` is not one); a known kind and a button
+    from ``world.BUTTONS``; an ``int`` person id and finite ``float`` or
+    ``int`` coordinates on every person event that takes them (a ``bool`` is
+    neither); and a person who appears only while absent and moves or leaves
+    only while present.  The
     same walk, one pass over the rows by position, keeps the roster and builds
     ``frames``: one ``world.Frame`` per tick that has events, in tick order,
     with a copy of the roster after a tick that moves anyone and the previous
@@ -90,61 +90,17 @@ class ScenarioScript:
             raise ValidationError(f"scenario {name!r} duration {duration!r} is not an integer")
         if duration < 1:
             raise ValidationError(f"scenario {name!r} needs a positive duration")
-        roster: dict[int, PersonObservation] = {}
-        persons: dict[int, PersonObservation] = {}  # the last frame's roster
-        frames: list[Frame] = []
-        observe = PersonObservation._make
-        hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
-        last = 0
-        for tick, group in groupby(rows, itemgetter(0)):
-            if type(tick) is not int:  # before the comparisons, which a str would break
-                raise ValidationError(f"event tick {tick!r} is not an integer")
-            if tick >= duration:
-                raise ValidationError(f"event at {tick} beyond duration {duration}")
-            if tick < last:
-                where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
-                raise ValidationError(f"event at {tick} {where}")
-            last = tick
-            moved = False
-            buttons: list[str] = []
-            for at, kind, pid, x, y, button in group:
-                if type(at) is not int:  # groupby groups by ==: True and 1.0 join a group keyed 1
-                    raise ValidationError(f"event tick {at!r} is not an integer")
-                if kind == "person_appear" or kind == "person_move" or kind == "person_leave":
-                    if type(pid) is not int:  # before the roster lookups, which a list would break
-                        raise ValidationError(f"person id {pid!r} at tick {tick} is not an integer")
-                    if kind == "person_leave":
-                        if roster.pop(pid, None) is None:
-                            raise ValidationError(f"unknown person {pid} at tick {tick}")
-                    else:
-                        if kind == "person_appear":
-                            if pid in roster:
-                                raise ValidationError(f"person {pid} already present at tick {tick}")
-                        elif pid not in roster:
-                            raise ValidationError(f"unknown person {pid} at tick {tick}")
-                        try:
-                            finite = (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
-                                      and isfinite(x) and isfinite(y))
-                        except OverflowError:  # an int too large for a float
-                            finite = False
-                        if not finite:
-                            raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
-                        roster[pid] = observe((pid, x, y))
-                    moved = True
-                elif kind == "button_press":
-                    if button not in BUTTONS:
-                        raise ValidationError(f"unknown button {button!r} at tick {tick}")
-                    buttons.append(button)
-                elif kind == "hazard_on" or kind == "hazard_off":
-                    hazard = kind == "hazard_on"
-                elif kind == "network_down" or kind == "network_up":
-                    network = kind == "network_up"
-                else:
-                    raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
-            if moved:
-                persons = roster.copy()
-            frames.append(Frame(tick, persons, tuple(buttons), hazard, network))
-        vars(self).update(name=name, duration=duration, rows=rows, frames=tuple(frames))
+        try:
+            frames = _frames(rows, duration)
+        except (TypeError, ValueError, IndexError):  # a row's unpack or itemgetter(0), if any fails
+            for position, row in enumerate(rows):
+                try:
+                    _, _, _, _, _, _ = row
+                    row[0]
+                except (TypeError, ValueError, IndexError):
+                    raise ValidationError(f"event {position} is not a row of 6 fields") from None
+            raise
+        vars(self).update(name=name, duration=duration, rows=rows, frames=frames)
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -152,6 +108,67 @@ class ScenarioScript:
 
     def __repr__(self) -> str:
         return f"ScenarioScript(name={self.name!r}, duration={self.duration!r}, events={self.events!r})"
+
+
+def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
+    """``ScenarioScript``'s walk: the frames of ``rows``, or the ValidationError
+    of the first event that breaks a rule.  A row that is not six fields fails
+    its unpack or ``itemgetter(0)``, which the constructor turns into its
+    refusal afterwards, so a well-formed walk pays for no length check."""
+    roster: dict[int, PersonObservation] = {}
+    persons: dict[int, PersonObservation] = {}  # the last frame's roster
+    frames: list[Frame] = []
+    hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
+    last = 0
+    for tick, group in groupby(rows, itemgetter(0)):
+        if type(tick) is not int:  # before the comparisons, which a str would break
+            raise ValidationError(f"event tick {tick!r} is not an integer")
+        if tick >= duration:
+            raise ValidationError(f"event at {tick} beyond duration {duration}")
+        if tick < last:
+            where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
+            raise ValidationError(f"event at {tick} {where}")
+        last = tick
+        moved = False
+        buttons: list[str] = []
+        for at, kind, pid, x, y, button in group:
+            if type(at) is not int:  # groupby groups by ==: True and 1.0 join a group keyed 1
+                raise ValidationError(f"event tick {at!r} is not an integer")
+            if kind == "person_appear" or kind == "person_move" or kind == "person_leave":
+                if type(pid) is not int:  # before the roster lookups, which a list would break
+                    raise ValidationError(f"person id {pid!r} at tick {tick} is not an integer")
+                if kind == "person_leave":
+                    if roster.pop(pid, None) is None:
+                        raise ValidationError(f"unknown person {pid} at tick {tick}")
+                else:
+                    if kind == "person_appear":
+                        if pid in roster:
+                            raise ValidationError(f"person {pid} already present at tick {tick}")
+                    elif pid not in roster:
+                        raise ValidationError(f"unknown person {pid} at tick {tick}")
+                    try:
+                        finite = (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
+                                  and isfinite(x) and isfinite(y))
+                    except OverflowError:  # an int too large for a float
+                        finite = False
+                    if not finite:
+                        raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
+                    roster[pid] = new_record(PersonObservation, (pid, x, y))
+                moved = True
+            elif kind == "button_press":
+                if button not in BUTTONS:
+                    raise ValidationError(f"unknown button {button!r} at tick {tick}")
+                buttons.append(button)
+            elif kind == "hazard_on" or kind == "hazard_off":
+                hazard = kind == "hazard_on"
+            elif kind == "network_down" or kind == "network_up":
+                network = kind == "network_up"
+            else:
+                raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
+        if moved:
+            persons = roster.copy()
+        frames.append(new_record(Frame, (tick, persons, tuple(buttons), hazard, network)))
+    return tuple(frames)
 
 
 # --- scenario format ---------------------------------------------------------

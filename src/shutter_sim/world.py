@@ -9,7 +9,8 @@ Every plain value record, here and in ``fsm`` and ``sim``, is a
 ``typing.NamedTuple``: it equals the plain tuple of its fields (so two record
 types with equal fields compare equal), unpacks and indexes in field order,
 and refuses attribute assignment.  The code that builds a record once per
-tick or once per trace line does so with ``new_record``, not the class call.
+tick, once per scenario row or once per trace line does so with
+``new_record``, not the class call.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ prints one PASS line; run ``pytest -s tests/test_acceptance.py`` to see them.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import subprocess
 import sys
@@ -40,7 +39,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt
 
-from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE
+from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE, reference_engaged_size
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 
@@ -303,45 +302,6 @@ def test_criterion_6_greeting_matches_the_templates_exactly():
 # --- 7. engaged group vs a brute-force connected-components reference -------------
 
 
-def _reference_components(persons, threshold=1.5):
-    ids = [p.person_id for p in persons]
-    near = {
-        i: {
-            j.person_id
-            for j in persons
-            if j.person_id != i.person_id
-            and math.hypot(i.x - j.x, i.y - j.y) <= threshold
-        }
-        for i in persons
-    }
-    by_id = {p.person_id: near[p] for p in persons}
-    seen: set[int] = set()
-    components = []
-    for start in sorted(ids):
-        if start in seen:
-            continue
-        stack, group = [start], set()
-        while stack:
-            node = stack.pop()
-            if node in group:
-                continue
-            group.add(node)
-            stack.extend(by_id[node] - group)
-        seen |= group
-        components.append(frozenset(group))
-    return components
-
-
-def _reference_engaged_size(components, persons, radius=2.5):
-    distance = {p.person_id: math.hypot(p.x, p.y) for p in persons}
-    keyed = [
-        ((min(distance[m] for m in comp), min(comp)), comp)
-        for comp in components
-        if min(distance[m] for m in comp) <= radius
-    ]
-    return len(min(keyed)[1]) if keyed else 0
-
-
 def test_criterion_7_clustering_matches_brute_force():
     rng = random.Random(49193)
     trials = 1000
@@ -352,7 +312,7 @@ def test_criterion_7_clustering_matches_brute_force():
             PersonObservation(i, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
             for i in ids
         ]
-        size = _reference_engaged_size(_reference_components(persons), persons)
+        size = reference_engaged_size(persons)
         assert engaged_group_size(persons) == size
         assert someone_in_zone(persons) is (size >= 1)
     print(f"PASS criterion 7: engaged-group size and presence match brute force on {trials} instances")

@@ -158,7 +158,7 @@ def test_non_ascii_digits_in_a_tree_exit_2_with_a_location(tmp_path, capsys, dur
         f"error: line 2, column {column}: unexpected character {duration[-1]!r}")
 
 
-LONG = "1" * (_MAX_DIGITS + 700)  # past the interpreter's limit for int strings
+LONG = "1" * (_MAX_DIGITS + 700)  # well past the digit bound
 
 
 @pytest.mark.parametrize("text,located", [
@@ -196,8 +196,8 @@ DIGITS_1000 = "1" * 1000
      "line 2, column 19: number too long"),
 ], ids=["header-tick", "event-tick", "person-id", "tree-duration"])
 def test_digit_runs_are_bounded_by_the_interpreters_limit(tmp_path, name, text, args, located):
-    # an interpreter started with a lower int-string limit bounds the digit
-    # runs at that limit, so int() never sees a run it would reject
+    # an interpreter started at the lowest int-string limit keeps the same
+    # digit bound, so int() never sees a run it would reject
     bad = tmp_path / name
     bad.write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": str(PKG_ROOT / "src")}

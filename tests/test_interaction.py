@@ -462,6 +462,35 @@ def test_a_consent_withdrawn_a_tick_later_is_outside_the_equivalence_claim(mode)
     assert divergence.emission_b == ("say", FAREWELL_TEXT)
 
 
+# The tree against the machine on every scenarios/ file, for each --fsm-mode
+# in ABANDONMENT_MODES order: None where the emissions are equivalent, else
+# the position of the first divergence.  Criterion 5 covers six of the
+# equivalent files in transitions mode.
+EQUIVALENCE = {
+    "duo.scn": (None, None, 12),  # timeouts: only AskConsent times out, and the machine greets again
+    "duo_decline.scn": (None, None, None),
+    "hazard_window.scn": (2, 2, 2),  # the machine announces again on leaving HaltMotion
+    "network_outage.scn": (11, 11, 11),  # the machine has no network hold
+    "solo.scn": (None, None, None),
+    "solo_decline.scn": (None, None, None),
+    "solo_slow.scn": (None, None, None),
+    "trio.scn": (None, None, 12),  # as in duo
+}
+
+
+def test_every_corpus_file_has_its_verdict_pinned_under_every_mode():
+    assert ABANDONMENT_MODES == ("none", "transitions", "timeouts")
+    assert sorted(path.name for path in SCENARIO_DIR.glob("*.scn")) == sorted(EQUIVALENCE)
+    for name, positions in EQUIVALENCE.items():
+        scenario = load(name)
+        tree_records = run(build_photographer_bt(), scenario)
+        for mode, position in zip(ABANDONMENT_MODES, positions):
+            report = compare(tree_records, run(build_photographer_fsm(mode), scenario))
+            divergence = report.first_divergence
+            assert report.equivalent is (position is None), (name, mode, divergence)
+            assert (None if divergence is None else divergence.position) == position, (name, mode)
+
+
 def test_network_outage_holds_the_tree_in_place():
     records = run(build_photographer_bt(), load("network_outage.scn"))
     for t in (2, 3, 4, 5):

@@ -23,8 +23,8 @@ from collections import Counter
 
 import pytest
 
-from shutter_sim import Event, ScenarioScript, ValidationError, dsl, parse_scenario, run
-from shutter_sim.world import BUTTONS
+from shutter_sim import Event, PersonObservation, ScenarioScript, ValidationError, dsl, parse_scenario, run
+from shutter_sim.world import BUTTONS, Frame
 
 from conftest import ContextProbe
 
@@ -219,6 +219,8 @@ def _outcome(make) -> tuple | str:
     except ValidationError as exc:
         return str(exc)
     assert all(type(ev) is Event for ev in script.events)
+    assert all(type(frame) is Frame and all(type(p) is PersonObservation for p in frame.persons.values())
+               for frame in script.frames)  # of the exact types, though new_record builds them
     return script.events, script.frames, script
 
 
@@ -318,3 +320,19 @@ def test_a_coordinate_that_is_not_a_finite_float_or_int_is_refused(kind, x, y):
 def test_int_coordinates_are_accepted():
     script = ScenarioScript("ints", 3, (Event(0, "person_appear", 1, 1, -2), Event(1, "person_move", 1, 0, 0.5)))
     assert _replay(script) == {1: (0, 0.5)}
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("row", [
+    (0, "hazard_on", None, None, None),
+    (0, "hazard_on", None, None, None, None, None),
+    5,
+    None,
+    (),
+], ids=("5 fields", "7 fields", "5", "None", "()"))
+def test_a_row_that_is_not_six_fields_is_refused_naming_its_position(row, position):
+    # these once escaped the walk as a bare ValueError from the unpack, or a
+    # TypeError or IndexError from itemgetter(0)
+    rows = ((0, "network_down", None, None, None, None),) * position + (row,)
+    with pytest.raises(ValidationError, match=rf"^event {position} is not a row of 6 fields$"):
+        ScenarioScript("odd", 3, rows)
