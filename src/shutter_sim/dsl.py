@@ -38,6 +38,7 @@ from functools import cached_property
 from itertools import groupby
 from math import isfinite
 from operator import itemgetter
+from typing import NoReturn
 
 from . import bt
 from .errors import ConfigurationError, ParseError, ValidationError
@@ -241,13 +242,11 @@ def parse_scenario(text: str) -> ScenarioScript:
     match = _EVENT_LINE.fullmatch
     for line_no, raw in enumerate(lines[first + 1:], start=first + 2):
         m = match(raw)
-        if m is not None:
-            groups = m.groups()
-        elif _skipped(raw):
-            continue
-        else:
-            groups = _event_groups(raw, line_no)
-        tick, moved, pid, x, y, left, button, hazard, network = groups  # _EVENTS order
+        if m is None:
+            if _skipped(raw):
+                continue
+            _event_fault(raw, line_no)
+        tick, moved, pid, x, y, left, button, hazard, network = m.groups()  # _EVENTS order
         at_tick = int(tick)
         if moved is not None:
             append((at_tick, moved, int(pid), float(x), float(y), None))
@@ -275,17 +274,13 @@ def _skipped(line: str) -> bool:
     return not body or body[0] == "#"
 
 
-def _event_groups(text: str, line_no: int) -> tuple[str | None, ...]:
-    """The groups ``_EVENT_LINE`` gives a line, or the ParseError of its first
-    fault: in the tick, the event word, or the rest of that word's alternative."""
-    (tick, word), at = _walk(text, line_no, (*_TICK, _EVENT), end=False)
-    groups = [tick]
-    for alternative in _EVENTS:
-        if word in _names(alternative[0]):
-            groups += _walk(text, line_no, alternative, at - len(word))[0]
-        else:
-            groups += [None] * sum(kind in _CAPTURED for kind, _, _ in alternative)
-    return tuple(groups)
+def _event_fault(text: str, line_no: int) -> NoReturn:
+    """Raise the ParseError of the first fault of a line ``_EVENT_LINE``
+    rejects: in the tick, the event word, or the rest of that word's alternative."""
+    (_, word), at = _walk(text, line_no, (*_TICK, _EVENT), end=False)
+    alternative = next(alt for alt in _EVENTS if word in _names(alt[0]))
+    _walk(text, line_no, alternative, at - len(word))
+    raise AssertionError(f"line {line_no}, {text!r}: rejected by _EVENT_LINE, yet no piece is at fault")
 
 
 def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
@@ -479,8 +474,9 @@ def print_tree(root: bt.Node) -> str:
 
 
 def _tree_word(node: bt.Node, word: str) -> str:
-    """``word``, which ``print_tree`` writes for ``node``, if it is one tree identifier."""
-    if _WORD.fullmatch(word) and _starts_identifier(word):
+    """``word``, which ``print_tree`` writes for ``node``, if it is a ``str``
+    that is one tree identifier."""
+    if type(word) is str and _WORD.fullmatch(word) and _starts_identifier(word):
         return word
     raise ConfigurationError(f"{node.kind} {node.name!r} cannot be printed: "
                              f"{word!r} is not a tree identifier")

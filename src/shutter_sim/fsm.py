@@ -51,88 +51,90 @@ class StateMachine:
 
     The constructor checks the whole table (states, their behaviors,
     transitions, timeouts) and resolves every behavior and guard name through
-    ``catalogue`` once; the built machine holds the callables and never changes.
+    ``catalogue`` once; the built machine keeps one row per state, holds the
+    callables and never changes.
     """
 
     label = "fsm"  # the trace's controller field
 
     def __init__(self, states: list[State], transitions: list[Transition], initial: str,
                  catalogue, timeouts: Sequence[Timeout] = ()):
-        self.states: dict[str, State] = {}
+        # state id -> [on_entry, on_tick, edges, timeout]: the behavior names,
+        # then their step functions (None where there is none); the (transition,
+        # guard) pairs; the state's Timeout, or None
+        rows: dict[str, list] = {}
         for state in states:
             sid = state.state_id
-            if sid in self.states:
+            if type(sid) is not str:  # before the lookups, which a list would break
+                raise ConfigurationError(f"state id {sid!r} is not a str")
+            if sid in rows:
                 raise ConfigurationError(f"duplicate state {sid!r}")
             # a trace line writes the id as its status= field, which ends at a space
             if " " in sid or breaks_line(sid):
                 raise ConfigurationError(f"state {sid!r} holds a space or a line break, "
                                          "which a trace line cannot carry")
-            self.states[sid] = state
-        if initial not in self.states:
+            rows[sid] = [state.on_entry, state.on_tick, [], None]
+        if initial not in rows:
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
-        # state -> (on_entry, on_tick) step functions, None where there is none
-        self._steps: dict[str, tuple] = {
-            s.state_id: tuple(None if slot is None else catalogue.behavior(slot).step_fn
-                              for slot in (s.on_entry, s.on_tick))
-            for s in states
-        }
-        # state -> its (transition, guard) pairs, lowest priority number first
-        self._outgoing: dict[str, list[tuple]] = {s: [] for s in self.states}
+        for row in rows.values():
+            row[:2] = [None if name is None else catalogue.behavior(name).step_fn for name in row[:2]]
         for tr in transitions:
-            if tr.source not in self.states:
+            if tr.source not in rows:
                 raise ConfigurationError(f"transition from unknown state {tr.source!r}")
-            if tr.target not in self.states:
+            if tr.target not in rows:
                 raise ConfigurationError(f"transition to unknown state {tr.target!r}")
-            if tr.require_origin is not None and tr.require_origin not in self.states:
+            if tr.require_origin is not None and tr.require_origin not in rows:
                 raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
             if type(tr.priority) is not int:
                 raise ConfigurationError(f"priority {tr.priority!r} on a transition from "
                                          f"{tr.source!r} is not an integer")
-            if any(t.priority == tr.priority for t, _ in self._outgoing[tr.source]):
+            edges = rows[tr.source][2]
+            if any(t.priority == tr.priority for t, _ in edges):
                 raise ConfigurationError(f"duplicate priority {tr.priority} "
                                          f"on transitions from {tr.source!r}")
             try:
                 guard = catalogue.condition(tr.guard)
             except ConfigurationError:
                 raise ConfigurationError(f"unknown guard {tr.guard!r}") from None
-            self._outgoing[tr.source].append((tr, guard))
-        for edges in self._outgoing.values():
-            edges.sort(key=lambda edge: edge[0].priority)
-        self.timeouts: dict[str, Timeout] = {}
+            edges.append((tr, guard))
         for timeout in timeouts:
-            if timeout.state not in self.states:
+            if timeout.state not in rows:
                 raise ConfigurationError(f"timeout on unknown state {timeout.state!r}")
-            if timeout.target not in self.states:
+            if timeout.target not in rows:
                 raise ConfigurationError(f"timeout to unknown state {timeout.target!r}")
-            if timeout.state in self.timeouts:
+            row = rows[timeout.state]
+            if row[3] is not None:
                 raise ConfigurationError(f"state {timeout.state!r} already has a timeout")
             _check_duration("timeout after_ticks", timeout.after_ticks)
-            self.timeouts[timeout.state] = timeout
+            row[3] = timeout
+        for _, _, edges, _ in rows.values():
+            edges.sort(key=lambda edge: edge[0].priority)  # lowest priority number first
+        self._rows = rows
         self.reset()
 
     def step(self, ctx: InteractionContext) -> str:
         """Fire the first eligible transition, or else run on_tick; returns the state id."""
-        for tr, guard in self._outgoing[self.current]:
+        current = self.current
+        _, on_tick, edges, timeout = self._rows[current]
+        for tr, guard in edges:
             if tr.require_origin is not None and self.return_slot != tr.require_origin:
                 continue
             if guard(ctx):
                 if tr.record_origin:
-                    self.return_slot = self.current
+                    self.return_slot = current
                 return self._enter(tr.target, ctx)
-        self.ticks_in_state += 1
-        timeout = self.timeouts.get(self.current)
-        if timeout is not None and self.ticks_in_state >= timeout.after_ticks:
+        ticks = self.ticks_in_state = self.ticks_in_state + 1
+        if timeout is not None and ticks >= timeout.after_ticks:
             return self._enter(timeout.target, ctx)
-        on_tick = self._steps[self.current][1]
         if on_tick is not None:
-            on_tick(ctx, self.ticks_in_state)
-        return self.current
+            on_tick(ctx, ticks)
+        return current
 
     def _enter(self, target: str, ctx: InteractionContext) -> str:
         self.current = target
         self.ticks_in_state = 0
-        on_entry = self._steps[target][0]
+        on_entry = self._rows[target][0]
         if on_entry is not None:
             on_entry(ctx, 0)
         return target
@@ -144,12 +146,23 @@ class StateMachine:
         return self.current, self.ticks_in_state, self.return_slot
 
     def restore(self, snapshot: tuple[str, int, str | None]) -> None:
+        """Resume from ``snapshot``, refusing one this machine could not have
+        taken: a state or return slot that is not one of its states (the slot
+        may be None), or a ``ticks_in_state`` that is not a non-negative ``int``."""
         _check_snapshot(snapshot, 3)
+        current, ticks, slot = snapshot
+        if type(current) is not str or current not in self._rows:
+            raise ConfigurationError(f"snapshot state {current!r} is not a state")
+        if type(ticks) is not int or ticks < 0:
+            raise ConfigurationError(f"snapshot ticks_in_state {ticks!r} is not a non-negative integer")
+        if slot is not None and (type(slot) is not str or slot not in self._rows):
+            raise ConfigurationError(f"snapshot return slot {slot!r} is not a state")
         self.current, self.ticks_in_state, self.return_slot = snapshot
 
     def count_elements(self) -> dict[str, int]:
+        rows = self._rows.values()
         return {
-            "n_states": len(self.states),
-            "n_transitions": sum(map(len, self._outgoing.values())),
-            "n_timeouts": len(self.timeouts),
+            "n_states": len(rows),
+            "n_transitions": sum(len(edges) for _, _, edges, _ in rows),
+            "n_timeouts": sum(timeout is not None for _, _, _, timeout in rows),
         }

@@ -8,7 +8,7 @@ record per line so repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence as Seq
+from typing import NamedTuple, NoReturn, Sequence as Seq
 
 from . import bt
 from .dsl import _MAX_DIGITS, ScenarioScript
@@ -106,7 +106,7 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
 # end at the line's last ``] ``, as the fields after it hold none; an emission
 # is an action up to its first ``(`` and a payload up to its last ``)``, neither
 # holding ``;``, and only ``_payload`` checks an int payload.
-# ``_TRACE_LINE`` and ``_RECORD`` are built from these tables; ``_trace_groups`` reads them.
+# ``_TRACE_LINE`` and ``_RECORD`` are built from these tables; ``_trace_fault`` reads them.
 _COUNT = rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
 _FLAG = "[01]"
 _HEAD = (("tick", _COUNT), ("ctl", "[^ ]*"), ("status", "[^ ]*"))
@@ -143,13 +143,11 @@ def parse_trace(text: str) -> list[TickRecord]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         try:
             m = match(line)
-            if m is not None:
-                groups = m.groups()
-            elif line.strip():
-                groups = _trace_groups(line)
-            else:
-                continue
-            tick, ctl, status, body, persons, hazard, net = groups
+            if m is None:
+                if not line.strip():
+                    continue
+                _trace_fault(line)
+            tick, ctl, status, body, persons, hazard, net = m.groups()
             emissions = tuple([new_record(ActionEmission, (action, _payload(action, payload)))
                                for action, payload in _EMISSION.findall(body)])
             records.append(new_record(TickRecord, (int(tick), ctl, status, emissions, int(persons),
@@ -159,10 +157,10 @@ def parse_trace(text: str) -> list[TickRecord]:
     return records
 
 
-def _trace_groups(line: str) -> tuple[str, ...]:
-    """The groups ``_TRACE_LINE`` gives a line, or a ValueError naming the first
-    fault: a missing ``emit=[`` or ``] ``, a side of the line with too few or
-    too many fields, then the tick, the emissions and the other fields in
+def _trace_fault(line: str) -> NoReturn:
+    """Raise a ValueError naming the first fault of a line ``_TRACE_LINE``
+    rejects: a missing ``emit=[`` or ``] ``, a side of the line with too few
+    or too many fields, then the tick, the emissions and the other fields in
     line order."""
     head, found, rest = line.partition(_OPEN)
     if not found:
@@ -176,19 +174,20 @@ def _trace_groups(line: str) -> tuple[str, ...]:
         if len(texts) != len(fields):
             raise ValueError(f"expected {' '.join(key + '=' for key, _ in fields)} {where}")
         parts += zip(texts, fields)
-    tick = _field(*parts[0])
+    _check_field(*parts[0])  # the tick
     if body:
         for item in body.split(";"):
             emission = _EMISSION.fullmatch(item)
             if emission is None:
                 raise ValueError("unterminated emission")
             _payload(*emission.groups())
-    ctl, status, persons, hazard, net = (_field(*part) for part in parts[1:])
-    return tick, ctl, status, body, persons, hazard, net
+    for part in parts[1:]:
+        _check_field(*part)
+    raise AssertionError(f"{line!r}: rejected by _TRACE_LINE, yet no field is at fault")
 
 
-def _field(part: str, field: tuple[str, str]) -> str:
-    """The value of a ``key=value`` field that matches its value regex."""
+def _check_field(part: str, field: tuple[str, str]) -> None:
+    """Raise a ValueError unless ``part`` is ``key=value`` with a value its regex matches."""
     key, value = field
     if not part.startswith(key + "="):
         raise ValueError(f"expected {key}=")
@@ -197,7 +196,6 @@ def _field(part: str, field: tuple[str, str]) -> str:
         if value == _COUNT and re.fullmatch("[1-9][0-9]*", text):
             raise ValueError(f"{key} has more than {_MAX_DIGITS} digits")
         raise ValueError(f"{key} {text!r} is not {_SHAPES[value]}")
-    return text
 
 
 def _payload(action: str, text: str) -> str | int | None:

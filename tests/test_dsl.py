@@ -20,6 +20,7 @@ from shutter_sim import (
     print_tree,
     structural_signature,
 )
+from shutter_sim import dsl
 
 from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE
 
@@ -164,6 +165,20 @@ MALFORMED_FILES = {
 }
 
 
+def test_the_event_walk_finds_no_fault_in_a_line_the_regex_accepts():
+    # parse_scenario takes an event line's groups only from _EVENT_LINE and
+    # walks a line only to locate its fault, so a line both accept is an
+    # internal error
+    lines = [line for path in sorted(SCENARIO_DIR.glob("*.scn"))
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if line.lstrip().startswith("@")]
+    assert len(lines) > 30
+    for line in lines:
+        with pytest.raises(AssertionError, match="line 7, .*: rejected by _EVENT_LINE") as err:
+            dsl._event_fault(line, 7)
+        assert repr(line) in str(err.value)
+
+
 def test_the_malformed_table_covers_every_file():
     assert sorted(MALFORMED_FILES) == sorted(p.name for p in MALFORMED_DIR.iterdir())
 
@@ -253,9 +268,13 @@ def test_parse_print_round_trip():
     (Guard("no-hazard", "g", Action("idle")), "guard 'g' cannot be printed: 'no-hazard'"),
     (Parallel("", [Action("idle")]), "parallel '' cannot be printed: ''"),
     (Sequence("s", [Action("½")]), "action '½' cannot be printed: '½'"),
-], ids=["space", "condition", "digit-first", "guard-condition", "empty", "vulgar-fraction"])
+    (Sequence(5, [Condition("a")]), "sequence 5 cannot be printed: 5"),
+    (Condition(5), "condition 5 cannot be printed: 5"),
+], ids=["space", "condition", "digit-first", "guard-condition", "empty", "vulgar-fraction",
+        "int-node-name", "int-condition-name"])
 def test_print_tree_refuses_a_name_that_would_not_reparse(tree, message):
-    # each of these texts would be a syntax error or another tree in parse_tree
+    # each of these texts would be a syntax error or another tree in parse_tree,
+    # and an int name would read back as a str
     with pytest.raises(ConfigurationError) as err:
         print_tree(tree)
     assert str(err.value) == message + " is not a tree identifier"

@@ -261,30 +261,40 @@ def test_count_elements_after_add_timeout_and_step():
     assert m.ticks_in_state == 1
 
 
-def test_construction_names_the_first_defect_in_table_order():
-    """States, then their behaviors, then transitions, then timeouts; each
-    message is the one text the machine gives for that defect."""
-    script = LeafScript()
-    a, b = State("A"), State("B")
-    ghost_entry = State("G", on_entry="ghost")
-    bad_edge = Transition("A", "ghost", "B", 1)
-    bad_timeout = Timeout("A", 0, "B")
-    cases = [
-        (([a, b, State("A")], [bad_edge], "A", [bad_timeout]), "duplicate state 'A'"),
-        (([a, ghost_entry], [bad_edge], "Z", [bad_timeout]), "initial state 'Z' is not a state"),
-        (([a, b, ghost_entry], [bad_edge], "A", [bad_timeout]), "unknown behavior 'ghost'"),
-        (([a, b], [Transition("A", "always", "Z", 1), bad_edge], "A", [bad_timeout]),
-         "transition to unknown state 'Z'"),
-        (([a, b], [Transition("A", "always", "B", 1), Transition("A", "never", "A", 1)], "A",
-          [bad_timeout]), "duplicate priority 1 on transitions from 'A'"),
-        (([a, b], [bad_edge], "A", [bad_timeout]), "unknown guard 'ghost'"),
-        (([a, b], [], "A", [Timeout("Z", 0, "B"), bad_timeout]), "timeout on unknown state 'Z'"),
-        (([a, b], [], "A", [bad_timeout]), "timeout after_ticks must be positive"),
-    ]
-    for (states, transitions, initial, timeouts), message in cases:
-        with pytest.raises(ConfigurationError) as excinfo:
-            machine(script, states, transitions, initial, timeouts)
-        assert str(excinfo.value) == message
+A, B = State("A"), State("B")
+BAD_TIMEOUT = Timeout("A", 0, "B")
+
+
+@pytest.mark.parametrize("states,transitions,initial,timeouts,message", [
+    ([A, State("B", on_entry="nope"), A], [], "A", [], "duplicate state 'A'"),
+    ([A, State("G", on_entry="nope")], [Transition("A", "nope", "B", 1)], "Z", [BAD_TIMEOUT],
+     "initial state 'Z' is not a state"),
+    ([A, State("B", on_tick="nope")], [Transition("Q", "always", "A", 1)], "A", [],
+     "unknown behavior 'nope'"),
+    ([A, B, State("G", on_entry="nope")], [Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT],
+     "unknown behavior 'nope'"),
+    ([A, B], [Transition("A", "always", "Z", 1), Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT],
+     "transition to unknown state 'Z'"),
+    ([A, B], [Transition("A", "always", "B", 1), Transition("A", "nope", "A", 1)], "A", [BAD_TIMEOUT],
+     "duplicate priority 1 on transitions from 'A'"),
+    ([A], [Transition("A", "nope", "A", 1)], "A", [Timeout("Q", 1, "A")], "unknown guard 'nope'"),
+    ([A, B], [Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT], "unknown guard 'nope'"),
+    ([A, B], [], "A", [Timeout("Z", 0, "B"), BAD_TIMEOUT], "timeout on unknown state 'Z'"),
+    ([A, B], [], "A", [BAD_TIMEOUT], "timeout after_ticks must be positive"),
+    ([State("A B"), State("C"), State("C")], [], "C", [],
+     "state 'A B' holds a space or a line break, which a trace line cannot carry"),
+], ids=["duplicate-before-behavior", "initial-before-behavior", "behavior-before-edge-source",
+        "behavior-before-guard", "edge-target-before-guard", "priority-before-guard",
+        "guard-before-timeout-state", "guard-before-timeout-ticks", "timeout-state-before-ticks",
+        "timeout-ticks", "space-before-duplicate"])
+def test_construction_names_the_first_defect_in_table_order(states, transitions, initial, timeouts,
+                                                            message):
+    """States, then the initial state, their behaviors, transitions and
+    timeouts, row by row; each message is the one text the machine gives for
+    that defect, and each case holds a later defect too."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        machine(LeafScript(), states, transitions, initial, timeouts)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("state_id", ["Ask Consent", "Ask\nConsent", "Ask\r\n", "\x85", "Ask\u2028Consent"],
@@ -297,6 +307,15 @@ def test_a_state_id_a_trace_line_cannot_carry_is_refused(state_id):
     with pytest.raises(ConfigurationError) as excinfo:
         StateMachine([State(state_id, on_tick="ghost")], [], "Z", default_catalogue())
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("state_id", [5, ["A"]], ids=["int", "list"])
+def test_a_state_id_must_be_a_str(state_id):
+    # a trace line writes the id as its status= field, which reads back as a
+    # str; and a list would break the state table with a bare TypeError
+    with pytest.raises(ConfigurationError) as excinfo:
+        StateMachine([State(state_id)], [], state_id, default_catalogue())
+    assert str(excinfo.value) == f"state id {state_id!r} is not a str"
 
 
 def test_the_shipped_machines_build_and_a_tab_in_a_state_id_round_trips():
@@ -312,3 +331,24 @@ def test_the_shipped_machines_build_and_a_tab_in_a_state_id_round_trips():
 def test_a_built_machine_has_no_mutators():
     assert not hasattr(StateMachine, "add_transition")
     assert not hasattr(StateMachine, "add_timeout")
+
+
+@pytest.mark.parametrize("snapshot,message", [
+    (("Nope", 0, None), "snapshot state 'Nope' is not a state"),
+    ((["A"], 0, None), "snapshot state ['A'] is not a state"),
+    (("A", "x", None), "snapshot ticks_in_state 'x' is not a non-negative integer"),
+    (("A", -1, None), "snapshot ticks_in_state -1 is not a non-negative integer"),
+    (("A", True, None), "snapshot ticks_in_state True is not a non-negative integer"),
+    (("A", 0, "Nope"), "snapshot return slot 'Nope' is not a state"),
+    (("A", 0, "A", None), "snapshot holds 4 values, not 3"),
+], ids=["unknown-state", "list-state", "str-ticks", "negative-ticks", "bool-ticks", "unknown-slot",
+        "four-values"])
+def test_restore_refuses_a_snapshot_the_machine_could_not_have_taken(snapshot, message):
+    script = LeafScript()
+    m = simple(script)
+    with pytest.raises(ConfigurationError) as excinfo:
+        m.restore(snapshot)
+    assert str(excinfo.value) == message
+    assert m.snapshot() == ("A", 0, None)
+    m.restore(("C", 4, "B"))
+    assert m.snapshot() == ("C", 4, "B")

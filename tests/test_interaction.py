@@ -14,8 +14,10 @@ from shutter_sim import (
     PRAISE_TEXTS,
     Behavior,
     ConfigurationError,
+    Event,
     InteractionContext,
     PersonObservation,
+    ScenarioScript,
     build_photographer_bt,
     build_photographer_fsm,
     compare,
@@ -32,7 +34,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt
 from shutter_sim.groups import someone_in_zone
-from shutter_sim.interaction import ABANDONMENT_MODES
+from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES
 from shutter_sim.world import BUTTONS
 
 from conftest import SCENARIO_DIR, reference_engaged_size
@@ -367,6 +369,85 @@ def test_machine_builder_element_counts():
     assert build_photographer_fsm("none", include_halt=False).count_elements() == {
         "n_states": 7, "n_transitions": 8, "n_timeouts": 0,
     }
+
+
+class StepWatch:
+    """A controller for ``sim.run`` that steps a machine and keeps, for each
+    step, the snapshot before it, whether ``no_person`` held, and the snapshot
+    after it."""
+
+    label = "fsm"
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.no_person = default_catalogue().condition("no_person")
+        self.steps = []
+
+    def reset(self) -> None:
+        self.machine.reset()
+
+    def step(self, ctx) -> str:
+        before, held = self.machine.snapshot(), self.no_person(ctx)
+        status = self.machine.step(ctx)
+        self.steps.append((before, held, self.machine.snapshot()))
+        return status
+
+
+def random_visit(rng: random.Random) -> ScenarioScript:
+    """60 ticks: 1-3 persons who each appear once, move and may leave, and
+    random buttons and hazard and network switches."""
+    def spot():
+        return rng.uniform(-3, 3), rng.uniform(-3, 3)
+
+    events = []
+    for pid in range(1, rng.randint(1, 3) + 1):
+        start = rng.randrange(50)
+        leave = rng.randrange(start + 1, 61)
+        events.append(Event(start, "person_appear", pid, *spot()))
+        moves = rng.sample(range(start + 1, leave), min(leave - start - 1, rng.randint(0, 5)))
+        events += [Event(t, "person_move", pid, *spot()) for t in sorted(moves)]
+        if leave < 60:
+            events.append(Event(leave, "person_leave", pid))
+    events += [Event(rng.randrange(60), "button_press", button=rng.choice(BUTTONS))
+               for _ in range(rng.randint(0, 6))]
+    events += [Event(rng.randrange(60), rng.choice(("hazard_on", "hazard_off", "network_down",
+                                                    "network_up")))
+               for _ in range(rng.randint(0, 3))]
+    events.sort(key=lambda event: event.at_tick)
+    return ScenarioScript("visit", 60, tuple(events))
+
+
+def watched_steps(mode: str) -> list:
+    rng = random.Random(2718)
+    scripts = [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    scripts += [random_visit(rng) for _ in range(300)]
+    steps = []
+    for script in scripts:
+        watch = StepWatch(build_photographer_fsm(mode))
+        run(watch, script)
+        steps += watch.steps
+    return steps
+
+
+def test_the_counted_elements_that_can_never_fire_stay_dead():
+    # count_elements counts these, and README says why they stay; a change that
+    # lets one fire changes what the report's figures mean
+    # transitions: Farewell's always edge (priority 1) fires only on a step
+    # from Farewell on which no_person (priority 0) does not hold
+    farewell = [held for (state, _, _), held, _ in watched_steps("transitions") if state == "Farewell"]
+    assert len(farewell) > 20 and all(farewell)
+    # timeouts: a state's timeout fires only on a step that starts at one tick
+    # short of it, so these five states leave on their own edges first
+    longest: dict[str, int] = {}
+    fired = set()
+    for (state, ticks, _), _, (after, after_ticks, _) in watched_steps("timeouts"):
+        longest[state] = max(longest.get(state, 0), ticks)
+        if ticks == ABANDON_TIMEOUT_TICKS - 1 and (after, after_ticks) == ("Waiting", 0):
+            fired.add(state)
+    dead = ("Greet", "AnnouncePhoto", "TakePhoto", "ShowPraise", "Farewell")
+    assert all(longest[state] < ABANDON_TIMEOUT_TICKS - 1 for state in dead), longest
+    # the watch does see a timeout fire: the two live ones do
+    assert fired == {"AskConsent", "HaltMotion"}
 
 
 def test_machine_builder_rejects_unknown_modes():

@@ -13,27 +13,18 @@ in an ``AssertionError`` when it accepts the line) and the header read.  On
 the seeded lines, on mutations of them and on mutated header lines, the
 ``ParseError`` of ``parse_scenario`` must equal the scanner's in line, column,
 message and expected.
-
-The walkers that name those faults, ``dsl._event_groups`` and
-``sim._trace_groups``, must also return the groups their regex gives on the
-corpus event lines, on edge lines and on the golden trace lines.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from pathlib import Path
 from typing import NoReturn
 
 import pytest
 
-from shutter_sim import Event, ParseError, ValidationError, dsl, parse_scenario, sim
+from shutter_sim import Event, ParseError, ValidationError, parse_scenario
 from shutter_sim.dsl import _MAX_DIGITS
-
-from conftest import SCENARIO_DIR
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
 HEADER = "scenario s ticks 1000000000"
 SKIP = "skip"
@@ -399,12 +390,19 @@ def test_seeded_lines_parse_as_the_reference_reads_them():
     assert outcomes["skipped"] > 0
 
 
-@pytest.mark.parametrize("line", [
+EDGE_EVENT_LINES = (
     "@5person_appear id=1x=1.0y=2.0",
+    "@0person_move id=12x=-0.25y=3",
     "\t@ 7 \tperson_move\tid = 3 x = -0.0 y=-12.50\t",
-    "@0 network up",
-    "@0 hazard off ",
-])
+    "@3person_leave id=4",
+    "  @9 person_leave\tid=0 ",
+    "@1button yes", "@1 button no", "\t@1\tbutton\taux\t",
+    "@2hazard on", "@2 hazard off",
+    "@4network down", "@4 network up ",
+)
+
+
+@pytest.mark.parametrize("line", ["@0 network up", "@0 hazard off ", *EDGE_EVENT_LINES])
 def test_optional_spacing_parses(line):
     assert check_line(line) == "accepted"
 
@@ -459,33 +457,3 @@ def test_header_faults_match_the_scanner():
     assert sum(outcome is not None for outcome in outcomes) > 4000
     assert len(faults(outcomes)) >= 7  # every fault a header can have
     assert {outcome[0] for outcome in outcomes if outcome is not None} == {1, 2}
-
-
-# --- the walkers behind the regexes ------------------------------------------
-
-
-EDGE_EVENT_LINES = (
-    "@5person_appear id=1x=1.0y=2.0",
-    "@0person_move id=12x=-0.25y=3",
-    "\t@ 7 \tperson_move\tid = 3 x = -0.0 y=-12.50\t",
-    "@3person_leave id=4",
-    "  @9 person_leave\tid=0 ",
-    "@1button yes", "@1 button no", "\t@1\tbutton\taux\t",
-    "@2hazard on", "@2 hazard off",
-    "@4network down", "@4 network up ",
-)
-
-
-def test_the_walkers_return_the_groups_their_regex_gives():
-    # parse_scenario and parse_trace walk a line only when their regex misses
-    # it, so on lines the regex matches nothing else reaches the walkers' return
-    scenario_lines = [line for path in sorted(SCENARIO_DIR.glob("*.scn"))
-                      for line in path.read_text(encoding="utf-8").splitlines()
-                      if line.lstrip().startswith("@")]
-    trace_lines = [line for path in sorted(GOLDEN_DIR.glob("*.trace"))
-                   for line in path.read_text(encoding="utf-8").splitlines() if line]
-    assert len(scenario_lines) > 30 and len(trace_lines) > 500
-    for line in scenario_lines + list(EDGE_EVENT_LINES):
-        assert dsl._event_groups(line, 1) == dsl._EVENT_LINE.fullmatch(line).groups(), repr(line)
-    for line in trace_lines:
-        assert sim._trace_groups(line) == sim._TRACE_LINE.fullmatch(line).groups(), line

@@ -17,7 +17,9 @@ import random
 import re
 from pathlib import Path
 
-from shutter_sim import ActionEmission, TickRecord, ValidationError, parse_trace
+import pytest
+
+from shutter_sim import ActionEmission, TickRecord, ValidationError, parse_trace, sim
 from shutter_sim.dsl import _MAX_DIGITS
 from shutter_sim.world import ACTION_PAYLOADS
 
@@ -217,3 +219,15 @@ def test_whole_texts_fail_on_the_same_line():
         chunk.insert(rng.randint(0, 6), rng.choice(("", "  ", "\t")))
         text = "\n".join(chunk) + rng.choice(("", "\n"))
         assert outcome(parse_trace, text) == outcome(reference_parse_trace, text), text
+
+
+def test_the_field_walk_finds_no_fault_in_a_line_parse_trace_reads():
+    # parse_trace takes a line's fields only from _TRACE_LINE and walks a line
+    # only to name its fault, so a line the walk accepts as well is an
+    # internal error
+    accepted = [line for line in seeded_lines() if not isinstance(outcome(parse_trace, line), str)]
+    assert len(accepted) > 600
+    for line in accepted:
+        with pytest.raises(AssertionError, match="rejected by _TRACE_LINE") as excinfo:
+            sim._trace_fault(line)
+        assert repr(line) in str(excinfo.value)
