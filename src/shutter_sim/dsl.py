@@ -74,16 +74,22 @@ class ScenarioScript:
     same walk, one pass over the rows by position, keeps the roster and builds
     ``frames``: one ``world.Frame`` per tick that has events, in tick order,
     with a copy of the roster after a tick that moves anyone and the previous
-    frame's dict after any other.  The frames are all ``sim.run`` reads besides
-    the duration.  ``rows`` keeps the rows; ``events`` makes them ``Event``
-    records on first read, then keeps them.  Equality, hashing and ``repr`` go
-    by name, duration and events.
+    frame's dict after any other.  ``engaged_sizes`` starts empty: it is the
+    memo of the engaged-group size of each frame's roster, by the frame's
+    tick, which the catalogue's greeting fills in the first run that greets
+    on a frame and every later run over this script reads.  The frames, the
+    memo and the duration are all ``sim.run`` reads.  ``rows`` keeps the
+    rows; ``events`` makes them ``Event`` records on first read, then keeps
+    them.  Equality, hashing and ``repr`` go by name, duration and events, so
+    a filled memo changes none of them; a copy or an unpickled script keeps
+    its memo, which holds for its equal frames, as it is keyed by tick.
     """
 
     name: str
     duration: int
     rows: tuple[tuple, ...] = field(repr=False)  # the events in Event's field order
     frames: tuple[Frame, ...] = field(init=False, repr=False, compare=False)
+    engaged_sizes: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, duration: int, events: tuple[tuple, ...]) -> None:
         rows = tuple(events)
@@ -101,7 +107,7 @@ class ScenarioScript:
                 except (TypeError, ValueError, IndexError):
                     raise ValidationError(f"event {position} is not a row of 6 fields") from None
             raise
-        vars(self).update(name=name, duration=duration, rows=rows, frames=frames)
+        vars(self).update(name=name, duration=duration, rows=rows, frames=frames, engaged_sizes={})
 
     @cached_property
     def events(self) -> tuple[Event, ...]:

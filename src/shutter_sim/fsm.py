@@ -46,6 +46,13 @@ class Timeout(NamedTuple):
     target: str
 
 
+def _is_state(rows: dict[str, list], sid) -> bool:
+    """Whether ``sid`` is one of the states in ``rows``; a state id is a
+    ``str``, so anything else is refused before the lookup, which an
+    unhashable value such as a list would break with a bare TypeError."""
+    return type(sid) is str and sid in rows
+
+
 class StateMachine:
     """States plus prioritized guarded transitions over an InteractionContext.
 
@@ -74,17 +81,17 @@ class StateMachine:
                 raise ConfigurationError(f"state {sid!r} holds a space or a line break, "
                                          "which a trace line cannot carry")
             rows[sid] = [state.on_entry, state.on_tick, [], None]
-        if initial not in rows:
+        if not _is_state(rows, initial):
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
         for row in rows.values():
             row[:2] = [None if name is None else catalogue.behavior(name).step_fn for name in row[:2]]
         for tr in transitions:
-            if tr.source not in rows:
+            if not _is_state(rows, tr.source):
                 raise ConfigurationError(f"transition from unknown state {tr.source!r}")
-            if tr.target not in rows:
+            if not _is_state(rows, tr.target):
                 raise ConfigurationError(f"transition to unknown state {tr.target!r}")
-            if tr.require_origin is not None and tr.require_origin not in rows:
+            if tr.require_origin is not None and not _is_state(rows, tr.require_origin):
                 raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
             if type(tr.priority) is not int:
                 raise ConfigurationError(f"priority {tr.priority!r} on a transition from "
@@ -99,9 +106,9 @@ class StateMachine:
                 raise ConfigurationError(f"unknown guard {tr.guard!r}") from None
             edges.append((tr, guard))
         for timeout in timeouts:
-            if timeout.state not in rows:
+            if not _is_state(rows, timeout.state):
                 raise ConfigurationError(f"timeout on unknown state {timeout.state!r}")
-            if timeout.target not in rows:
+            if not _is_state(rows, timeout.target):
                 raise ConfigurationError(f"timeout to unknown state {timeout.target!r}")
             row = rows[timeout.state]
             if row[3] is not None:
@@ -151,11 +158,11 @@ class StateMachine:
         may be None), or a ``ticks_in_state`` that is not a non-negative ``int``."""
         _check_snapshot(snapshot, 3)
         current, ticks, slot = snapshot
-        if type(current) is not str or current not in self._rows:
+        if not _is_state(self._rows, current):
             raise ConfigurationError(f"snapshot state {current!r} is not a state")
         if type(ticks) is not int or ticks < 0:
             raise ConfigurationError(f"snapshot ticks_in_state {ticks!r} is not a non-negative integer")
-        if slot is not None and (type(slot) is not str or slot not in self._rows):
+        if slot is not None and not _is_state(self._rows, slot):
             raise ConfigurationError(f"snapshot return slot {slot!r} is not a state")
         self.current, self.ticks_in_state, self.return_slot = snapshot
 

@@ -126,6 +126,25 @@ def _check_callable(what: str, fn) -> None:
         raise ConfigurationError(f"{what} {fn!r} is not callable")
 
 
+def _engaged_size(ctx: InteractionContext) -> int:
+    """The engaged-group size of ``ctx.persons`` at the ``groups`` defaults.
+
+    While the roster equals that of the last frame ``sim.run`` applied, the
+    size is the script's memo entry for that frame, which the first greeting
+    on the frame in any run over the script computes.  A roster a behavior
+    wrote, and a context without a frame or a memo, are sized afresh.  The
+    size depends on the roster's values alone, so the memo gives what the
+    call would.
+    """
+    frame, memo, persons = ctx.frame, ctx.engaged_sizes, ctx.persons
+    if frame is None or memo is None or persons != frame.persons:
+        return engaged_group_size(persons.values())
+    size = memo.get(frame.tick)
+    if size is None:
+        size = memo[frame.tick] = engaged_group_size(persons.values())
+    return size
+
+
 def default_catalogue() -> Catalogue:
     """The photographer's behaviors and conditions: perception at the ``groups``
     defaults, and a cooldown of ``DEFAULT_COOLDOWN_TICKS`` after a decline."""
@@ -157,7 +176,7 @@ def default_catalogue() -> Catalogue:
 
     def do_greet(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            n = engaged_group_size(ctx.persons.values())
+            n = _engaged_size(ctx)
             # a new greeting opens a fresh photo session
             ctx.photos_taken = 0
             ctx.photos_shown = 0

@@ -58,23 +58,27 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     tick, giving each record its status, under the controller's ``label``.
     The scenario's events arrive as its prebuilt ``frames``: on a tick with a
     frame, ``ctx.persons`` becomes a copy of its roster, its buttons are
-    pressed, and the hazard and network levels are set.  A controller may
-    write the context, so the copy is what keeps one run from changing the
-    next; a write to the roster lasts until the next frame.  A ValueError from
-    the controller, such as a behavior that cannot act on the world it sees,
-    is re-raised as a ValidationError naming the tick.
+    pressed, the hazard and network levels are set, and ``ctx.frame`` becomes
+    the frame.  A controller may write the context, so the copy is what keeps
+    one run from changing the next; a write to the roster lasts until the
+    next frame.  ``ctx.engaged_sizes`` is the script's memo, shared by every
+    run over the script; the script's frames, its memo and its duration are
+    all this reads of it.  A ValueError from the controller, such as a
+    behavior that cannot act on the world it sees, is re-raised as a
+    ValidationError naming the tick.
     """
     frames = iter(scenario.frames)
     frame = next(frames, None)
     step, label = controller.step, controller.label
     controller.reset()
-    ctx = InteractionContext()
+    ctx = InteractionContext(engaged_sizes=scenario.engaged_sizes)
     records: list[TickRecord] = []
     try:
         for t in range(scenario.duration):
             if frame is not None and frame.tick == t:
                 _, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
                 ctx.persons = persons.copy()
+                ctx.frame = frame
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
             # arguments run left to right: the step, then end_tick's flush

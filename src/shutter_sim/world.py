@@ -93,7 +93,16 @@ class ActionEmission(NamedTuple):
 
 @dataclass
 class InteractionContext:
-    """The blackboard both controller styles read and write."""
+    """The blackboard both controller styles read and write.
+
+    ``frame`` is the last ``Frame`` that ``sim.run`` applied, and
+    ``engaged_sizes`` the memo of the script being run, its
+    ``dsl.ScenarioScript.engaged_sizes``: the engaged-group size at the
+    ``groups`` defaults of each frame's roster, by the frame's tick.  The
+    catalogue's greeting reads the memo only while ``persons`` equals the
+    frame's roster, since a behavior may write the roster.  Both are None in
+    a context built by hand, and neither takes part in equality or ``repr``.
+    """
 
     clock: int = 0
     persons: dict[int, PersonObservation] = field(default_factory=dict)
@@ -104,6 +113,8 @@ class InteractionContext:
     photos_shown: int = 0
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
+    frame: Frame | None = field(default=None, repr=False, compare=False)
+    engaged_sizes: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
 
 def breaks_line(text: str) -> bool:

@@ -318,6 +318,24 @@ def test_a_state_id_must_be_a_str(state_id):
     assert str(excinfo.value) == f"state id {state_id!r} is not a str"
 
 
+@pytest.mark.parametrize("states,transitions,initial,timeouts,message", [
+    ([A], [], ["A"], [], "initial state ['A'] is not a state"),
+    ([A], [Transition(["A"], "always", "A", 1)], "A", [], "transition from unknown state ['A']"),
+    ([A], [Transition("A", "always", ["A"], 1)], "A", [], "transition to unknown state ['A']"),
+    ([A], [Transition("A", "always", "A", 1, require_origin=["A"])], "A", [],
+     "transition requires unknown origin ['A']"),
+    ([A], [], "A", [Timeout(["A"], 1, "A")], "timeout on unknown state ['A']"),
+    ([A], [], "A", [Timeout("A", 1, ["A"])], "timeout to unknown state ['A']"),
+], ids=["initial", "source", "target", "require-origin", "timeout-state", "timeout-target"])
+def test_an_unhashable_state_reference_is_refused_as_an_unknown_state(states, transitions, initial,
+                                                                     timeouts, message):
+    # every state id is a str, so a list is no state; it is refused with the
+    # message an unknown id gets, not the lookup's bare TypeError
+    with pytest.raises(ConfigurationError) as excinfo:
+        machine(LeafScript(), states, transitions, initial, timeouts)
+    assert str(excinfo.value) == message
+
+
 def test_the_shipped_machines_build_and_a_tab_in_a_state_id_round_trips():
     for mode in ABANDONMENT_MODES:
         for include_halt in (True, False):

@@ -80,3 +80,16 @@ def test_seed_1_crowds_reproduce_their_pinned_trace_digests(crowd):
                .hexdigest() for controller in [tree, *machines]]
     tree_digest, fsm_digest = CROWD_DIGESTS[crowd]
     assert digests == [tree_digest] + [fsm_digest] * len(FSM_MODES)
+
+
+@pytest.mark.parametrize("mode", FSM_MODES)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_both_writes_the_golden_tree_trace_then_the_machine_one(scenario, mode, tmp_path):
+    # the one CLI path that runs two controllers over one parsed script, so
+    # the machine reads the greeting sizes the tree's run left in its memo
+    out = tmp_path / "trace.txt"
+    argv = ["run", "--controller", "both", "--fsm-mode", mode,
+            "--scenario", str(SCENARIO_DIR / f"{scenario}.scn"), "--out", str(out)]
+    assert main(argv) == 0
+    golden = [GOLDEN_DIR / f"{scenario}.{config}.trace" for config in ("bt", f"fsm-{mode}")]
+    assert out.read_bytes() == b"".join(path.read_bytes() for path in golden)

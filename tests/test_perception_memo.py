@@ -1,0 +1,184 @@
+"""The greeting's engaged-group memo: exact when a behavior writes the roster,
+shared by every run over one script, and private to that script."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import math
+import pickle
+import random
+
+import pytest
+
+from shutter_sim import (
+    Event,
+    PersonObservation,
+    ScenarioScript,
+    build_photographer_bt,
+    build_photographer_fsm,
+    default_catalogue,
+    greeting_text,
+    parse_scenario,
+    run,
+    validate_tree,
+)
+from shutter_sim import interaction
+from shutter_sim.groups import DEFAULT_ZONE_RADIUS
+
+from conftest import SCENARIO_DIR, reference_engaged_size
+
+FSM_MODES = ("none", "transitions", "timeouts")
+NEWCOMER = 1000
+GREETING_SIZES = {greeting_text(n): n for n in range(1, 100)}
+
+
+def seeded_crowd(seed: int, most: int = 24, ticks: int = 80) -> ScenarioScript:
+    """A crowd around the robot: people arrive, wander and leave on most ticks,
+    and a consent button is pressed now and then, so sessions end and new
+    greetings start on many frames, some of them frames whose tick moves no
+    one and so share the roster before them."""
+    rng = random.Random(seed)
+    present: list[int] = []
+    events: list[Event] = []
+
+    def where():
+        return round(rng.uniform(-3.0, 3.0), 2), round(rng.uniform(-3.0, 3.0), 2)
+
+    for t in range(ticks):
+        if rng.random() < 0.3:
+            continue
+        if len(present) < most and rng.random() < 0.6:
+            pid = max(present, default=0) + 1
+            present.append(pid)
+            events.append(Event(t, "person_appear", pid, *where()))
+        for pid in present:
+            if rng.random() < 0.2:
+                events.append(Event(t, "person_move", pid, *where()))
+        if present and rng.random() < 0.2:
+            events.append(Event(t, "person_leave", present.pop(rng.randrange(len(present)))))
+        if rng.random() < 0.15:
+            events.append(Event(t, "button_press", button=rng.choice(("yes", "no"))))
+    return ScenarioScript(f"crowd{seed}", ticks, tuple(events))
+
+
+CORPUS = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SCENARIO_DIR.glob("*.scn"))}
+SCRIPTS = {**{name: lambda text=text: parse_scenario(text) for name, text in CORPUS.items()},
+           **{f"crowd{seed}": lambda seed=seed: seeded_crowd(seed) for seed in (1, 2, 3)}}
+
+
+def plain_controllers():
+    return [build_photographer_bt()] + [build_photographer_fsm(m) for m in FSM_MODES]
+
+
+def greeting_sizes(records) -> list[tuple[int, int]]:
+    """(tick, group size) of each greeting, read back from its text."""
+    return [(r.tick, GREETING_SIZES[e.payload]) for r in records for e in r.emissions
+            if e.action == "say" and e.payload in GREETING_SIZES]
+
+
+def joining_catalogue(sized: list[tuple[int, int]]):
+    """The default catalogue, except that ``person_detected`` first adds a
+    newcomer inside the zone, next to the person nearest the robot, and the
+    greeting appends (clock, reference size of the roster it sees) to ``sized``."""
+    cat = default_catalogue()
+    detected, greet = cat.condition("person_detected"), cat.behavior("greet")
+
+    def joining(ctx):
+        inside = [p for p in ctx.persons.values() if math.hypot(p.x, p.y) <= DEFAULT_ZONE_RADIUS]
+        if inside and NEWCOMER not in ctx.persons:
+            p = min(inside, key=lambda p: (math.hypot(p.x, p.y), p.person_id))
+            ctx.persons[NEWCOMER] = PersonObservation(NEWCOMER, 0.9 * p.x, 0.9 * p.y)
+        return detected(ctx)
+
+    def sized_greet(ctx, step):
+        if step == 0:
+            sized.append((ctx.clock, reference_engaged_size(list(ctx.persons.values()))))
+        greet.step_fn(ctx, step)
+
+    cat.register_condition("person_detected", joining)
+    cat.register_behavior(dataclasses.replace(greet, step_fn=sized_greet))
+    return cat
+
+
+@pytest.mark.parametrize("plain_first", [False, True], ids=["written-first", "plain-first"])
+def test_a_written_roster_is_sized_afresh_and_leaves_the_memo_exact(plain_first):
+    # plain runs first fill the memo that the writing runs must not read; the
+    # writing runs first would fill it with their roster's sizes if they could
+    greeted = 0
+    for name, make in SCRIPTS.items():
+        script = make()
+        fresh = [run(controller, make()) for controller in plain_controllers()]
+        if plain_first:
+            assert run(build_photographer_bt(), script) == fresh[0], name
+        sized: list[tuple[int, int]] = []
+        cat = joining_catalogue(sized)
+        writers = [validate_tree(build_photographer_bt(), cat)]
+        writers += [build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]
+        for writer in writers:
+            sized.clear()
+            assert greeting_sizes(run(writer, script)) == sized, (name, writer.label)
+            greeted += len(sized)
+        assert [run(controller, script) for controller in plain_controllers()] == fresh, name
+    assert greeted >= 100
+
+
+def counting(monkeypatch) -> list[int]:
+    """Counts calls to the greeting's ``engaged_group_size``, one entry per call."""
+    calls: list[int] = []
+    size = interaction.engaged_group_size
+
+    def counted(persons):
+        calls.append(1)
+        return size(persons)
+
+    monkeypatch.setattr(interaction, "engaged_group_size", counted)
+    return calls
+
+
+def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch):
+    calls = counting(monkeypatch)
+    greetings = computed = 0
+    for name, make in SCRIPTS.items():
+        script = make()
+        before = len(calls)
+        for controller in plain_controllers():
+            greetings += len(greeting_sizes(run(controller, script)))
+        memo = script.engaged_sizes
+        # each call made one memo entry, and an entry is one frame's size
+        assert len(calls) - before == len(memo), name
+        frames = {frame.tick: frame for frame in script.frames}
+        assert memo == {tick: reference_engaged_size(list(frames[tick].persons.values()))
+                        for tick in memo}, name
+        computed += len(memo)
+    assert 0 < computed < greetings  # the machines read what the tree computed
+
+
+def test_a_second_parse_of_the_same_text_starts_with_an_empty_memo(monkeypatch):
+    # so nothing is shared across scripts: a benchmark operation that parses
+    # its scenario afresh computes every frame's size again
+    calls = counting(monkeypatch)
+    text = CORPUS["trio"]
+    first = parse_scenario(text)
+    run(build_photographer_bt(), first)
+    assert first.engaged_sizes and len(calls) == len(first.engaged_sizes)
+    second = parse_scenario(text)
+    assert second.engaged_sizes == {}
+    run(build_photographer_bt(), second)
+    assert len(calls) == 2 * len(first.engaged_sizes)
+    assert second.engaged_sizes == first.engaged_sizes
+    assert second.engaged_sizes is not first.engaged_sizes
+
+
+@pytest.mark.parametrize("name", ["trio", "crowd1"])
+def test_a_filled_memo_leaves_equality_hashing_repr_copies_and_pickles_alone(name):
+    filled, fresh = SCRIPTS[name](), SCRIPTS[name]()
+    records = [run(controller, filled) for controller in plain_controllers()]
+    assert filled.engaged_sizes and fresh.engaged_sizes == {}
+    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    for twin in (copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+        assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+        # the memo is keyed by tick, so a copy's memo holds for the copy's frames
+        assert twin.engaged_sizes == filled.engaged_sizes
+        assert twin.engaged_sizes is not filled.engaged_sizes
+        assert [run(controller, twin) for controller in plain_controllers()] == records
