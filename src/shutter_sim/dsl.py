@@ -42,7 +42,7 @@ from typing import NoReturn
 
 from . import bt
 from .errors import ConfigurationError, ParseError, ValidationError
-from .world import BUTTONS, Event, Frame, InteractionContext, PersonObservation, new_record
+from .world import BUTTONS, Event, Frame, InteractionContext, PersonObservation, Roster, new_record
 
 _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # The most digits a number in a scenario, tree or trace may have; a longer run
@@ -74,22 +74,20 @@ class ScenarioScript:
     same walk, one pass over the rows by position, keeps the roster and builds
     ``frames``: one ``world.Frame`` per tick that has events, in tick order,
     with a copy of the roster after a tick that moves anyone and the previous
-    frame's dict after any other.  ``engaged_sizes`` starts empty: it is the
-    memo of the engaged-group size of each frame's roster, by the frame's
-    tick, which the catalogue's greeting fills in the first run that greets
-    on a frame and every later run over this script reads.  The frames, the
-    memo and the duration are all ``sim.run`` reads.  ``rows`` keeps the
-    rows; ``events`` makes them ``Event`` records on first read, then keeps
-    them.  Equality, hashing and ``repr`` go by name, duration and events, so
-    a filled memo changes none of them; a copy or an unpickled script keeps
-    its memo, which holds for its equal frames, as it is keyed by tick.
+    frame's dict after any other.  Each roster is a ``world.Roster``, whose
+    ``engaged`` size the catalogue's greeting fills in the first run that
+    greets on it and every later run over this script reads.  The frames and
+    the duration are all ``sim.run`` reads.  ``rows`` keeps the rows;
+    ``events`` makes them ``Event`` records on first read, then keeps them.
+    Equality, hashing and ``repr`` go by name, duration and events, so a
+    filled size changes none of them; a copy or an unpickled script keeps
+    its frames' sizes and which frames share a roster.
     """
 
     name: str
     duration: int
     rows: tuple[tuple, ...] = field(repr=False)  # the events in Event's field order
     frames: tuple[Frame, ...] = field(init=False, repr=False, compare=False)
-    engaged_sizes: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, duration: int, events: tuple[tuple, ...]) -> None:
         rows = tuple(events)
@@ -107,7 +105,7 @@ class ScenarioScript:
                 except (TypeError, ValueError, IndexError):
                     raise ValidationError(f"event {position} is not a row of 6 fields") from None
             raise
-        vars(self).update(name=name, duration=duration, rows=rows, frames=frames, engaged_sizes={})
+        vars(self).update(name=name, duration=duration, rows=rows, frames=frames)
 
     @cached_property
     def events(self) -> tuple[Event, ...]:
@@ -123,7 +121,7 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
     its unpack or ``itemgetter(0)``, which the constructor turns into its
     refusal afterwards, so a well-formed walk pays for no length check."""
     roster: dict[int, PersonObservation] = {}
-    persons: dict[int, PersonObservation] = {}  # the last frame's roster
+    persons = Roster()  # the last frame's roster
     frames: list[Frame] = []
     hazard, network = InteractionContext.hazard_hand_near_arm, InteractionContext.network_ok
     last = 0
@@ -173,7 +171,7 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
             else:
                 raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
         if moved:
-            persons = roster.copy()
+            persons = Roster(roster)
         frames.append(new_record(Frame, (tick, persons, tuple(buttons), hazard, network)))
     return tuple(frames)
 

@@ -103,13 +103,13 @@ class Catalogue:
     def behavior(self, name: str) -> Behavior:
         try:
             return self._behaviors[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError for an unhashable name
             raise ConfigurationError(f"unknown behavior {name!r}") from None
 
     def condition(self, name: str) -> Callable[[InteractionContext], bool]:
         try:
             return self._conditions[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError for an unhashable name
             raise ConfigurationError(f"unknown condition {name!r}") from None
 
     def behavior_names(self) -> list[str]:
@@ -130,19 +130,18 @@ def _engaged_size(ctx: InteractionContext) -> int:
     """The engaged-group size of ``ctx.persons`` at the ``groups`` defaults.
 
     While the roster equals that of the last frame ``sim.run`` applied, the
-    size is the script's memo entry for that frame, which the first greeting
-    on the frame in any run over the script computes.  A roster a behavior
-    wrote, and a context without a frame or a memo, are sized afresh.  The
-    size depends on the roster's values alone, so the memo gives what the
-    call would.
+    size is that roster's ``world.Roster.engaged``, which the first greeting
+    on the roster in any run over the script computes.  A roster a behavior
+    wrote, and a context without a frame, are sized afresh.  The size depends
+    on the roster's values alone, so the stored size gives what the call
+    would.
     """
-    frame, memo, persons = ctx.frame, ctx.engaged_sizes, ctx.persons
-    if frame is None or memo is None or persons != frame.persons:
+    frame, persons = ctx.frame, ctx.persons
+    if frame is None or persons != frame.persons:
         return engaged_group_size(persons.values())
-    size = memo.get(frame.tick)
-    if size is None:
-        size = memo[frame.tick] = engaged_group_size(persons.values())
-    return size
+    if frame.persons.engaged is None:
+        frame.persons.engaged = engaged_group_size(persons.values())
+    return frame.persons.engaged
 
 
 def default_catalogue() -> Catalogue:

@@ -8,6 +8,7 @@ record per line so repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 from typing import NamedTuple, NoReturn, Sequence as Seq
 
 from . import bt
@@ -61,17 +62,15 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     pressed, the hazard and network levels are set, and ``ctx.frame`` becomes
     the frame.  A controller may write the context, so the copy is what keeps
     one run from changing the next; a write to the roster lasts until the
-    next frame.  ``ctx.engaged_sizes`` is the script's memo, shared by every
-    run over the script; the script's frames, its memo and its duration are
-    all this reads of it.  A ValueError from the controller, such as a
-    behavior that cannot act on the world it sees, is re-raised as a
-    ValidationError naming the tick.
+    next frame.  The script's frames and its duration are all this reads of
+    it.  A ValueError from the controller, such as a behavior that cannot act
+    on the world it sees, is re-raised as a ValidationError naming the tick.
     """
     frames = iter(scenario.frames)
     frame = next(frames, None)
     step, label = controller.step, controller.label
     controller.reset()
-    ctx = InteractionContext(engaged_sizes=scenario.engaged_sizes)
+    ctx = InteractionContext()
     records: list[TickRecord] = []
     try:
         for t in range(scenario.duration):
@@ -230,11 +229,8 @@ def flatten_emissions(records: Seq[TickRecord]) -> list[tuple[str, str]]:
 
 def compare(records_a: Seq[TickRecord], records_b: Seq[TickRecord]) -> DivergenceReport:
     """Compare two traces by emission content, ignoring padding and tick offsets."""
-    a = flatten_emissions(records_a)
-    b = flatten_emissions(records_b)
-    for i in range(max(len(a), len(b))):
-        ea = a[i] if i < len(a) else None
-        eb = b[i] if i < len(b) else None
+    pairs = zip_longest(flatten_emissions(records_a), flatten_emissions(records_b))
+    for i, (ea, eb) in enumerate(pairs):
         if ea != eb:
             return DivergenceReport(False, Divergence(i, ea, eb))
     return DivergenceReport(True, None)

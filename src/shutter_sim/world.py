@@ -66,18 +66,28 @@ class Event(NamedTuple):
     button: str | None = None
 
 
+class Roster(dict):
+    """A frame's roster, by person id: a dict that can carry its ``engaged``
+    group size at the ``groups`` defaults, None until the catalogue's greeting
+    first computes it.  Dict equality and ``repr`` ignore the attribute; a
+    deep copy or a pickle keeps it."""
+
+    engaged = None
+
+
 class Frame(NamedTuple):
     """The world half of the context after one tick's events.
 
-    ``persons`` is the roster after the tick's person events, by person id: a
-    plain dict that a frame whose tick moves no one shares with the frame
-    before it, so a reader copies it before writing.  ``buttons`` are the
-    buttons pressed on the tick; ``hazard`` and ``network`` are the levels
-    after it.  A script has one frame per tick that has events.
+    ``persons`` is the roster after the tick's person events, a ``Roster``
+    that a frame whose tick moves no one shares with the frame before it, so
+    such frames share its ``engaged`` size too, and a reader copies it before
+    writing.  ``buttons`` are the buttons pressed on the tick; ``hazard`` and
+    ``network`` are the levels after it.  A script has one frame per tick
+    that has events.
     """
 
     tick: int
-    persons: dict[int, PersonObservation]
+    persons: Roster
     buttons: tuple[str, ...]
     hazard: bool
     network: bool
@@ -95,13 +105,11 @@ class ActionEmission(NamedTuple):
 class InteractionContext:
     """The blackboard both controller styles read and write.
 
-    ``frame`` is the last ``Frame`` that ``sim.run`` applied, and
-    ``engaged_sizes`` the memo of the script being run, its
-    ``dsl.ScenarioScript.engaged_sizes``: the engaged-group size at the
-    ``groups`` defaults of each frame's roster, by the frame's tick.  The
-    catalogue's greeting reads the memo only while ``persons`` equals the
-    frame's roster, since a behavior may write the roster.  Both are None in
-    a context built by hand, and neither takes part in equality or ``repr``.
+    ``frame`` is the last ``Frame`` that ``sim.run`` applied, None in a
+    context built by hand; it takes no part in equality or ``repr``.  The
+    catalogue's greeting reads and fills the frame's ``Roster.engaged`` only
+    while ``persons`` equals the frame's roster, since a behavior may write
+    the roster.
     """
 
     clock: int = 0
@@ -114,7 +122,6 @@ class InteractionContext:
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
     frame: Frame | None = field(default=None, repr=False, compare=False)
-    engaged_sizes: dict[int, int] | None = field(default=None, repr=False, compare=False)
 
 
 def breaks_line(text: str) -> bool:

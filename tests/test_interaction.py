@@ -12,12 +12,18 @@ from shutter_sim import (
     ANNOUNCE_TEXT,
     FAREWELL_TEXT,
     PRAISE_TEXTS,
+    Action,
     Behavior,
+    Condition,
     ConfigurationError,
     Event,
     InteractionContext,
     PersonObservation,
     ScenarioScript,
+    Sequence,
+    State,
+    StateMachine,
+    Transition,
     build_photographer_bt,
     build_photographer_fsm,
     compare,
@@ -31,6 +37,7 @@ from shutter_sim import (
     run,
     structural_economy_report,
     structural_signature,
+    validate_tree,
 )
 from shutter_sim import bt
 from shutter_sim.groups import someone_in_zone
@@ -296,6 +303,23 @@ def test_catalogue_rejects_unknowns_and_bad_durations():
     for duration in (True, False, 2.5):
         with pytest.raises(ConfigurationError, match="'bad' duration must be an integer"):
             cat.register_behavior(Behavior("bad", duration))
+
+
+def test_an_unhashable_name_is_an_unknown_name():
+    # each ended in a bare TypeError: unhashable type: 'list'
+    cat = default_catalogue()
+    with pytest.raises(ConfigurationError, match=r"^unknown behavior \['idle'\]$"):
+        cat.behavior(["idle"])
+    with pytest.raises(ConfigurationError, match=r"^unknown condition \['always'\]$"):
+        cat.condition(["always"])
+    with pytest.raises(ConfigurationError, match=r"^unknown behavior \['idle'\]$"):
+        StateMachine([State("A", on_entry=["idle"])], [], "A", cat)
+    with pytest.raises(ConfigurationError, match=r"^unknown guard \['always'\]$"):
+        StateMachine([State("A")], [Transition("A", ["always"], "A", 1)], "A", cat)
+    with pytest.raises(ConfigurationError, match=r"^unresolved names: condition \['always'\]$"):
+        validate_tree(Sequence("s", [Condition(["always"])]), cat)
+    with pytest.raises(ConfigurationError, match=r"^unresolved names: behavior \['idle'\]$"):
+        validate_tree(Sequence("s", [Action(["idle"])]), cat)
 
 
 def test_catalogue_refuses_entries_the_engines_could_not_call():

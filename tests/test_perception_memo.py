@@ -1,5 +1,6 @@
-"""The greeting's engaged-group memo: exact when a behavior writes the roster,
-shared by every run over one script, and private to that script."""
+"""The greeting's engaged-group memo, each frame roster's ``engaged`` size:
+exact when a behavior writes the roster, shared by every run over one script
+and by the frames that share a roster, and private to that script."""
 
 from __future__ import annotations
 
@@ -136,6 +137,27 @@ def counting(monkeypatch) -> list[int]:
     return calls
 
 
+def rosters(script: ScenarioScript) -> list:
+    """The script's distinct roster objects, in frame order."""
+    return list({id(frame.persons): frame.persons for frame in script.frames}.values())
+
+
+def filled(script: ScenarioScript) -> list:
+    """The script's distinct rosters whose ``engaged`` size was computed."""
+    return [roster for roster in rosters(script) if roster.engaged is not None]
+
+
+def sizes(script: ScenarioScript) -> list:
+    """Each frame roster's ``engaged`` size, None where none was computed."""
+    return [frame.persons.engaged for frame in script.frames]
+
+
+def sharing(script: ScenarioScript) -> list[int]:
+    """For each frame, the index of the first frame with the same roster object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(frame.persons), i) for i, frame in enumerate(script.frames)]
+
+
 def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch):
     calls = counting(monkeypatch)
     greetings = computed = 0
@@ -144,41 +166,62 @@ def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch)
         before = len(calls)
         for controller in plain_controllers():
             greetings += len(greeting_sizes(run(controller, script)))
-        memo = script.engaged_sizes
-        # each call made one memo entry, and an entry is one frame's size
-        assert len(calls) - before == len(memo), name
-        frames = {frame.tick: frame for frame in script.frames}
-        assert memo == {tick: reference_engaged_size(list(frames[tick].persons.values()))
-                        for tick in memo}, name
-        computed += len(memo)
+        sized = filled(script)
+        # each call filled one roster, so no roster was sized twice
+        assert len(calls) - before == len(sized), name
+        assert [roster.engaged for roster in sized] == [
+            reference_engaged_size(list(roster.values())) for roster in sized], name
+        computed += len(sized)
     assert 0 < computed < greetings  # the machines read what the tree computed
+
+
+def test_frames_that_share_a_roster_share_one_size(monkeypatch):
+    # tick 2 and tick 5 press buttons and move no one, so their frames share
+    # tick 0's roster; the tree and the machines greet on more than one of
+    # these frames, and the pair is sized once
+    calls = counting(monkeypatch)
+    script = ScenarioScript("pair", 30, (
+        Event(0, "person_appear", 1, 1.0, 0.5), Event(0, "person_appear", 2, 1.5, 0.5),
+        Event(2, "button_press", button="no"), Event(5, "button_press", button="aux"),
+    ))
+    greeted = set()
+    for controller in plain_controllers():
+        for tick, size in greeting_sizes(run(controller, script)):
+            assert size == 2
+            greeted.add(max(frame.tick for frame in script.frames if frame.tick <= tick))
+    assert len(greeted) > 1 and len(rosters(script)) == 1
+    assert len(calls) == len(rosters(script))
 
 
 def test_a_second_parse_of_the_same_text_starts_with_an_empty_memo(monkeypatch):
     # so nothing is shared across scripts: a benchmark operation that parses
-    # its scenario afresh computes every frame's size again
+    # its scenario afresh computes every roster's size again
     calls = counting(monkeypatch)
     text = CORPUS["trio"]
     first = parse_scenario(text)
     run(build_photographer_bt(), first)
-    assert first.engaged_sizes and len(calls) == len(first.engaged_sizes)
+    sized = filled(first)
+    assert sized and len(calls) == len(sized)
     second = parse_scenario(text)
-    assert second.engaged_sizes == {}
+    assert set(sizes(second)) == {None}
     run(build_photographer_bt(), second)
-    assert len(calls) == 2 * len(first.engaged_sizes)
-    assert second.engaged_sizes == first.engaged_sizes
-    assert second.engaged_sizes is not first.engaged_sizes
+    assert len(calls) == 2 * len(sized)
+    assert sizes(second) == sizes(first)
+    assert not {id(roster) for roster in rosters(second)} & {id(roster) for roster in rosters(first)}
 
 
 @pytest.mark.parametrize("name", ["trio", "crowd1"])
 def test_a_filled_memo_leaves_equality_hashing_repr_copies_and_pickles_alone(name):
     filled, fresh = SCRIPTS[name](), SCRIPTS[name]()
     records = [run(controller, filled) for controller in plain_controllers()]
-    assert filled.engaged_sizes and fresh.engaged_sizes == {}
+    assert set(sizes(filled)) - {None} and set(sizes(fresh)) == {None}
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert filled.frames == fresh.frames and repr(filled.frames) == repr(fresh.frames)
+    originals = {id(roster) for roster in rosters(filled)}
     for twin in (copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
         assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
-        # the memo is keyed by tick, so a copy's memo holds for the copy's frames
-        assert twin.engaged_sizes == filled.engaged_sizes
-        assert twin.engaged_sizes is not filled.engaged_sizes
+        # the copy keeps each roster's size and which frames share a roster,
+        # in rosters of its own
+        assert sizes(twin) == sizes(filled) and sharing(twin) == sharing(filled)
+        assert not {id(roster) for roster in rosters(twin)} & originals
         assert [run(controller, twin) for controller in plain_controllers()] == records
