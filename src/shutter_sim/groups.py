@@ -11,6 +11,10 @@ as large, and ``hypot(u, v) >= |u|``, so no pruned pair could have linked.
 ``floor(x / d)``, and ``(-1e-17, 0)`` and ``(1.5, 0)`` fall two cells apart
 although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
 ``dsl.ScenarioScript`` checks.
+
+``zone_groups`` is that sweep; besides the engaged group's size it returns the
+members of every group reaching the zone, and ``same_zone_groups`` uses them
+to prove that another roster has the same zone groups without a sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .world import PersonObservation
 
@@ -36,14 +40,24 @@ def engaged_group_size(
     A group is a connected component under the link relation above, and it
     qualifies when a member stands within ``zone_radius`` of the origin.
     Among qualifying groups the one with the nearest member wins; ties break
-    toward the smaller minimum member id.  Only the groups reaching into the
-    zone are grown.
+    toward the smaller minimum member id.
     """
+    return zone_groups(persons, dist_threshold, zone_radius)[0]
+
+
+def zone_groups(
+    persons: Iterable[PersonObservation],
+    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
+    zone_radius: float = DEFAULT_ZONE_RADIUS,
+) -> tuple[int, list[PersonObservation]]:
+    """``engaged_group_size``, and every member of every group that reaches
+    the zone, not only of the winning one.  Only those groups are grown."""
     people = sorted(persons, key=attrgetter("x"))
     xs = [p.x for p in people]
     ys = [p.y for p in people]
     n = len(xs)
     reached = [False] * n
+    members: list[PersonObservation] = []
     best_key: tuple[float, int] | None = None
     best_size = 0
     # hypot(x, y) >= |x|, so only persons with |x| <= zone_radius can stand in the zone
@@ -70,11 +84,51 @@ def engaged_group_size(
                     component.append(j)
                     frontier.append(j)
                 j -= 1
+        members.extend([people[i] for i in component])
         nearest = min(math.hypot(xs[i], ys[i]) for i in component)
         key = (nearest, min(people[i].person_id for i in component))
         if best_key is None or key < best_key:
             best_key, best_size = key, len(component)
-    return best_size
+    return best_size, members
+
+
+def same_zone_groups(
+    before: Mapping[int, PersonObservation],
+    members: Sequence[PersonObservation],
+    after: Mapping[int, PersonObservation],
+    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
+    zone_radius: float = DEFAULT_ZONE_RADIUS,
+) -> bool:
+    """Whether ``after`` provably has the zone groups of ``before``, so that
+    ``zone_groups`` would give both the same answer; False proves nothing.
+
+    Both rosters key each observation by its ``person_id``, and ``members``
+    are the members ``zone_groups`` returned for ``before``.  The proof needs
+    every member in ``after`` as the identical object, and every person of
+    ``after`` that is not the identical object in ``before`` outside the zone
+    and beyond linking distance of every member, by the sweep's own
+    comparisons.  Then the zone persons of ``after`` are all members, no new
+    or moved person links to a member, and a person unchanged since
+    ``before`` links to a member only if it did there, where it was none;
+    persons who left were no members.  Identity is what makes the test cheap:
+    ``dsl.ScenarioScript`` shares an observation between rosters until its
+    person moves.
+    """
+    get = after.get
+    for m in members:
+        if get(m.person_id) is not m:
+            return False
+    get = before.get
+    for pid, p in after.items():
+        if get(pid) is p:
+            continue
+        x, y = p.x, p.y
+        if math.hypot(x, y) <= zone_radius:
+            return False
+        for m in members:
+            if math.hypot(m.x - x, m.y - y) <= dist_threshold:
+                return False
+    return True
 
 
 def someone_in_zone(

@@ -14,7 +14,7 @@ from . import bt
 from .bt import NodeStatus
 from .errors import ConfigurationError
 from .fsm import State, StateMachine, Timeout, Transition
-from .groups import engaged_group_size, someone_in_zone
+from .groups import same_zone_groups, someone_in_zone, zone_groups
 from .world import (
     ACTION_HALT,
     ACTION_IDLE,
@@ -131,17 +131,25 @@ def _engaged_size(ctx: InteractionContext) -> int:
 
     While the roster equals that of the last frame ``sim.run`` applied, the
     size is that roster's ``world.Roster.engaged``, which the first greeting
-    on the roster in any run over the script computes.  A roster a behavior
-    wrote, and a context without a frame, are sized afresh.  The size depends
-    on the roster's values alone, so the stored size gives what the call
-    would.
+    on the roster in any run over the script fills: from ``ctx.sized``, the
+    last frame roster whose size this run read or filled, when ``groups.same_zone_groups`` proves
+    the two rosters' zone groups the same, and by a sweep otherwise.  A
+    roster a behavior wrote, and a context without a frame, are swept afresh.
+    The size depends on the roster's values alone, so the stored size gives
+    what a sweep would.
     """
     frame, persons = ctx.frame, ctx.persons
     if frame is None or persons != frame.persons:
-        return engaged_group_size(persons.values())
-    if frame.persons.engaged is None:
-        frame.persons.engaged = engaged_group_size(persons.values())
-    return frame.persons.engaged
+        return zone_groups(persons.values())[0]
+    roster = frame.persons
+    if roster.engaged is None:
+        last = ctx.sized
+        if last is not None and same_zone_groups(last, last.members, roster):
+            roster.engaged, roster.members = last.engaged, last.members
+        else:
+            roster.engaged, roster.members = zone_groups(roster.values())
+    ctx.sized = roster
+    return roster.engaged
 
 
 def default_catalogue() -> Catalogue:

@@ -69,10 +69,12 @@ class Event(NamedTuple):
 class Roster(dict):
     """A frame's roster, by person id: a dict that can carry its ``engaged``
     group size at the ``groups`` defaults, None until the catalogue's greeting
-    first computes it.  Dict equality and ``repr`` ignore the attribute; a
-    deep copy or a pickle keeps it."""
+    first sizes it, and beside it the ``members`` of every group reaching the
+    zone, as ``groups.zone_groups`` returns them.  Dict equality and ``repr``
+    ignore the attributes; a deep copy or a pickle keeps them."""
 
     engaged = None
+    members = None
 
 
 class Frame(NamedTuple):
@@ -106,10 +108,12 @@ class InteractionContext:
     """The blackboard both controller styles read and write.
 
     ``frame`` is the last ``Frame`` that ``sim.run`` applied, None in a
-    context built by hand; it takes no part in equality or ``repr``.  The
-    catalogue's greeting reads and fills the frame's ``Roster.engaged`` only
-    while ``persons`` equals the frame's roster, since a behavior may write
-    the roster.
+    context built by hand.  The catalogue's greeting reads and fills the
+    frame's ``Roster.engaged`` only while ``persons`` equals the frame's
+    roster, since a behavior may write the roster; ``sized`` is the last frame
+    roster whose size the greeting read or filled in this run, which it may
+    prove a later roster's size from.  Neither takes part in equality or
+    ``repr``.
     """
 
     clock: int = 0
@@ -122,6 +126,7 @@ class InteractionContext:
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
     frame: Frame | None = field(default=None, repr=False, compare=False)
+    sized: Roster | None = field(default=None, repr=False, compare=False)
 
 
 def breaks_line(text: str) -> bool:

@@ -1,12 +1,15 @@
-"""Selection of the group engaged with the robot, and the zone presence check."""
+"""Selection of the group engaged with the robot, the zone presence check, and
+the rule that proves a roster's zone groups those of the roster before it."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from shutter_sim import PersonObservation, engaged_group_size, someone_in_zone
+from shutter_sim.groups import same_zone_groups, zone_groups
 
-from conftest import reference_engaged_size
+from conftest import reference_components, reference_engaged_size
 
 
 def p(pid, x, y):
@@ -101,3 +104,96 @@ def test_presence_counts_the_zone_edge_and_nothing_beyond():
     assert not someone_in_zone([p(1, 1.5, 2.0000000000000004)])
     assert not someone_in_zone([])
     assert someone_in_zone([p(1, -0.0, 0.0)], 0.0)
+
+
+# --- proving a roster's zone groups unchanged --------------------------------------
+
+# offsets whose hypot is the link distance, and points whose hypot is the zone radius
+LINK_OFFSETS = ((1.5, 0.0), (-1.5, 0.0), (0.0, 1.5), (0.0, -1.5), (0.9, 1.2), (-1.2, -0.9))
+ZONE_EDGE = ((2.5, 0.0), (-2.5, 0.0), (1.5, 2.0), (-2.0, -1.5), (0.0, 2.5))
+NUDGES = (0.0, 0.0, 0.0, 1e-17, -1e-17, 4.5e-16, -4.5e-16)
+
+
+def lattice_point(rng):
+    return 1.5 * rng.randint(-4, 4), 1.5 * rng.randint(-4, 4)
+
+
+def new_spot(rng, present):
+    """Where a moving or arriving person stands: far off, a link distance from
+    someone ``present``, on the zone's edge or on the lattice, often a
+    rounding step off."""
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.uniform(-10.0, 10.0), rng.choice((-1, 1)) * rng.uniform(4.0, 10.0)
+    if pick < 0.55 and present:
+        q, (dx, dy) = rng.choice(present), rng.choice(LINK_OFFSETS)
+        x, y = q.x + dx, q.y + dy
+    elif pick < 0.75:
+        x, y = rng.choice(ZONE_EDGE)
+    elif pick < 0.9:
+        x, y = lattice_point(rng)
+    else:
+        return edge_coordinate(rng), edge_coordinate(rng)
+    return x + rng.choice(NUDGES), y + rng.choice(NUDGES)
+
+
+def first_roster(rng):
+    """Up to 14 persons on the lattice, at edge coordinates or anywhere near
+    the zone; or on the lattice in pairs a quarter turn apart, so that two
+    groups often stand equally near and the smaller id decides."""
+    ids = rng.sample(range(1, 41), rng.randint(0, 14))
+    pick = rng.random()
+    if pick < 0.3:
+        points = [lattice_point(rng) for _ in ids[::2]]
+        points = [q for x, y in points for q in ((x, y), (-y, x))]
+    elif pick < 0.55:
+        points = [lattice_point(rng) for _ in ids]
+    elif pick < 0.8:
+        points = [(edge_coordinate(rng), edge_coordinate(rng)) for _ in ids]
+    else:
+        points = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in ids]
+    return {pid: p(pid, x, y) for pid, (x, y) in zip(ids, points)}
+
+
+def changed_roster(rng, before):
+    """``before`` after a few moves, arrivals and departures; a move may keep
+    the person's place in a new observation, and a newcomer may take a
+    smaller id than anyone present."""
+    present = list(before.values())
+    after = dict(before)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        pick = rng.random()
+        if after and pick < 0.25:
+            del after[rng.choice(list(after))]
+        elif after and pick < 0.6:
+            pid = rng.choice(list(after))
+            after[pid] = p(pid, *new_spot(rng, present))
+        elif after and pick < 0.7:
+            q = after[rng.choice(list(after))]
+            after[q.person_id] = p(q.person_id, q.x, q.y)
+        else:
+            pid = rng.choice([i for i in range(1, 41) if i not in after])
+            after[pid] = p(pid, *new_spot(rng, present))
+    return after
+
+
+def reference_zone_members(persons):
+    """The ids of every person in a component that reaches the zone."""
+    inside = {q.person_id for q in persons if math.hypot(q.x, q.y) <= 2.5}
+    return sorted(pid for comp in reference_components(persons, 1.5) if comp & inside for pid in comp)
+
+
+def test_a_roster_proved_to_keep_its_zone_groups_keeps_its_size():
+    rng = random.Random(20232)
+    pairs, reused = 6000, 0
+    for _ in range(pairs):
+        before = first_roster(rng)
+        size, members = zone_groups(before.values())
+        assert size == reference_engaged_size(list(before.values()))
+        assert sorted(q.person_id for q in members) == reference_zone_members(list(before.values()))
+        after = changed_roster(rng, before)
+        if same_zone_groups(before, members, after):
+            reused += 1
+            assert reference_engaged_size(list(after.values())) == size
+            assert sorted(map(id, zone_groups(after.values())[1])) == sorted(map(id, members))
+    assert reused >= pairs // 4

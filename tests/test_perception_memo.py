@@ -1,6 +1,7 @@
 """The greeting's engaged-group memo, each frame roster's ``engaged`` size:
 exact when a behavior writes the roster, shared by every run over one script
-and by the frames that share a roster, and private to that script."""
+and by the frames that share a roster, carried to a later roster where no one
+near the zone's groups changed, and private to that script."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from shutter_sim import (
     validate_tree,
 )
 from shutter_sim import interaction
-from shutter_sim.groups import DEFAULT_ZONE_RADIUS
+from shutter_sim.groups import DEFAULT_ZONE_RADIUS, zone_groups
 
 from conftest import SCENARIO_DIR, reference_engaged_size
 
@@ -124,17 +125,24 @@ def test_a_written_roster_is_sized_afresh_and_leaves_the_memo_exact(plain_first)
     assert greeted >= 100
 
 
-def counting(monkeypatch) -> list[int]:
-    """Counts calls to the greeting's ``engaged_group_size``, one entry per call."""
-    calls: list[int] = []
-    size = interaction.engaged_group_size
+def counting(monkeypatch) -> list[tuple]:
+    """Counts the greeting's sweeps, calls to ``zone_groups``: one entry per
+    call, the persons it swept."""
+    calls: list[tuple] = []
+    sweep = interaction.zone_groups
 
     def counted(persons):
-        calls.append(1)
-        return size(persons)
+        persons = tuple(persons)
+        calls.append(persons)
+        return sweep(persons)
 
-    monkeypatch.setattr(interaction, "engaged_group_size", counted)
+    monkeypatch.setattr(interaction, "zone_groups", counted)
     return calls
+
+
+def swept_once(calls: list[tuple]) -> bool:
+    """Whether no two sweeps swept the same observation objects."""
+    return len({tuple(map(id, persons)) for persons in calls}) == len(calls)
 
 
 def rosters(script: ScenarioScript) -> list:
@@ -167,10 +175,13 @@ def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch)
         for controller in plain_controllers():
             greetings += len(greeting_sizes(run(controller, script)))
         sized = filled(script)
-        # each call filled one roster, so no roster was sized twice
-        assert len(calls) - before == len(sized), name
+        # each sweep filled one roster, and no roster's persons were swept twice
+        assert len(calls) - before <= len(sized) and swept_once(calls[before:]), name
         assert [roster.engaged for roster in sized] == [
             reference_engaged_size(list(roster.values())) for roster in sized], name
+        # a reused size carries the members a sweep of its own roster would find
+        assert [sorted(map(id, roster.members)) for roster in sized] == [
+            sorted(map(id, zone_groups(roster.values())[1])) for roster in sized], name
         computed += len(sized)
     assert 0 < computed < greetings  # the machines read what the tree computed
 
@@ -193,6 +204,35 @@ def test_frames_that_share_a_roster_share_one_size(monkeypatch):
     assert len(calls) == len(rosters(script))
 
 
+def test_a_standing_group_among_far_passers_by_is_swept_once(monkeypatch):
+    # three people stand at the robot while others come, walk and go at least
+    # 5 m off on every tick, so every frame has a roster of its own; a "no"
+    # every 17 ticks ends a session, and each greeting after the first takes
+    # its size from the roster the greeting before it sized
+    calls = counting(monkeypatch)
+    events = [Event(0, "person_appear", pid, x, y)
+              for pid, x, y in ((1, 1.0, 0.2), (2, 1.6, 0.2), (3, 2.2, -0.1))]
+    walking: list[int] = []
+    for t in range(90):
+        pid = 10 + t
+        events.append(Event(t, "person_appear", pid, -8.0 + 0.25 * (t % 64), 5.0 + t % 7))
+        events += [Event(t, "person_move", q, -8.0 + 0.3 * (q % 50), 6.0 + 0.1 * t) for q in walking]
+        walking.append(pid)
+        if len(walking) > 6:
+            events.append(Event(t, "person_leave", walking.pop(0)))
+        if t % 17 == 3:
+            events.append(Event(t, "button_press", button="no"))
+    script = ScenarioScript("standing", 90, tuple(events))
+    frame_at = {frame.tick: frame for frame in script.frames}
+    greeted = []
+    for controller in plain_controllers():
+        for tick, size in greeting_sizes(run(controller, script)):
+            assert size == reference_engaged_size(list(frame_at[tick].persons.values())) == 3
+            greeted.append(tick)
+        assert len(calls) == 1, controller.label  # the tree sweeps once, the machines never
+    assert len(set(greeted)) > 3 and len(filled(script)) == len(set(greeted))
+
+
 def test_a_second_parse_of_the_same_text_starts_with_an_empty_memo(monkeypatch):
     # so nothing is shared across scripts: a benchmark operation that parses
     # its scenario afresh computes every roster's size again
@@ -200,12 +240,12 @@ def test_a_second_parse_of_the_same_text_starts_with_an_empty_memo(monkeypatch):
     text = CORPUS["trio"]
     first = parse_scenario(text)
     run(build_photographer_bt(), first)
-    sized = filled(first)
-    assert sized and len(calls) == len(sized)
+    sized, swept = filled(first), len(calls)
+    assert sized and 0 < swept <= len(sized)
     second = parse_scenario(text)
     assert set(sizes(second)) == {None}
     run(build_photographer_bt(), second)
-    assert len(calls) == 2 * len(sized)
+    assert len(calls) == 2 * swept
     assert sizes(second) == sizes(first)
     assert not {id(roster) for roster in rosters(second)} & {id(roster) for roster in rosters(first)}
 
