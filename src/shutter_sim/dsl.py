@@ -134,7 +134,7 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
             where = "before tick 0" if tick < 0 else f"out of order after tick {last}"
             raise ValidationError(f"event at {tick} {where}")
         last = tick
-        moved = left = False
+        moved = False
         buttons: list[str] = []
         for at, kind, pid, x, y, button in group:
             if type(at) is not int:  # groupby groups by ==: True and 1.0 join a group keyed 1
@@ -145,7 +145,6 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
                 if kind == "person_leave":
                     if roster.pop(pid, None) is None:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
-                    left = True
                 else:
                     if kind == "person_appear":
                         if pid in roster:
@@ -173,10 +172,6 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
                 raise ValidationError(f"unknown event kind {kind!r} at tick {tick}")
         if moved:
             persons = Roster(roster)
-            if left:
-                # CPython copies a dict by cloning its table only while the
-                # table holds no deleted slot, so go on from a compact copy
-                roster = persons.copy()
         frames.append(new_record(Frame, (tick, persons, tuple(buttons), hazard, network)))
     return tuple(frames)
 

@@ -13,16 +13,18 @@ although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
 ``dsl.ScenarioScript`` checks.
 
 ``zone_groups`` is that sweep; besides the engaged group's size it returns the
-members of every group reaching the zone, and ``same_zone_groups`` uses them
-to prove that another roster has the same zone groups without a sweep.
+persons it sorted and its mask of the members of every group reaching the
+zone, and ``same_zone_groups`` uses them to prove that another roster has the
+same zone groups without a sweep.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .world import PersonObservation
 
@@ -49,15 +51,15 @@ def zone_groups(
     persons: Iterable[PersonObservation],
     dist_threshold: float = DEFAULT_DIST_THRESHOLD,
     zone_radius: float = DEFAULT_ZONE_RADIUS,
-) -> tuple[int, list[PersonObservation]]:
-    """``engaged_group_size``, and every member of every group that reaches
-    the zone, not only of the winning one.  Only those groups are grown."""
+) -> tuple[int, list[PersonObservation], list[bool]]:
+    """``engaged_group_size``, the persons sorted by ``x``, and a mask over
+    them that is True for each member of a group reaching the zone, not only
+    of the winning one.  Only those groups are grown."""
     people = sorted(persons, key=attrgetter("x"))
     xs = [p.x for p in people]
     ys = [p.y for p in people]
     n = len(xs)
     reached = [False] * n
-    members: list[PersonObservation] = []
     best_key: tuple[float, int] | None = None
     best_size = 0
     # hypot(x, y) >= |x|, so only persons with |x| <= zone_radius can stand in the zone
@@ -84,49 +86,50 @@ def zone_groups(
                     component.append(j)
                     frontier.append(j)
                 j -= 1
-        members.extend([people[i] for i in component])
         nearest = min(math.hypot(xs[i], ys[i]) for i in component)
         key = (nearest, min(people[i].person_id for i in component))
         if best_key is None or key < best_key:
             best_key, best_size = key, len(component)
-    return best_size, members
+    return best_size, people, reached
 
 
 def same_zone_groups(
     before: Mapping[int, PersonObservation],
-    members: Sequence[PersonObservation],
+    people: list[PersonObservation],
+    reached: list[bool],
     after: Mapping[int, PersonObservation],
-    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-    zone_radius: float = DEFAULT_ZONE_RADIUS,
 ) -> bool:
     """Whether ``after`` provably has the zone groups of ``before``, so that
     ``zone_groups`` would give both the same answer; False proves nothing.
 
-    Both rosters key each observation by its ``person_id``, and ``members``
-    are the members ``zone_groups`` returned for ``before``.  The proof needs
-    every member in ``after`` as the identical object, and every person of
-    ``after`` that is not the identical object in ``before`` outside the zone
-    and beyond linking distance of every member, by the sweep's own
-    comparisons.  Then the zone persons of ``after`` are all members, no new
+    Both rosters key each observation by its ``person_id``, and ``people``
+    and ``reached`` are what ``zone_groups`` returned for ``before`` at the
+    defaults, the thresholds the proof checks; the members are
+    ``compress(people, reached)``.  The proof needs every member in ``after``
+    as the identical object, and every person of ``after`` that is not the
+    identical object in ``before`` outside the zone and beyond linking
+    distance of every member, by the sweep's own comparisons.  Then the zone persons of ``after`` are all members, no new
     or moved person links to a member, and a person unchanged since
     ``before`` links to a member only if it did there, where it was none;
     persons who left were no members.  Identity is what makes the test cheap:
     ``dsl.ScenarioScript`` shares an observation between rosters until its
     person moves.
     """
+    members = []
     get = after.get
-    for m in members:
+    for m in compress(people, reached):
         if get(m.person_id) is not m:
             return False
+        members.append(m)
     get = before.get
     for pid, p in after.items():
         if get(pid) is p:
             continue
         x, y = p.x, p.y
-        if math.hypot(x, y) <= zone_radius:
+        if math.hypot(x, y) <= DEFAULT_ZONE_RADIUS:
             return False
         for m in members:
-            if math.hypot(m.x - x, m.y - y) <= dist_threshold:
+            if math.hypot(m.x - x, m.y - y) <= DEFAULT_DIST_THRESHOLD:
                 return False
     return True
 

@@ -132,11 +132,11 @@ def _engaged_size(ctx: InteractionContext) -> int:
     While the roster equals that of the last frame ``sim.run`` applied, the
     size is that roster's ``world.Roster.engaged``, which the first greeting
     on the roster in any run over the script fills: from ``ctx.sized``, the
-    last frame roster whose size this run read or filled, when ``groups.same_zone_groups`` proves
-    the two rosters' zone groups the same, and by a sweep otherwise.  A
-    roster a behavior wrote, and a context without a frame, are swept afresh.
-    The size depends on the roster's values alone, so the stored size gives
-    what a sweep would.
+    last frame roster whose size this run read or filled, when
+    ``groups.same_zone_groups`` proves the two rosters' zone groups the same,
+    and by a sweep otherwise.  A roster a behavior wrote, and a context
+    without a frame, are swept afresh.  The size depends on the roster's
+    values alone, so the stored size gives what a sweep would.
     """
     frame, persons = ctx.frame, ctx.persons
     if frame is None or persons != frame.persons:
@@ -144,10 +144,10 @@ def _engaged_size(ctx: InteractionContext) -> int:
     roster = frame.persons
     if roster.engaged is None:
         last = ctx.sized
-        if last is not None and same_zone_groups(last, last.members, roster):
-            roster.engaged, roster.members = last.engaged, last.members
+        if last is not None and same_zone_groups(last, last.people, last.reached, roster):
+            roster.engaged, roster.people, roster.reached = last.engaged, last.people, last.reached
         else:
-            roster.engaged, roster.members = zone_groups(roster.values())
+            roster.engaged, roster.people, roster.reached = zone_groups(roster.values())
     ctx.sized = roster
     return roster.engaged
 

@@ -69,12 +69,14 @@ class Event(NamedTuple):
 class Roster(dict):
     """A frame's roster, by person id: a dict that can carry its ``engaged``
     group size at the ``groups`` defaults, None until the catalogue's greeting
-    first sizes it, and beside it the ``members`` of every group reaching the
-    zone, as ``groups.zone_groups`` returns them.  Dict equality and ``repr``
-    ignore the attributes; a deep copy or a pickle keeps them."""
+    first sizes it, and beside it the ``people`` and ``reached`` mask that
+    ``groups.zone_groups`` returns, which mark the members of every group
+    reaching the zone.  Dict equality and ``repr`` ignore the attributes; a
+    deep copy or a pickle keeps them."""
 
     engaged = None
-    members = None
+    people = None
+    reached = None
 
 
 class Frame(NamedTuple):
