@@ -47,16 +47,16 @@ class Node:
     """A description: a name, children and, once validated, a preorder id.
 
     The root validate_tree accepts also holds the tree's runtime, one
-    ``(closure, state, initial)`` record, which the protocol methods use; on
-    any other node they raise the tick gate's ConfigurationError.  A copy or
-    an unpickled node keeps neither the id nor the record.
+    ``(closure, state, initial, limits)`` record, which the protocol methods
+    use; on any other node they raise the tick gate's ConfigurationError.  A
+    copy or an unpickled node keeps neither the id nor the record.
     """
 
     kind = "node"
     label = "bt"  # the trace's controller field
     _initial = None  # the node's state slot after a reset
     node_id: int | None = None
-    _runtime: tuple[Callable[[InteractionContext], NodeStatus], list, list] | None = None
+    _runtime: tuple[Callable[[InteractionContext], NodeStatus], list, list, list] | None = None
 
     def __init__(self, name: str, children: list[Node] | None = None):
         self.name = name
@@ -73,7 +73,8 @@ class Node:
 
     def reset(self) -> None:
         """Put every node's state back to its value after validation."""
-        self.restore(self._record()[2])
+        _, state, initial, _ = self._record()
+        state[:] = initial
 
     def step(self, ctx: InteractionContext) -> str:
         """Tick once via ``bt.tick``, found by name so a wrapper over it sees
@@ -88,9 +89,23 @@ class Node:
         return tuple(self._record()[1])
 
     def restore(self, snapshot: tuple) -> None:
-        """Set the tree's state to a ``snapshot`` this tree's shape took."""
-        state = self._record()[1]
+        """Set the tree's state to ``snapshot``, refusing one this tree could
+        not have taken: a snapshot of another length, or a slot its node could
+        not hold.  A chain's slot is None or the index of one of its children,
+        an action's a non-negative ``int`` (a ``bool`` is not one), and any
+        other node's None."""
+        _, state, _, limits = self._record()
         _check_snapshot(snapshot, len(state))
+        for node_id, (value, limit) in enumerate(zip(snapshot, limits)):
+            if limit is None:  # an action
+                if type(value) is int and value >= 0:
+                    continue
+                wanted = "a non-negative integer"
+            elif value is None or type(value) is int and 0 <= value < limit:
+                continue
+            else:
+                wanted = f"None or a child index below {limit}" if limit else "None"
+            raise ConfigurationError(f"snapshot value {value!r} of node {node_id} is not {wanted}")
         state[:] = snapshot  # in place: the closures hold this list
 
     def iter_nodes(self) -> Iterator[Node]:
@@ -232,7 +247,9 @@ def validate_tree(root: Node, catalogue) -> Node:
     listing every unresolved condition/behavior name.
 
     The accepted root alone keeps a runtime: the closure that ticks it, one
-    state list with a slot per node id, and the list's initial values.  Each
+    state list with a slot per node id, the list's initial values, and each
+    slot's limit for ``restore``: a chain's child count, None for an action
+    (any step count), 0 for any other node (no ``int``).  Each
     node's closure holds its children's closures, the callables resolved here,
     the lists and its own id, and no node, so the tree holds no reference
     cycle.  Validating again picks up a change to the tree, with fresh state.
@@ -275,6 +292,8 @@ def validate_tree(root: Node, catalogue) -> Node:
         raise ConfigurationError("unresolved names: " + ", ".join(sorted(set(missing))))
 
     initial = [node._initial for node, _ in order]
+    limits = [len(node.children) if isinstance(node, _Chain)
+              else None if isinstance(node, Action) else 0 for node, _ in order]
     state = list(initial)
     compiled: list = [None] * len(order)
     ends = [0] * len(order)  # one past the last id of each node's subtree
@@ -285,7 +304,7 @@ def validate_tree(root: Node, catalogue) -> Node:
         children = [compiled[i] for i in ids]
         compiled[slot] = _compile(node, resolved, children, ids + [ends[slot]], state, initial)
         node._runtime = None
-    root._runtime = (compiled[0], state, initial)
+    root._runtime = (compiled[0], state, initial, limits)
     return root
 
 

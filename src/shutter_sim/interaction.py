@@ -24,6 +24,7 @@ from .world import (
     BUTTON_NO,
     BUTTON_YES,
     InteractionContext,
+    Roster,
     emit,
 )
 
@@ -129,19 +130,18 @@ def _check_callable(what: str, fn) -> None:
 def _engaged_size(ctx: InteractionContext) -> int:
     """The engaged-group size of ``ctx.persons`` at the ``groups`` defaults.
 
-    While the roster equals that of the last frame ``sim.run`` applied, the
-    size is that roster's ``world.Roster.engaged``, which the first greeting
-    on the roster in any run over the script fills: from ``ctx.sized``, the
-    last frame roster whose size this run read or filled, when
+    A ``world.Roster``, which is what ``sim.run`` gives the controller, is
+    read-only, so its size is its ``engaged``, which the first greeting on
+    the roster in any run over the script fills: from ``ctx.sized``, the last
+    ``Roster`` whose size this run read or filled, when
     ``groups.same_zone_groups`` proves the two rosters' zone groups the same,
-    and by a sweep otherwise.  A roster a behavior wrote, and a context
-    without a frame, are swept afresh.  The size depends on the roster's
-    values alone, so the stored size gives what a sweep would.
+    and by a sweep otherwise.  Any other dict, one a behavior assigned or one
+    in a context built by hand, is swept afresh.  The size depends on the
+    roster's values alone, so the stored size gives what a sweep would.
     """
-    frame, persons = ctx.frame, ctx.persons
-    if frame is None or persons != frame.persons:
-        return zone_groups(persons.values())[0]
-    roster = frame.persons
+    roster = ctx.persons
+    if type(roster) is not Roster:
+        return zone_groups(roster.values())[0]
     if roster.engaged is None:
         last = ctx.sized
         if last is not None and same_zone_groups(last, last.people, last.reached, roster):

@@ -58,10 +58,10 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     ``reset()``, which refuses an unvalidated tree, then one ``step(ctx)`` per
     tick, giving each record its status, under the controller's ``label``.
     The scenario's events arrive as its prebuilt ``frames``: on a tick with a
-    frame, ``ctx.persons`` becomes a copy of its roster, its buttons are
-    pressed, the hazard and network levels are set, and ``ctx.frame`` becomes
-    the frame.  A controller may write the context, so the copy is what keeps
-    one run from changing the next; a write to the roster lasts until the
+    frame, ``ctx.persons`` becomes its roster, as it is, its buttons are
+    pressed, and the hazard and network levels are set.  The roster is a
+    read-only ``world.Roster``, so no run can change what the next one sees;
+    a behavior that assigns ``ctx.persons`` a new dict changes it until the
     next frame.  The script's frames and its duration are all this reads of
     it.  A ValueError from the controller, such as a behavior that cannot act
     on the world it sees, is re-raised as a ValidationError naming the tick.
@@ -75,9 +75,7 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
     try:
         for t in range(scenario.duration):
             if frame is not None and frame.tick == t:
-                _, persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
-                ctx.persons = persons.copy()
-                ctx.frame = frame
+                _, ctx.persons, buttons, ctx.hazard_hand_near_arm, ctx.network_ok = frame
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
             # arguments run left to right: the step, then end_tick's flush

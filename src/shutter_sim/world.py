@@ -66,17 +66,36 @@ class Event(NamedTuple):
     button: str | None = None
 
 
+def _read_only(roster, *args, **kwargs):
+    raise TypeError("a frame's Roster is read-only: assign ctx.persons a new dict, "
+                    "such as {**ctx.persons, pid: obs}, or write into ctx.persons.copy()")
+
+
 class Roster(dict):
-    """A frame's roster, by person id: a dict that can carry its ``engaged``
-    group size at the ``groups`` defaults, None until the catalogue's greeting
-    first sizes it, and beside it the ``people`` and ``reached`` mask that
-    ``groups.zone_groups`` returns, which mark the members of every group
-    reaching the zone.  Dict equality and ``repr`` ignore the attributes; a
-    deep copy or a pickle keeps them."""
+    """A frame's roster, by person id: a read-only dict that can carry its
+    ``engaged`` group size at the ``groups`` defaults, None until the
+    catalogue's greeting first sizes it, and beside it the ``people`` and
+    ``reached`` mask that ``groups.zone_groups`` returns, which mark the
+    members of every group reaching the zone.
+
+    Every in-place write raises a TypeError, so a stored size is the size of
+    the roster's values for as long as the roster lives.  ``Roster(mapping)``
+    builds one, as ``dict.__init__`` calls none of the overrides; ``copy()``,
+    ``dict(roster)`` and ``roster | other`` give writable plain dicts.  Dict
+    equality and ``repr`` ignore the attributes; a copy, a deep copy or a
+    pickle is a ``Roster`` that keeps them.
+    """
 
     engaged = None
     people = None
     reached = None
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy and pickle would otherwise rebuild the items one by one, by
+        # the __setitem__ a Roster refuses
+        return type(self), (dict(self),), vars(self)
 
 
 class Frame(NamedTuple):
@@ -84,10 +103,10 @@ class Frame(NamedTuple):
 
     ``persons`` is the roster after the tick's person events, a ``Roster``
     that a frame whose tick moves no one shares with the frame before it, so
-    such frames share its ``engaged`` size too, and a reader copies it before
-    writing.  ``buttons`` are the buttons pressed on the tick; ``hazard`` and
-    ``network`` are the levels after it.  A script has one frame per tick
-    that has events.
+    such frames share its ``engaged`` size too; it is read-only, so a reader
+    copies it before writing.  ``buttons`` are the buttons pressed on the
+    tick; ``hazard`` and ``network`` are the levels after it.  A script has
+    one frame per tick that has events.
     """
 
     tick: int
@@ -109,13 +128,13 @@ class ActionEmission(NamedTuple):
 class InteractionContext:
     """The blackboard both controller styles read and write.
 
-    ``frame`` is the last ``Frame`` that ``sim.run`` applied, None in a
-    context built by hand.  The catalogue's greeting reads and fills the
-    frame's ``Roster.engaged`` only while ``persons`` equals the frame's
-    roster, since a behavior may write the roster; ``sized`` is the last frame
-    roster whose size the greeting read or filled in this run, which it may
-    prove a later roster's size from.  Neither takes part in equality or
-    ``repr``.
+    In a ``sim.run``, ``persons`` is the current frame's read-only ``Roster``
+    itself, so a behavior changes the roster by assigning ``persons`` a new
+    dict, for instance ``{**ctx.persons, pid: obs}`` or a written
+    ``ctx.persons.copy()``; a context built by hand starts with a plain,
+    writable dict.  ``sized`` is the last ``Roster`` whose size the catalogue's
+    greeting read or filled in this run, which it may prove a later roster's
+    size from; it takes no part in equality or ``repr``.
     """
 
     clock: int = 0
@@ -127,7 +146,6 @@ class InteractionContext:
     photos_shown: int = 0
     cooldown_until: int = 0
     emissions_this_tick: list[ActionEmission] = field(default_factory=list)
-    frame: Frame | None = field(default=None, repr=False, compare=False)
     sized: Roster | None = field(default=None, repr=False, compare=False)
 
 

@@ -1,5 +1,6 @@
 """The greeting's engaged-group memo, each frame roster's ``engaged`` size:
-exact when a behavior writes the roster, shared by every run over one script
+exact when a behavior replaces the roster, kept exact by the roster refusing
+every in-place write, shared by every run over one script
 and by the frames that share a roster, carried to a later roster where no one
 near the zone's groups changed, and private to that script."""
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import random
 from itertools import compress
@@ -28,6 +30,7 @@ from shutter_sim import (
 )
 from shutter_sim import interaction
 from shutter_sim.groups import DEFAULT_ZONE_RADIUS, zone_groups
+from shutter_sim.world import Roster
 
 from conftest import SCENARIO_DIR, reference_engaged_size
 
@@ -91,7 +94,7 @@ def joining_catalogue(sized: list[tuple[int, int]]):
         inside = [p for p in ctx.persons.values() if math.hypot(p.x, p.y) <= DEFAULT_ZONE_RADIUS]
         if inside and NEWCOMER not in ctx.persons:
             p = min(inside, key=lambda p: (math.hypot(p.x, p.y), p.person_id))
-            ctx.persons[NEWCOMER] = PersonObservation(NEWCOMER, 0.9 * p.x, 0.9 * p.y)
+            ctx.persons = {**ctx.persons, NEWCOMER: PersonObservation(NEWCOMER, 0.9 * p.x, 0.9 * p.y)}
         return detected(ctx)
 
     def sized_greet(ctx, step):
@@ -266,3 +269,51 @@ def test_a_filled_memo_leaves_equality_hashing_repr_copies_and_pickles_alone(nam
         assert sizes(twin) == sizes(filled) and sharing(twin) == sharing(filled)
         assert not {id(roster) for roster in rosters(twin)} & originals
         assert [run(controller, twin) for controller in plain_controllers()] == records
+
+
+THIRD = PersonObservation(3, 2.0, 0.5)  # within linking distance of person 2
+IN_PLACE_WRITES = {
+    "setitem": lambda roster: operator.setitem(roster, 3, THIRD),
+    "delitem": lambda roster: operator.delitem(roster, 1),
+    "ior": lambda roster: operator.ior(roster, {3: THIRD}),
+    "clear": lambda roster: roster.clear(),
+    "pop": lambda roster: roster.pop(1),
+    "popitem": lambda roster: roster.popitem(),
+    "setdefault": lambda roster: roster.setdefault(3, THIRD),
+    "update": lambda roster: roster.update({3: THIRD}),
+}
+
+
+def test_a_sized_roster_refuses_every_in_place_write_so_its_size_stays_right():
+    # were the write to go through, the next run would read the stored size
+    # and greet three people as "the two of you"
+    script = parse_scenario(
+        "scenario pair ticks 4\n@0 person_appear id=1 x=1.0 y=0.5\n@0 person_appear id=2 x=1.5 y=0.5\n")
+    first = run(build_photographer_bt(), script)
+    assert greeting_sizes(first) == [(0, 2)]
+    roster = script.frames[0].persons
+    before = dict(roster)
+    for name, write in IN_PLACE_WRITES.items():
+        with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
+            write(roster)
+        assert roster == before and roster.engaged == 2, name
+    assert run(build_photographer_bt(), script) == first
+
+
+def test_a_behavior_that_writes_the_roster_in_place_stops_its_run_and_no_other():
+    cat = default_catalogue()
+    detected = cat.condition("person_detected")
+
+    def writing(ctx):
+        ctx.persons[NEWCOMER] = PersonObservation(NEWCOMER, 0.5, 0.5)
+        return detected(ctx)
+
+    cat.register_condition("person_detected", writing)
+    script = SCRIPTS["trio"]()
+    for writer in [validate_tree(build_photographer_bt(), cat)] + [
+            build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]:
+        with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
+            run(writer, script)
+    assert all(type(roster) is Roster and NEWCOMER not in roster for roster in rosters(script))
+    fresh = SCRIPTS["trio"]()
+    assert [run(c, script) for c in plain_controllers()] == [run(c, fresh) for c in plain_controllers()]

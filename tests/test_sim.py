@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 import types
 from collections import Counter
 
@@ -409,10 +410,38 @@ def test_restore_refuses_a_snapshot_of_the_wrong_length():
         assert controller.snapshot() == snapshot
 
 
+@pytest.mark.parametrize("kind, value, wanted, good", [
+    ("fallback", 2, "None or a child index below 2", 1),
+    ("fallback", -1, "None or a child index below 2", 1),
+    ("fallback", "x", "None or a child index below 2", 1),
+    ("fallback", True, "None or a child index below 2", 1),
+    ("action", None, "a non-negative integer", 5),
+    ("action", -1, "a non-negative integer", 5),
+    ("action", True, "a non-negative integer", 5),
+    ("action", 1.0, "a non-negative integer", 5),
+    ("condition", 0, "None", None),
+    ("parallel", 0, "None", None),
+    ("guard", False, "None", None),
+])
+def test_tree_restore_refuses_a_value_its_node_could_not_hold(kind, value, wanted, good):
+    # the machine's restore refuses what it could not have taken; so does the
+    # tree's, slot by slot, before a step could fail on the value
+    tree = build_photographer_bt()
+    node_id = next(node.node_id for node in tree.iter_nodes() if node.kind == kind)
+    snapshot = tree.snapshot()
+    with pytest.raises(ConfigurationError,
+                       match=f"^snapshot value {re.escape(repr(value))} of node {node_id} is not {wanted}$"):
+        tree.restore(snapshot[:node_id] + (value,) + snapshot[node_id + 1:])
+    assert tree.snapshot() == snapshot
+    accepted = snapshot[:node_id] + (good,) + snapshot[node_id + 1:]
+    tree.restore(accepted)
+    assert tree.snapshot() == accepted
+
+
 def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
     def meddling(predicate):
         def condition(ctx):
-            ctx.persons[99] = PersonObservation(99, 0.5, 0.5)
+            ctx.persons = {**ctx.persons, 99: PersonObservation(99, 0.5, 0.5)}
             ctx.buttons_pressed_this_tick.add("yes")
             return predicate(ctx)
         return condition
@@ -430,6 +459,9 @@ def test_a_run_that_writes_the_world_half_leaves_the_next_run_alone():
         for controller, records in zip(meddlers, before):
             assert run(controller, scenario) != records  # the meddling shows in its own run
         assert scenario.frames == frames, path.name  # no run wrote a frame's roster
+        with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
+            scenario.frames[0].persons[99] = PersonObservation(99, 0.5, 0.5)
+        assert scenario.frames == frames, path.name  # nor did the refused write
         assert [run(controller, scenario) for controller in plain] == before, path.name
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from collections import namedtuple
 
@@ -28,7 +30,8 @@ from shutter_sim import (
     run,
     serialize_trace,
 )
-from shutter_sim.world import ACTION_PAYLOADS, emit, end_tick
+from shutter_sim.groups import zone_groups
+from shutter_sim.world import ACTION_PAYLOADS, Roster, emit, end_tick
 
 from conftest import ContextProbe
 
@@ -223,3 +226,21 @@ def test_behavior_stays_a_dataclass():
     assert dataclasses.is_dataclass(behavior)
     assert dataclasses.replace(behavior, duration=3) == Behavior("wave", 3)
     assert behavior != ("wave", 2, None, None)
+
+
+def test_a_roster_copies_as_a_read_only_roster_and_reads_out_as_a_writable_dict():
+    roster = Roster({1: PersonObservation(1, 1.0, 0.5), 2: PersonObservation(2, 9.0, 0.0)})
+    roster.engaged, roster.people, roster.reached = zone_groups(roster.values())
+    twins = [copy.copy(roster), copy.deepcopy(roster)]
+    twins += [pickle.loads(pickle.dumps(roster, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is Roster and twin is not roster and twin == roster
+        assert (twin.engaged, twin.people, twin.reached) == (1, roster.people, [True, False])
+        with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
+            twin[3] = PersonObservation(3, 0.0, 0.0)
+        assert twin == roster
+    for plain in (roster.copy(), dict(roster), roster | {}):
+        assert type(plain) is dict and plain == roster
+        plain[3] = PersonObservation(3, 0.0, 0.0)
+        del plain[1]
+        assert sorted(plain) == [2, 3] and sorted(roster) == [1, 2]
