@@ -171,10 +171,6 @@ class Guard(Node):
         super().__init__(name, [child])
         self.condition_name = condition_name
 
-    @property
-    def child(self) -> Node:
-        return self.children[0]
-
 
 class Condition(Node):
     """Leaf that maps a context predicate onto Success/Failure."""

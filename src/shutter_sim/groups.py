@@ -1,21 +1,25 @@
 """Proximity-based grouping of tracked persons around the robot.
 
-Two persons link when ``math.hypot(a.x - b.x, a.y - b.y) <= dist_threshold``;
-groups are the connected components of that relation.  Neighbours are found by
-a sweep over the persons sorted by ``x``: from each person the scan walks
-outward in that order and stops each way at the first person whose ``x`` gap
-exceeds the threshold.  The sweep is exact, not an approximation: float
-subtraction is monotone, so every later person in the scan has a gap at least
-as large, and ``hypot(u, v) >= |u|``, so no pruned pair could have linked.
-(A grid of ``dist_threshold``-wide cells is not exact: it bins by
-``floor(x / d)``, and ``(-1e-17, 0)`` and ``(1.5, 0)`` fall two cells apart
+Two persons link when ``math.hypot(a.x - b.x, a.y - b.y) <= DIST_THRESHOLD``;
+groups are the connected components of that relation, and a group reaches the
+zone when a member stands within ``ZONE_RADIUS`` of the origin.  The two are
+constants, so the sweep, the reuse proof in ``same_zone_groups`` and every
+record stored on a ``world.Roster`` read the same values.
+
+Neighbours are found by a sweep over the persons sorted by ``x``: from each
+person the scan walks outward in that order and stops each way at the first
+person whose ``x`` gap exceeds the threshold.  The sweep is exact, not an
+approximation: float subtraction is monotone, so every later person in the
+scan has a gap at least as large, and ``hypot(u, v) >= |u|``, so no pruned
+pair could have linked.  (A grid of threshold-wide cells is not exact: it bins
+by ``floor(x / d)``, and ``(-1e-17, 0)`` and ``(1.5, 0)`` fall two cells apart
 although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
 ``dsl.ScenarioScript`` checks.
 
-``zone_groups`` is that sweep; besides the engaged group's size it returns the
-persons it sorted and its mask of the members of every group reaching the
-zone, and ``same_zone_groups`` uses them to prove that another roster has the
-same zone groups without a sweep.
+``zone_groups`` is that sweep.  Its result is one record: the engaged group's
+size, the persons it sorted, and its mask of the members of every group
+reaching the zone; ``same_zone_groups`` uses the record to prove that another
+roster has the same zone groups without a sweep.
 """
 
 from __future__ import annotations
@@ -28,33 +32,29 @@ from typing import Iterable, Mapping
 
 from .world import PersonObservation
 
-DEFAULT_DIST_THRESHOLD = 1.5
-DEFAULT_ZONE_RADIUS = 2.5
+DIST_THRESHOLD = 1.5
+ZONE_RADIUS = 2.5
 
 
-def engaged_group_size(
-    persons: Iterable[PersonObservation],
-    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-    zone_radius: float = DEFAULT_ZONE_RADIUS,
-) -> int:
+def engaged_group_size(persons: Iterable[PersonObservation]) -> int:
     """Size of the group engaged with the robot, or 0 when none qualifies.
 
     A group is a connected component under the link relation above, and it
-    qualifies when a member stands within ``zone_radius`` of the origin.
-    Among qualifying groups the one with the nearest member wins; ties break
-    toward the smaller minimum member id.
+    qualifies when it reaches the zone.  Among qualifying groups the one with
+    the nearest member wins; ties break toward the smaller minimum member id.
     """
-    return zone_groups(persons, dist_threshold, zone_radius)[0]
+    return zone_groups(persons)[0]
 
 
 def zone_groups(
     persons: Iterable[PersonObservation],
-    dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-    zone_radius: float = DEFAULT_ZONE_RADIUS,
 ) -> tuple[int, list[PersonObservation], list[bool]]:
-    """``engaged_group_size``, the persons sorted by ``x``, and a mask over
-    them that is True for each member of a group reaching the zone, not only
-    of the winning one.  Only those groups are grown."""
+    """The zone-groups record of ``persons``: ``engaged_group_size``, the
+    persons sorted by ``x``, and a mask over them that is True for each
+    member of a group reaching the zone, not only of the winning one.  Only
+    those groups are grown."""
+    # locals, not globals, in the loops below
+    dist_threshold, zone_radius = DIST_THRESHOLD, ZONE_RADIUS
     people = sorted(persons, key=attrgetter("x"))
     xs = [p.x for p in people]
     ys = [p.y for p in people]
@@ -95,26 +95,32 @@ def zone_groups(
 
 def same_zone_groups(
     before: Mapping[int, PersonObservation],
-    people: list[PersonObservation],
-    reached: list[bool],
+    zones: tuple[int, list[PersonObservation], list[bool]],
     after: Mapping[int, PersonObservation],
 ) -> bool:
     """Whether ``after`` provably has the zone groups of ``before``, so that
-    ``zone_groups`` would give both the same answer; False proves nothing.
+    ``zone_groups`` would give both the same size and the same members;
+    False proves nothing.
 
-    Both rosters key each observation by its ``person_id``, and ``people``
-    and ``reached`` are what ``zone_groups`` returned for ``before`` at the
-    defaults, the thresholds the proof checks; the members are
-    ``compress(people, reached)``.  The proof needs every member in ``after``
-    as the identical object, and every person of ``after`` that is not the
-    identical object in ``before`` outside the zone and beyond linking
-    distance of every member, by the sweep's own comparisons.  Then the zone persons of ``after`` are all members, no new
-    or moved person links to a member, and a person unchanged since
-    ``before`` links to a member only if it did there, where it was none;
-    persons who left were no members.  Identity is what makes the test cheap:
+    Both rosters key each observation by its ``person_id``.  ``zones`` is a
+    record ``(size, people, reached)`` of ``before``'s zone groups, as
+    ``zone_groups`` returns, and its members are ``compress(people,
+    reached)``.  The proof needs two things, each checked by the sweep's own
+    comparisons:
+
+    - every member is in ``after`` as the identical object;
+    - every person of ``after`` that is not the identical object in
+      ``before`` stands outside the zone and beyond linking distance of
+      every member.
+
+    Then the zone persons of ``after`` are all members, no new or moved
+    person links to a member, and a person unchanged since ``before`` links
+    to a member only if it did there, where it was none; persons who left
+    were no members.  Identity is what makes the test cheap:
     ``dsl.ScenarioScript`` shares an observation between rosters until its
     person moves.
     """
+    _, people, reached = zones
     members = []
     get = after.get
     for m in compress(people, reached):
@@ -126,26 +132,24 @@ def same_zone_groups(
         if get(pid) is p:
             continue
         x, y = p.x, p.y
-        if math.hypot(x, y) <= DEFAULT_ZONE_RADIUS:
+        if math.hypot(x, y) <= ZONE_RADIUS:
             return False
         for m in members:
-            if math.hypot(m.x - x, m.y - y) <= DEFAULT_DIST_THRESHOLD:
+            if math.hypot(m.x - x, m.y - y) <= DIST_THRESHOLD:
                 return False
     return True
 
 
-def someone_in_zone(
-    persons: Iterable[PersonObservation],
-    zone_radius: float = DEFAULT_ZONE_RADIUS,
-) -> bool:
-    """Whether anyone stands within ``zone_radius`` of the origin.
+def someone_in_zone(persons: Iterable[PersonObservation]) -> bool:
+    """Whether anyone stands within ``ZONE_RADIUS`` of the origin.
 
-    Equal to ``engaged_group_size(persons, d, zone_radius) >= 1`` for every
-    ``d``: a person in the zone makes their own group qualify, and a group
-    qualifies only through such a person.  No grouping is needed, so the cost
-    does not depend on how the crowd stands.  A plain loop, not ``any`` over a
-    generator, so a check costs one Python-level call, not one per person.
+    Equal to ``engaged_group_size(persons) >= 1``: a person in the zone makes
+    their own group qualify, and a group qualifies only through such a person.
+    No grouping is needed, so the cost does not depend on how the crowd
+    stands.  A plain loop, not ``any`` over a generator, so a check costs one
+    Python-level call, not one per person.
     """
+    zone_radius = ZONE_RADIUS
     for p in persons:
         if math.hypot(p.x, p.y) <= zone_radius:
             return True

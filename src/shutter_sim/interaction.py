@@ -128,33 +128,34 @@ def _check_callable(what: str, fn) -> None:
 
 
 def _engaged_size(ctx: InteractionContext) -> int:
-    """The engaged-group size of ``ctx.persons`` at the ``groups`` defaults.
+    """The engaged-group size of ``ctx.persons``.
 
     A ``world.Roster``, which is what ``sim.run`` gives the controller, is
-    read-only, so its size is its ``engaged``, which the first greeting on
-    the roster in any run over the script fills: from ``ctx.sized``, the last
-    ``Roster`` whose size this run read or filled, when
-    ``groups.same_zone_groups`` proves the two rosters' zone groups the same,
-    and by a sweep otherwise.  Any other dict, one a behavior assigned or one
-    in a context built by hand, is swept afresh.  The size depends on the
-    roster's values alone, so the stored size gives what a sweep would.
+    read-only, so its size is the first item of its ``zones`` record, which
+    the first greeting on the roster in any run over the script fills: copied
+    from ``ctx.sized``, the last ``Roster`` whose size this run read or
+    filled, when ``groups.same_zone_groups`` proves the two rosters' zone
+    groups the same, and by a sweep otherwise.  Any other dict, one a
+    behavior assigned or one in a context built by hand, is swept afresh.
+    The size depends on the roster's values alone, so the stored size gives
+    what a sweep would.
     """
     roster = ctx.persons
     if type(roster) is not Roster:
         return zone_groups(roster.values())[0]
-    if roster.engaged is None:
+    if roster.zones is None:
         last = ctx.sized
-        if last is not None and same_zone_groups(last, last.people, last.reached, roster):
-            roster.engaged, roster.people, roster.reached = last.engaged, last.people, last.reached
+        if last is not None and same_zone_groups(last, last.zones, roster):
+            roster.zones = last.zones
         else:
-            roster.engaged, roster.people, roster.reached = zone_groups(roster.values())
+            roster.zones = zone_groups(roster.values())
     ctx.sized = roster
-    return roster.engaged
+    return roster.zones[0]
 
 
 def default_catalogue() -> Catalogue:
     """The photographer's behaviors and conditions: perception at the ``groups``
-    defaults, and a cooldown of ``DEFAULT_COOLDOWN_TICKS`` after a decline."""
+    constants, and a cooldown of ``DEFAULT_COOLDOWN_TICKS`` after a decline."""
     cat = Catalogue()
 
     def person_detected(ctx: InteractionContext) -> bool:

@@ -73,12 +73,12 @@ def _read_only(roster, *args, **kwargs):
 
 class Roster(dict):
     """A frame's roster, by person id: a read-only dict that can carry its
-    ``engaged`` group size at the ``groups`` defaults, None until the
-    catalogue's greeting first sizes it, and beside it the ``people`` and
-    ``reached`` mask that ``groups.zone_groups`` returns, which mark the
-    members of every group reaching the zone.
+    ``zones``, the record ``groups.zone_groups`` returns for its values
+    (engaged group size first), or one ``groups.same_zone_groups`` proved to
+    hold the same size and members; None until the catalogue's greeting
+    first sizes the roster.
 
-    Every in-place write raises a TypeError, so a stored size is the size of
+    Every in-place write raises a TypeError, so a stored record is right for
     the roster's values for as long as the roster lives.  ``Roster(mapping)``
     builds one, as ``dict.__init__`` calls none of the overrides; ``copy()``,
     ``dict(roster)`` and ``roster | other`` give writable plain dicts.  Dict
@@ -86,9 +86,7 @@ class Roster(dict):
     pickle is a ``Roster`` that keeps them.
     """
 
-    engaged = None
-    people = None
-    reached = None
+    zones = None
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
@@ -103,7 +101,7 @@ class Frame(NamedTuple):
 
     ``persons`` is the roster after the tick's person events, a ``Roster``
     that a frame whose tick moves no one shares with the frame before it, so
-    such frames share its ``engaged`` size too; it is read-only, so a reader
+    such frames share its ``zones`` too; it is read-only, so a reader
     copies it before writing.  ``buttons`` are the buttons pressed on the
     tick; ``hazard`` and ``network`` are the levels after it.  A script has
     one frame per tick that has events.
@@ -132,9 +130,9 @@ class InteractionContext:
     itself, so a behavior changes the roster by assigning ``persons`` a new
     dict, for instance ``{**ctx.persons, pid: obs}`` or a written
     ``ctx.persons.copy()``; a context built by hand starts with a plain,
-    writable dict.  ``sized`` is the last ``Roster`` whose size the catalogue's
-    greeting read or filled in this run, which it may prove a later roster's
-    size from; it takes no part in equality or ``repr``.
+    writable dict.  ``sized`` is the last ``Roster`` whose ``zones`` record
+    the catalogue's greeting read or filled in this run, which it may prove a
+    later roster's record from; it takes no part in equality or ``repr``.
     """
 
     clock: int = 0

@@ -1,9 +1,10 @@
-"""Shared test helpers: repository paths, a catalogue of scriptable stub leaves,
-a probe controller that records the context, and an all-pairs reference for
-the engaged group."""
+"""Shared test helpers: repository paths, the benchmark's crowd generators, a
+catalogue of scriptable stub leaves, a probe controller that records the
+context, and an all-pairs reference for the engaged group."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -14,6 +15,14 @@ PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = PKG_ROOT / "scenarios"
 TREE_FILE = PKG_ROOT / "trees" / "photographer.tree"
 MALFORMED_DIR = Path(__file__).resolve().parent / "data" / "malformed"
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, loaded by path, as ``perfbench`` is no package."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PKG_ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 class LeafScript:

@@ -173,10 +173,10 @@ def test_blocked_guard_preserves_progress_for_an_in_place_resume():
     guarded = Guard("flag_0", "g", Action("stub_0"))
     root = make(script, Sequence("s", [guarded, Action("stub_1")], memory=True))
     assert tick(script, root, [R, S], flags=[True]) == (R, [0])
-    assert root.snapshot()[guarded.child.node_id] == 1
+    assert root.snapshot()[guarded.children[0].node_id] == 1
     # blocked: no leaf runs, held progress stays put
     assert tick(script, root, flags=[False]) == (R, [])
-    assert root.snapshot()[guarded.child.node_id] == 1
+    assert root.snapshot()[guarded.children[0].node_id] == 1
     # unblocked: the action continues from its second step, then the chain ends
     status, log = tick(script, root, [S, S], flags=[True])
     assert (status, log) == (S, [0, 1])
@@ -725,7 +725,7 @@ def reference_print_tree(root: bt.Node) -> str:
             lines.append(f"{pad}action {node.behavior_name}{suffix}")
         elif isinstance(node, Guard):
             lines.append(f"{pad}guard({node.condition_name}) {node.name} {{")
-            walk(node.child, depth + 1)
+            walk(node.children[0], depth + 1)
             lines.append(f"{pad}}}")
         else:
             star = "*" if getattr(node, "memory", False) else ""
@@ -745,7 +745,7 @@ def reference_signature(node: bt.Node) -> tuple:
     if isinstance(node, Action):
         return ("action", node.behavior_name, node.duration_override)
     if isinstance(node, Guard):
-        return ("guard", node.condition_name, node.name, reference_signature(node.child))
+        return ("guard", node.condition_name, node.name, reference_signature(node.children[0]))
     children = tuple(reference_signature(c) for c in node.children)
     return (node.kind, node.name, getattr(node, "memory", False), children)
 

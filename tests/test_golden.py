@@ -14,7 +14,6 @@ the running session off, are pinned by the sha256 of each trace instead.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from shutter_sim import dsl, interaction, sim
 from shutter_sim.bt import validate_tree
 from shutter_sim.cli import main
 
-from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE
+from conftest import SCENARIO_DIR, TREE_FILE, perfbench_gen
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -69,10 +68,7 @@ FSM_MODES = ("none", "transitions", "timeouts")
 
 @pytest.mark.parametrize("crowd", sorted(CROWD_DIGESTS))
 def test_seed_1_crowds_reproduce_their_pinned_trace_digests(crowd):
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PKG_ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    scenario = dsl.parse_scenario(getattr(gen, crowd)(1))
+    scenario = dsl.parse_scenario(getattr(perfbench_gen(), crowd)(1))
     catalogue = interaction.default_catalogue()
     tree = validate_tree(dsl.parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
     machines = [interaction.build_photographer_fsm(mode, catalogue=catalogue) for mode in FSM_MODES]

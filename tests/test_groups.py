@@ -50,12 +50,6 @@ def test_distance_tie_breaks_toward_smaller_id():
     assert engaged_group_size([p(3, 2.0, 0.0), p(1, -2.0, 0.0), p(2, -3.0, 0.0)]) == 2
 
 
-def test_custom_threshold_and_radius():
-    people = [p(1, 0.0, 0.0), p(2, 2.5, 0.0)]
-    assert engaged_group_size(people) == 1
-    assert engaged_group_size(people, dist_threshold=3.0, zone_radius=1.0) == 2
-
-
 # --- exactness of the sorted sweep against all pairs -----------------------------
 
 
@@ -86,25 +80,33 @@ def test_pinned_case_that_a_floor_grid_gets_wrong():
     assert engaged_group_size(people) == 2
 
 
+def packed_coordinate(rng):
+    # |x|, |y| <= 1.7 puts a person within hypot(1.7, 1.7) < 2.5 of the robot
+    if rng.random() < 0.3:
+        return rng.choice((0.0, -0.0, 1.5, -1.5, 1e-17, -1e-17, 1.7, -1.7))
+    return rng.uniform(-1.7, 1.7)
+
+
 def test_sweep_matches_all_pairs_on_adversarial_rosters():
     rng = random.Random(20231)
     rosters = 2000
     for _ in range(rosters):
         n = rng.randint(0, 60)
         ids = rng.sample(range(1, 500), n)
-        persons = [p(i, edge_coordinate(rng), edge_coordinate(rng)) for i in ids]
-        dist_threshold = rng.choice((1.5, 1.5, 3.0, 0.0))
-        zone_radius = rng.choice((2.5, 2.5, 1.5, 0.0, 2e12))
-        engaged = engaged_group_size(persons, dist_threshold, zone_radius)
-        assert engaged == reference_engaged_size(persons, dist_threshold, zone_radius)
-        assert someone_in_zone(persons, zone_radius) is (engaged >= 1)
+        # one roster in five stands wholly in the zone, where every group qualifies
+        coordinate = packed_coordinate if rng.random() < 0.2 else edge_coordinate
+        persons = [p(i, coordinate(rng), coordinate(rng)) for i in ids]
+        engaged = engaged_group_size(persons)
+        assert engaged == reference_engaged_size(persons)
+        assert someone_in_zone(persons) is (engaged >= 1)
 
 
 def test_presence_counts_the_zone_edge_and_nothing_beyond():
     assert someone_in_zone([p(1, 1.5, 2.0)])  # hypot is exactly 2.5
     assert not someone_in_zone([p(1, 1.5, 2.0000000000000004)])
+    assert someone_in_zone([p(1, -1.5, -2.0)])  # hypot is exactly 2.5 here too
+    assert not someone_in_zone([p(1, -1.5, -2.0000000000000004)])
     assert not someone_in_zone([])
-    assert someone_in_zone([p(1, -0.0, 0.0)], 0.0)
 
 
 # --- proving a roster's zone groups unchanged --------------------------------------
@@ -189,12 +191,13 @@ def test_a_roster_proved_to_keep_its_zone_groups_keeps_its_size():
     pairs, reused = 6000, 0
     for _ in range(pairs):
         before = first_roster(rng)
-        size, people, reached = zone_groups(before.values())
+        zones = zone_groups(before.values())
+        size, people, reached = zones
         members = list(compress(people, reached))
         assert size == reference_engaged_size(list(before.values()))
         assert sorted(q.person_id for q in members) == reference_zone_members(list(before.values()))
         after = changed_roster(rng, before)
-        if same_zone_groups(before, people, reached, after):
+        if same_zone_groups(before, zones, after):
             reused += 1
             assert reference_engaged_size(list(after.values())) == size
             assert sorted(map(id, compress(*zone_groups(after.values())[1:]))) == sorted(map(id, members))

@@ -1,8 +1,9 @@
-"""The greeting's engaged-group memo, each frame roster's ``engaged`` size:
+"""The greeting's engaged-group memo, each frame roster's ``zones`` record:
 exact when a behavior replaces the roster, kept exact by the roster refusing
 every in-place write, shared by every run over one script
 and by the frames that share a roster, carried to a later roster where no one
-near the zone's groups changed, and private to that script."""
+near the zone's groups changed, and private to that script; and the sweeps
+the benchmark's crowds take with it."""
 
 from __future__ import annotations
 
@@ -25,14 +26,15 @@ from shutter_sim import (
     default_catalogue,
     greeting_text,
     parse_scenario,
+    parse_tree,
     run,
     validate_tree,
 )
 from shutter_sim import interaction
-from shutter_sim.groups import DEFAULT_ZONE_RADIUS, zone_groups
+from shutter_sim.groups import ZONE_RADIUS, zone_groups
 from shutter_sim.world import Roster
 
-from conftest import SCENARIO_DIR, reference_engaged_size
+from conftest import SCENARIO_DIR, TREE_FILE, perfbench_gen, reference_engaged_size
 
 FSM_MODES = ("none", "transitions", "timeouts")
 NEWCOMER = 1000
@@ -91,7 +93,7 @@ def joining_catalogue(sized: list[tuple[int, int]]):
     detected, greet = cat.condition("person_detected"), cat.behavior("greet")
 
     def joining(ctx):
-        inside = [p for p in ctx.persons.values() if math.hypot(p.x, p.y) <= DEFAULT_ZONE_RADIUS]
+        inside = [p for p in ctx.persons.values() if math.hypot(p.x, p.y) <= ZONE_RADIUS]
         if inside and NEWCOMER not in ctx.persons:
             p = min(inside, key=lambda p: (math.hypot(p.x, p.y), p.person_id))
             ctx.persons = {**ctx.persons, NEWCOMER: PersonObservation(NEWCOMER, 0.9 * p.x, 0.9 * p.y)}
@@ -155,13 +157,13 @@ def rosters(script: ScenarioScript) -> list:
 
 
 def filled(script: ScenarioScript) -> list:
-    """The script's distinct rosters whose ``engaged`` size was computed."""
-    return [roster for roster in rosters(script) if roster.engaged is not None]
+    """The script's distinct rosters whose ``zones`` record was filled."""
+    return [roster for roster in rosters(script) if roster.zones is not None]
 
 
 def sizes(script: ScenarioScript) -> list:
-    """Each frame roster's ``engaged`` size, None where none was computed."""
-    return [frame.persons.engaged for frame in script.frames]
+    """Each frame roster's engaged size, None where none was computed."""
+    return [None if frame.persons.zones is None else frame.persons.zones[0] for frame in script.frames]
 
 
 def sharing(script: ScenarioScript) -> list[int]:
@@ -181,10 +183,10 @@ def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch)
         sized = filled(script)
         # each sweep filled one roster, and no roster's persons were swept twice
         assert len(calls) - before <= len(sized) and swept_once(calls[before:]), name
-        assert [roster.engaged for roster in sized] == [
+        assert [roster.zones[0] for roster in sized] == [
             reference_engaged_size(list(roster.values())) for roster in sized], name
         # a reused size carries the members a sweep of its own roster would find
-        assert [sorted(map(id, compress(roster.people, roster.reached))) for roster in sized] == [
+        assert [sorted(map(id, compress(*roster.zones[1:]))) for roster in sized] == [
             sorted(map(id, compress(*zone_groups(roster.values())[1:]))) for roster in sized], name
         computed += len(sized)
     assert 0 < computed < greetings  # the machines read what the tree computed
@@ -296,7 +298,7 @@ def test_a_sized_roster_refuses_every_in_place_write_so_its_size_stays_right():
     for name, write in IN_PLACE_WRITES.items():
         with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
             write(roster)
-        assert roster == before and roster.engaged == 2, name
+        assert roster == before and roster.zones[0] == 2, name
     assert run(build_photographer_bt(), script) == first
 
 
@@ -317,3 +319,29 @@ def test_a_behavior_that_writes_the_roster_in_place_stops_its_run_and_no_other()
     assert all(type(roster) is Roster and NEWCOMER not in roster for roster in rosters(script))
     fresh = SCRIPTS["trio"]()
     assert [run(c, script) for c in plain_controllers()] == [run(c, fresh) for c in plain_controllers()]
+
+
+# sweeps of each benchmark crowd, by seed: (in the tree's run, in all four runs)
+BENCH_SWEEPS = {
+    "crowd_still": {1: (1, 1), 2: (1, 1), 3: (1, 1)},
+    "crowd_churn": {1: (14, 23), 2: (13, 22), 3: (13, 22)},
+}
+
+
+@pytest.mark.parametrize("crowd", sorted(BENCH_SWEEPS))
+def test_the_benchmark_crowds_take_the_sweeps_the_memo_leaves_them(crowd, monkeypatch):
+    # one benchmark operation: the crowd parsed once, then the tree's run and
+    # the machines' runs over it, as perfbench/run.py does
+    gen = perfbench_gen()
+    calls = counting(monkeypatch)
+    catalogue = default_catalogue()
+    tree = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
+    machines = [build_photographer_fsm(mode, catalogue=catalogue) for mode in FSM_MODES]
+    for seed, (in_tree, in_all) in BENCH_SWEEPS[crowd].items():
+        scenario = parse_scenario(getattr(gen, crowd)(seed))
+        del calls[:]
+        run(tree, scenario)
+        assert len(calls) == in_tree, seed
+        for machine in machines:
+            run(machine, scenario)
+        assert len(calls) == in_all, seed

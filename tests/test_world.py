@@ -230,12 +230,12 @@ def test_behavior_stays_a_dataclass():
 
 def test_a_roster_copies_as_a_read_only_roster_and_reads_out_as_a_writable_dict():
     roster = Roster({1: PersonObservation(1, 1.0, 0.5), 2: PersonObservation(2, 9.0, 0.0)})
-    roster.engaged, roster.people, roster.reached = zone_groups(roster.values())
+    roster.zones = zone_groups(roster.values())
     twins = [copy.copy(roster), copy.deepcopy(roster)]
     twins += [pickle.loads(pickle.dumps(roster, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in twins:
         assert type(twin) is Roster and twin is not roster and twin == roster
-        assert (twin.engaged, twin.people, twin.reached) == (1, roster.people, [True, False])
+        assert twin.zones == (1, roster.zones[1], [True, False])
         with pytest.raises(TypeError, match="^a frame's Roster is read-only"):
             twin[3] = PersonObservation(3, 0.0, 0.0)
         assert twin == roster
