@@ -75,8 +75,9 @@ class ScenarioScript:
     ``frames``: one ``world.Frame`` per tick that has events, in tick order,
     with a copy of the roster after a tick that moves anyone and the previous
     frame's dict after any other.  Each roster is a ``world.Roster``, whose
-    ``zones`` record the catalogue's greeting fills in the first run that
-    greets on it and every later run over this script reads.  The frames and
+    ``zones`` record, the engaged size and the zone groups' members, the
+    catalogue's greeting fills in the first run that greets on it and every
+    later run over this script reads.  The frames and
     the duration are all ``sim.run`` reads.  ``rows`` keeps the rows;
     ``events`` makes them ``Event`` records on first read, then keeps them.
     Equality, hashing and ``repr`` go by name, duration and events, so a

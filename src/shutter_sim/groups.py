@@ -17,16 +17,15 @@ although their ``hypot`` rounds to exactly 1.5.)  Coordinates are finite, as
 ``dsl.ScenarioScript`` checks.
 
 ``zone_groups`` is that sweep.  Its result is one record: the engaged group's
-size, the persons it sorted, and its mask of the members of every group
-reaching the zone; ``same_zone_groups`` uses the record to prove that another
-roster has the same zone groups without a sweep.
+size and the members of every group reaching the zone; ``same_zone_groups``
+uses the record to prove that another roster has the same zone groups without
+a sweep.  The sorted persons and the reach mask stay inside the sweep.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -48,11 +47,10 @@ def engaged_group_size(persons: Iterable[PersonObservation]) -> int:
 
 def zone_groups(
     persons: Iterable[PersonObservation],
-) -> tuple[int, list[PersonObservation], list[bool]]:
-    """The zone-groups record of ``persons``: ``engaged_group_size``, the
-    persons sorted by ``x``, and a mask over them that is True for each
-    member of a group reaching the zone, not only of the winning one.  Only
-    those groups are grown."""
+) -> tuple[int, list[PersonObservation]]:
+    """The zone-groups record of ``persons``: ``engaged_group_size`` and the
+    members of every group reaching the zone, not only of the winning one,
+    in the order the sweep grows them.  Only those groups are grown."""
     # locals, not globals, in the loops below
     dist_threshold, zone_radius = DIST_THRESHOLD, ZONE_RADIUS
     people = sorted(persons, key=attrgetter("x"))
@@ -60,6 +58,7 @@ def zone_groups(
     ys = [p.y for p in people]
     n = len(xs)
     reached = [False] * n
+    members: list[PersonObservation] = []
     best_key: tuple[float, int] | None = None
     best_size = 0
     # hypot(x, y) >= |x|, so only persons with |x| <= zone_radius can stand in the zone
@@ -67,7 +66,7 @@ def zone_groups(
         if reached[seed] or math.hypot(xs[seed], ys[seed]) > zone_radius:
             continue
         reached[seed] = True
-        component = [seed]
+        component = [people[seed]]
         frontier = [seed]
         while frontier:
             i = frontier.pop()
@@ -76,26 +75,27 @@ def zone_groups(
             while j < n and xs[j] - xi <= dist_threshold:
                 if not reached[j] and math.hypot(xi - xs[j], yi - ys[j]) <= dist_threshold:
                     reached[j] = True
-                    component.append(j)
+                    component.append(people[j])
                     frontier.append(j)
                 j += 1
             j = i - 1
             while j >= 0 and xi - xs[j] <= dist_threshold:
                 if not reached[j] and math.hypot(xi - xs[j], yi - ys[j]) <= dist_threshold:
                     reached[j] = True
-                    component.append(j)
+                    component.append(people[j])
                     frontier.append(j)
                 j -= 1
-        nearest = min(math.hypot(xs[i], ys[i]) for i in component)
-        key = (nearest, min(people[i].person_id for i in component))
+        members += component
+        nearest = min(math.hypot(p.x, p.y) for p in component)
+        key = (nearest, min(p.person_id for p in component))
         if best_key is None or key < best_key:
             best_key, best_size = key, len(component)
-    return best_size, people, reached
+    return best_size, members
 
 
 def same_zone_groups(
     before: Mapping[int, PersonObservation],
-    zones: tuple[int, list[PersonObservation], list[bool]],
+    zones: tuple[int, list[PersonObservation]],
     after: Mapping[int, PersonObservation],
 ) -> bool:
     """Whether ``after`` provably has the zone groups of ``before``, so that
@@ -103,10 +103,9 @@ def same_zone_groups(
     False proves nothing.
 
     Both rosters key each observation by its ``person_id``.  ``zones`` is a
-    record ``(size, people, reached)`` of ``before``'s zone groups, as
-    ``zone_groups`` returns, and its members are ``compress(people,
-    reached)``.  The proof needs two things, each checked by the sweep's own
-    comparisons:
+    record ``(size, members)`` of ``before``'s zone groups, as
+    ``zone_groups`` returns.  The proof needs two things, each checked by the
+    sweep's own comparisons:
 
     - every member is in ``after`` as the identical object;
     - every person of ``after`` that is not the identical object in
@@ -120,13 +119,11 @@ def same_zone_groups(
     ``dsl.ScenarioScript`` shares an observation between rosters until its
     person moves.
     """
-    _, people, reached = zones
-    members = []
+    _, members = zones
     get = after.get
-    for m in compress(people, reached):
+    for m in members:
         if get(m.person_id) is not m:
             return False
-        members.append(m)
     get = before.get
     for pid, p in after.items():
         if get(pid) is p:

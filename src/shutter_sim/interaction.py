@@ -131,11 +131,12 @@ def _engaged_size(ctx: InteractionContext) -> int:
     """The engaged-group size of ``ctx.persons``.
 
     A ``world.Roster``, which is what ``sim.run`` gives the controller, is
-    read-only, so its size is the first item of its ``zones`` record, which
-    the first greeting on the roster in any run over the script fills: copied
-    from ``ctx.sized``, the last ``Roster`` whose size this run read or
-    filled, when ``groups.same_zone_groups`` proves the two rosters' zone
-    groups the same, and by a sweep otherwise.  Any other dict, one a
+    read-only, so its size is the first item of its ``zones`` record
+    ``(size, members)``, which the first greeting on the roster in any run
+    over the script fills: copied from ``ctx.sized``, the last ``Roster``
+    whose size this run read or filled, when ``groups.same_zone_groups``
+    proves from that record's members that the two rosters' zone groups are
+    the same, and by a sweep otherwise.  Any other dict, one a
     behavior assigned or one in a context built by hand, is swept afresh.
     The size depends on the roster's values alone, so the stored size gives
     what a sweep would.

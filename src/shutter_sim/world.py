@@ -73,9 +73,10 @@ def _read_only(roster, *args, **kwargs):
 
 class Roster(dict):
     """A frame's roster, by person id: a read-only dict that can carry its
-    ``zones``, the record ``groups.zone_groups`` returns for its values
-    (engaged group size first), or one ``groups.same_zone_groups`` proved to
-    hold the same size and members; None until the catalogue's greeting
+    ``zones``, the record ``(size, members)`` that ``groups.zone_groups``
+    returns for its values (the engaged group's size, then the members of
+    every group reaching the zone), or one ``groups.same_zone_groups`` proved
+    to hold the same size and members; None until the catalogue's greeting
     first sizes the roster.
 
     Every in-place write raises a TypeError, so a stored record is right for

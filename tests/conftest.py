@@ -1,6 +1,7 @@
 """Shared test helpers: repository paths, the benchmark's crowd generators, a
 catalogue of scriptable stub leaves, a probe controller that records the
-context, and an all-pairs reference for the engaged group."""
+context, and all-pairs references for the engaged group and the zone groups'
+members."""
 
 from __future__ import annotations
 
@@ -120,3 +121,9 @@ def reference_engaged_size(persons, dist_threshold=1.5, zone_radius=2.5):
         if min(distance[m] for m in comp) <= zone_radius
     ]
     return min(keyed)[1] if keyed else 0
+
+
+def reference_zone_members(persons, dist_threshold=1.5, zone_radius=2.5):
+    """The sorted ids of every person in a component that reaches the zone."""
+    inside = {q.person_id for q in persons if math.hypot(q.x, q.y) <= zone_radius}
+    return sorted(pid for comp in reference_components(persons, dist_threshold) if comp & inside for pid in comp)

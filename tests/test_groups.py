@@ -3,14 +3,12 @@ the rule that proves a roster's zone groups those of the roster before it."""
 
 from __future__ import annotations
 
-import math
 import random
-from itertools import compress
 
 from shutter_sim import PersonObservation, engaged_group_size, someone_in_zone
 from shutter_sim.groups import same_zone_groups, zone_groups
 
-from conftest import reference_components, reference_engaged_size
+from conftest import reference_engaged_size, reference_zone_members
 
 
 def p(pid, x, y):
@@ -180,25 +178,20 @@ def changed_roster(rng, before):
     return after
 
 
-def reference_zone_members(persons):
-    """The ids of every person in a component that reaches the zone."""
-    inside = {q.person_id for q in persons if math.hypot(q.x, q.y) <= 2.5}
-    return sorted(pid for comp in reference_components(persons, 1.5) if comp & inside for pid in comp)
-
-
 def test_a_roster_proved_to_keep_its_zone_groups_keeps_its_size():
     rng = random.Random(20232)
     pairs, reused = 6000, 0
     for _ in range(pairs):
         before = first_roster(rng)
         zones = zone_groups(before.values())
-        size, people, reached = zones
-        members = list(compress(people, reached))
+        size, members = zones
         assert size == reference_engaged_size(list(before.values()))
         assert sorted(q.person_id for q in members) == reference_zone_members(list(before.values()))
+        assert all(before[q.person_id] is q for q in members)
         after = changed_roster(rng, before)
         if same_zone_groups(before, zones, after):
             reused += 1
             assert reference_engaged_size(list(after.values())) == size
-            assert sorted(map(id, compress(*zone_groups(after.values())[1:]))) == sorted(map(id, members))
+            assert reference_zone_members(list(after.values())) == sorted(q.person_id for q in members)
+            assert sorted(map(id, zone_groups(after.values())[1])) == sorted(map(id, members))
     assert reused >= pairs // 4

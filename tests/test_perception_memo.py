@@ -13,7 +13,6 @@ import math
 import operator
 import pickle
 import random
-from itertools import compress
 
 import pytest
 
@@ -31,10 +30,10 @@ from shutter_sim import (
     validate_tree,
 )
 from shutter_sim import interaction
-from shutter_sim.groups import ZONE_RADIUS, zone_groups
+from shutter_sim.groups import ZONE_RADIUS
 from shutter_sim.world import Roster
 
-from conftest import SCENARIO_DIR, TREE_FILE, perfbench_gen, reference_engaged_size
+from conftest import SCENARIO_DIR, TREE_FILE, perfbench_gen, reference_engaged_size, reference_zone_members
 
 FSM_MODES = ("none", "transitions", "timeouts")
 NEWCOMER = 1000
@@ -172,6 +171,18 @@ def sharing(script: ScenarioScript) -> list[int]:
     return [first.setdefault(id(frame.persons), i) for i, frame in enumerate(script.frames)]
 
 
+def assert_records_exact(sized: list, label) -> None:
+    """Each roster's stored size and members are the references' for its
+    values, and each member is the roster's own observation object, which is
+    what ``groups.same_zone_groups`` compares by identity."""
+    for roster in sized:
+        size, members = roster.zones
+        persons = list(roster.values())
+        assert size == reference_engaged_size(persons), label
+        assert sorted(m.person_id for m in members) == reference_zone_members(persons), label
+        assert all(roster[m.person_id] is m for m in members), label
+
+
 def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch):
     calls = counting(monkeypatch)
     greetings = computed = 0
@@ -183,11 +194,8 @@ def test_one_script_sizes_each_frame_at_most_once_over_all_its_runs(monkeypatch)
         sized = filled(script)
         # each sweep filled one roster, and no roster's persons were swept twice
         assert len(calls) - before <= len(sized) and swept_once(calls[before:]), name
-        assert [roster.zones[0] for roster in sized] == [
-            reference_engaged_size(list(roster.values())) for roster in sized], name
-        # a reused size carries the members a sweep of its own roster would find
-        assert [sorted(map(id, compress(*roster.zones[1:]))) for roster in sized] == [
-            sorted(map(id, compress(*zone_groups(roster.values())[1:]))) for roster in sized], name
+        # a reused record carries the size and members of its own roster
+        assert_records_exact(sized, name)
         computed += len(sized)
     assert 0 < computed < greetings  # the machines read what the tree computed
 
@@ -321,10 +329,11 @@ def test_a_behavior_that_writes_the_roster_in_place_stops_its_run_and_no_other()
     assert [run(c, script) for c in plain_controllers()] == [run(c, fresh) for c in plain_controllers()]
 
 
-# sweeps of each benchmark crowd, by seed: (in the tree's run, in all four runs)
+# sweeps of each benchmark crowd, by seed: (in the tree's run, in all four
+# runs, rosters whose record is filled after all four runs)
 BENCH_SWEEPS = {
-    "crowd_still": {1: (1, 1), 2: (1, 1), 3: (1, 1)},
-    "crowd_churn": {1: (14, 23), 2: (13, 22), 3: (13, 22)},
+    "crowd_still": {1: (1, 1, 5), 2: (1, 1, 4), 3: (1, 1, 6)},
+    "crowd_churn": {1: (14, 23, 23), 2: (13, 22, 22), 3: (13, 22, 22)},
 }
 
 
@@ -337,7 +346,7 @@ def test_the_benchmark_crowds_take_the_sweeps_the_memo_leaves_them(crowd, monkey
     catalogue = default_catalogue()
     tree = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
     machines = [build_photographer_fsm(mode, catalogue=catalogue) for mode in FSM_MODES]
-    for seed, (in_tree, in_all) in BENCH_SWEEPS[crowd].items():
+    for seed, (in_tree, in_all, rosters_filled) in BENCH_SWEEPS[crowd].items():
         scenario = parse_scenario(getattr(gen, crowd)(seed))
         del calls[:]
         run(tree, scenario)
@@ -345,3 +354,6 @@ def test_the_benchmark_crowds_take_the_sweeps_the_memo_leaves_them(crowd, monkey
         for machine in machines:
             run(machine, scenario)
         assert len(calls) == in_all, seed
+        sized = filled(scenario)
+        assert len(sized) == rosters_filled, seed
+        assert_records_exact(sized, seed)
