@@ -121,6 +121,9 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
     of the first event that breaks a rule.  A row that is not six fields fails
     its unpack or ``itemgetter(0)``, which the constructor turns into its
     refusal afterwards, so a well-formed walk pays for no length check."""
+    # locals, as each is read once per person event
+    finite_number, record, observation = isfinite, new_record, PersonObservation
+    coordinate = _COORDINATE_TYPES
     roster: dict[int, PersonObservation] = {}
     persons = Roster()  # the last frame's roster
     frames: list[Frame] = []
@@ -153,13 +156,13 @@ def _frames(rows: tuple[tuple, ...], duration: int) -> tuple[Frame, ...]:
                     elif pid not in roster:
                         raise ValidationError(f"unknown person {pid} at tick {tick}")
                     try:
-                        finite = (type(x) in _COORDINATE_TYPES and type(y) in _COORDINATE_TYPES
-                                  and isfinite(x) and isfinite(y))
+                        finite = (type(x) in coordinate and type(y) in coordinate
+                                  and finite_number(x) and finite_number(y))
                     except OverflowError:  # an int too large for a float
                         finite = False
                     if not finite:
                         raise ValidationError(f"event {kind} at tick {tick} needs finite coordinates")
-                    roster[pid] = new_record(PersonObservation, (pid, x, y))
+                    roster[pid] = record(observation, (pid, x, y))
                 moved = True
             elif kind == "button_press":
                 if button not in BUTTONS:
@@ -204,18 +207,38 @@ _SPACING = re.compile(r"[ \t]*")
 _DIGITS = re.compile(r"[0-9]*")
 _NUMBER = re.compile(r"-?([0-9]*)(\.[0-9]*)?")
 _WORD = re.compile(r"\w*")  # \w is str.isalnum() or "_", as an identifier continues
+# Each piece's regex is followed by spacing that depends on the next piece.
+# A keyword or word must be a whole identifier (person_appearid is one), so no
+# ``\w`` may follow it.  Before a keyword, word or int, which start with ``\w``,
+# that takes at least one space or tab: ``[ \t]+``.  Before a sym or the line's
+# end, no ``\w`` can follow, so the spacing stays ``[ \t]*``.  Only before a
+# num, which may start with ``-``, is the ``(?!\w)`` check kept.  After any
+# other piece the spacing is ``[ \t]*``.  The last piece of a table is taken
+# to end the line: an alternative of ``_EVENTS`` does, and ``_TICK`` ends in an
+# int.
 _PATTERNS = {
     "sym": re.escape,
     "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}})",
-    "num": lambda _: r"(-?[0-9]+(?:\.[0-9]+)?)",
-    "keyword": lambda word: rf"{word}(?!\w)",  # a whole identifier: person_appearid is one
-    "word": lambda words: rf"({'|'.join(words)})(?!\w)",
+    "num": lambda _: r"(-?[0-9]+(?:\.[0-9]+|))",
+    "keyword": lambda word: word,
+    "word": lambda words: f"({'|'.join(words)})",
 }
 
 
 def _pattern(pieces: tuple) -> str:
-    """The regex of ``pieces``, each followed by optional spacing."""
-    return "".join(_PATTERNS[kind](arg) + _SPACING.pattern for kind, arg, _ in pieces)
+    """The regex of ``pieces``, each followed by the spacing the next piece allows."""
+    after = [kind for kind, _, _ in pieces[1:]] + ["end"]
+    return "".join(_PATTERNS[kind](arg) + _spacing(kind, then)
+                   for (kind, arg, _), then in zip(pieces, after))
+
+
+def _spacing(kind: str, then: str) -> str:
+    """The spacing regex after a piece of ``kind`` when ``then`` (a kind, or "end") follows."""
+    if kind not in ("keyword", "word"):
+        return _SPACING.pattern
+    if then in ("keyword", "word", "int"):
+        return r"[ \t]+"
+    return r"(?!\w)[ \t]*" if then == "num" else _SPACING.pattern
 
 
 def _names(piece: tuple) -> tuple[str, ...]:
@@ -254,7 +277,9 @@ def parse_scenario(text: str) -> ScenarioScript:
         tick, moved, pid, x, y, left, button, hazard, network = m.groups()  # _EVENTS order
         at_tick = int(tick)
         if moved is not None:
-            append((at_tick, moved, int(pid), float(x), float(y), None))
+            # the literal, not the match's new string, so that _frames's == meets it by identity
+            kind = "person_move" if moved == "person_move" else "person_appear"
+            append((at_tick, kind, int(pid), float(x), float(y), None))
         elif left is not None:
             append((at_tick, "person_leave", int(left), None, None, None))
         elif button is not None:
@@ -270,6 +295,8 @@ def parse_scenario(text: str) -> ScenarioScript:
 
 def _universal_newlines(text: str) -> str:
     """``text`` with each CRLF and lone CR written as LF, as universal newlines read it."""
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -128,6 +128,7 @@ _TRACE_LINE = re.compile(
     + rf"((?:{_EMISSION_TEXT}(?:;{_EMISSION_TEXT})*)?)"
     + re.escape(_CLOSE) + _fields(_TAIL, "({})")
 )
+_TICK_FIELD = re.compile(_fields(_HEAD[:1], "({})") + " ")
 _RECORD = _fields(_HEAD, "%s") + _OPEN + "%s" + _CLOSE + _fields(_TAIL, "%s")
 
 
@@ -137,11 +138,26 @@ def parse_trace(text: str) -> list[TickRecord]:
     An action outside that table, or one declared without a payload, reads back
     its payload text, or None when the text is empty.  Blank lines are skipped;
     any other line that breaks the format is a ValidationError naming the line
-    and the first field at fault.
+    and the first field at fault.  Records read from one text may share one
+    ``emissions`` tuple, which is immutable.
     """
     records = []
-    match = _TRACE_LINE.fullmatch
+    append = records.append
+    match, tick_field = _TRACE_LINE.fullmatch, _TICK_FIELD.match
+    # A line's tail, its text after the tick field, to the fields _TRACE_LINE
+    # read from an earlier line with that tail.  A line with a valid tick field
+    # matches _TRACE_LINE exactly when its tail does, whatever the count, so a
+    # repeated tail needs no second full match.  Only tails of lines the full
+    # match accepted are stored.
+    tails: dict[str, tuple] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
+        head = tick_field(line)
+        if head is not None:
+            tail = line[head.end():]
+            fields = tails.get(tail)
+            if fields is not None:
+                append(new_record(TickRecord, (int(head[1]),) + fields))
+                continue
         try:
             m = match(line)
             if m is None:
@@ -151,8 +167,9 @@ def parse_trace(text: str) -> list[TickRecord]:
             tick, ctl, status, body, persons, hazard, net = m.groups()
             emissions = tuple([new_record(ActionEmission, (action, _payload(action, payload)))
                                for action, payload in _EMISSION.findall(body)])
-            records.append(new_record(TickRecord, (int(tick), ctl, status, emissions, int(persons),
-                                                   hazard == "1", net == "1")))
+            # a line _TRACE_LINE accepts starts with a tick field, so ``tail`` is its own
+            fields = tails[tail] = (ctl, status, emissions, int(persons), hazard == "1", net == "1")
+            append(new_record(TickRecord, (int(tick),) + fields))
         except ValueError as exc:
             raise ValidationError(f"bad trace line {line_no}: {exc}") from None
     return records
@@ -207,7 +224,8 @@ def _payload(action: str, text: str) -> str | int | None:
         return text
     if declared is not int:
         return text or None
-    if sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:  # int() could refuse it with its own advice
+    # int() could refuse more digits with its own advice; no text has more digits than characters
+    if len(text) > _MAX_DIGITS and sum(ch.isdecimal() for ch in text) > _MAX_DIGITS:
         raise ValueError(f"{action} payload has more than {_MAX_DIGITS} digits")
     value = int(text)
     if str(value) != text:

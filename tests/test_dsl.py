@@ -213,6 +213,12 @@ EVENT_LINE_DEFECTS = [
     ("@ 5", 4, "expected event", "identifier"),
     ("@5 hazard", 10, "expected hazard switch", "identifier"),
     ("@5 network sideways", 12, "unknown network switch 'sideways'", "down|up"),
+    # a keyword that runs into the next word or int is one identifier
+    ("@5 buttonyes", 4, "unknown event 'buttonyes'", _EVENT_WORDS),
+    ("@5 hazardon", 4, "unknown event 'hazardon'", _EVENT_WORDS),
+    ("@5 networkup", 4, "unknown event 'networkup'", _EVENT_WORDS),
+    ("@5 person_leaveid=1", 4, "unknown event 'person_leaveid'", _EVENT_WORDS),
+    ("@5 person_move id=1 xx=1 y=1", 21, "expected 'x', got 'xx'", "x"),
 ]
 
 

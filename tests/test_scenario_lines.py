@@ -399,6 +399,9 @@ EDGE_EVENT_LINES = (
     "@1button yes", "@1 button no", "\t@1\tbutton\taux\t",
     "@2hazard on", "@2 hazard off",
     "@4network down", "@4 network up ",
+    # one tab as the only separator between two words
+    "@1 button\tyes", "@0 person_move\tid=1 x=1 y=1", "@3 person_leave\tid=4",
+    "@2 hazard\ton", "@4 network\tup",
 )
 
 
@@ -457,3 +460,13 @@ def test_header_faults_match_the_scanner():
     assert sum(outcome is not None for outcome in outcomes) > 4000
     assert len(faults(outcomes)) >= 7  # every fault a header can have
     assert {outcome[0] for outcome in outcomes if outcome is not None} == {1, 2}
+
+
+def test_numbers_of_exactly_the_digit_bound_parse():
+    bound = "7" * _MAX_DIGITS
+    assert parse_scenario(f"scenario s ticks {bound}\n").duration == int(bound)
+    # an event line whose tick and person id are at the bound reaches the validator
+    tick = "1" * _MAX_DIGITS
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(f"scenario s ticks {bound}\n@{tick} person_leave id={tick}\n")
+    assert str(err.value) == f"unknown person {tick} at tick {tick}"

@@ -8,7 +8,9 @@ own before int() can refuse it with the interpreter's advice.  Lines are the
 golden corpus traces and edge lines, each also mutated six times by one to
 three inserted, deleted or replaced characters.  On every line, and on whole
 texts, the two must return equal records or raise a ValidationError with the
-same message, which names the same line.
+same message, which names the same line.  So must texts that repeat a valid
+line's tail, the text after its tick, under a mutated tick or beside a mutated
+tail, as ``parse_trace`` reads a tail it has read before without the full match.
 """
 
 from __future__ import annotations
@@ -174,6 +176,31 @@ def seeded_lines(seed: int = 40213) -> list[str]:
     return lines
 
 
+# A valid line's tick field rewritten so that the field walk refuses it.
+TICK_MUTATIONS = (
+    lambda tick, tail: f"tick=0{tick} {tail}",  # a leading zero
+    lambda tick, tail: f"tick={'1' * (_MAX_DIGITS + 1)} {tail}",
+    lambda tick, tail: f"tick=٣ {tail}",  # ٣, a decimal digit outside ASCII
+    lambda tick, tail: f"tick={tick}{tail}",  # no space before ctl=
+    lambda tick, tail: f"tick= {tail}",
+)
+
+
+def repeated_tail_texts(seed: int = 59) -> list[tuple[str, str, str]]:
+    """Three-line texts: a valid line, a copy of it at the next tick, then a
+    copy with a mutated tick or, at the line's own tick, a mutated tail."""
+    rng = random.Random(seed)
+    texts = []
+    for line in corpus_lines():
+        if isinstance(outcome(reference_parse_trace, line), str):
+            continue
+        tick, tail = line[len("tick="):].split(" ", 1)
+        copy = f"tick={int(tick) + 1} {tail}"
+        texts += [(line, copy, mutation(tick, tail)) for mutation in TICK_MUTATIONS]
+        texts += [(line, copy, f"tick={tick} {mutate(rng, tail)}") for _ in range(3)]
+    return texts
+
+
 def outcome(parse, text):
     try:
         return parse(text)
@@ -231,3 +258,23 @@ def test_the_field_walk_finds_no_fault_in_a_line_parse_trace_reads():
         with pytest.raises(AssertionError, match="rejected by _TRACE_LINE") as excinfo:
             sim._trace_fault(line)
         assert repr(line) in str(excinfo.value)
+
+
+def test_repeated_tails_read_as_the_field_walk_reads_them():
+    # parse_trace reads a line whose text after its tick it has read before
+    # without the full match: a tick the full match would refuse, or a tail it
+    # has not read, must still get the field walk's verdict
+    outcomes = {"accepted": 0, "rejected": 0}
+    shared = 0
+    for lines in repeated_tail_texts():
+        text = "\n".join(lines)
+        expected = outcome(reference_parse_trace, text)
+        assert outcome(parse_trace, text) == expected, text
+        outcomes["rejected" if isinstance(expected, str) else "accepted"] += 1
+        first, second = parse_trace("\n".join(lines[:2]))
+        if first.emissions:  # a second read of one tail gives the same tuple
+            assert second.emissions is first.emissions
+            shared += 1
+    assert outcomes["rejected"] > 2000
+    assert outcomes["accepted"] > 100
+    assert shared > 1000
