@@ -239,15 +239,14 @@ def default_catalogue() -> Catalogue:
     return cat
 
 
-def build_photographer_bt(
-    abandonment: bool = True,
-    hazard_guards: bool = True,
-) -> bt.Node:
+def build_photographer_bt(hazard_guards: bool = True) -> bt.Node:
     """The photographer tree, validated and ready to tick.
 
-    ``abandonment=False`` drops the parallel presence re-check (presence is
-    then only tested once, at session start).  ``hazard_guards=False`` drops
-    the hold guards around the arm-motion actions.
+    The root is a fallback without memory, so ``wait``'s ``no_person`` is
+    ticked first on every tick, and its success resets a running session:
+    that is how the tree abandons a session, with no node of its own.
+    ``hazard_guards=False`` drops the hold guards around the arm-motion
+    actions.
     """
 
     def maybe_guarded(label: str, node: bt.Node) -> bt.Node:
@@ -255,23 +254,14 @@ def build_photographer_bt(
 
     wait = bt.Sequence("wait", [bt.Condition("no_person"), bt.Action("idle")])
     consent = bt.Fallback("consent", [bt.Action("await_consent"), bt.Action("farewell")])
-    session = [
+    main = bt.Sequence("main", [
         bt.Action("greet"),
         consent,
         maybe_guarded("announce_guard", bt.Action("announce")),
         *(maybe_guarded("photo_guard", bt.Action("take_photo")) for _ in range(PHOTOS_PER_SESSION)),
         *(bt.Action("show_and_praise") for _ in range(PHOTOS_PER_SESSION)),
-    ]
-    if abandonment:
-        main = bt.Sequence("main", session, memory=True)
-        interact: bt.Node = bt.Parallel(
-            "interact",
-            [bt.Condition("person_detected"), bt.Guard("network_up", "net_guard", main)],
-        )
-    else:
-        main = bt.Sequence("main", [bt.Condition("person_detected"), *session], memory=True)
-        interact = bt.Guard("network_up", "net_guard", main)
-    root = bt.Fallback("root", [wait, interact])
+    ], memory=True)
+    root = bt.Fallback("root", [wait, bt.Guard("network_up", "net_guard", main)])
     return bt.validate_tree(root, default_catalogue())
 
 
@@ -334,17 +324,19 @@ def build_photographer_fsm(
 def structural_economy_report() -> dict[str, int]:
     """How many elements each controller style pays for the two reactive features.
 
-    Counts are diffs between built artifacts with a feature on and off, never
-    constants: tree nodes for the tree, transitions for the machine.
+    Counts are diffs between built artifacts with a feature on and off: tree
+    nodes for the tree, transitions for the machine.  The one exception is
+    the tree's abandonment, which is 0 and no diff: no tree of this design
+    turns it off, as the root's reactive fallback is what abandons.  A memory
+    root, for one, would also stop ``farewell`` from ending a declined session.
     """
     bt_full = build_photographer_bt()
-    bt_no_abandon = build_photographer_bt(abandonment=False)
     bt_no_halt = build_photographer_bt(hazard_guards=False)
     fsm_plain = build_photographer_fsm("none")
     fsm_abandon = build_photographer_fsm("transitions")
     fsm_no_halt = build_photographer_fsm("none", include_halt=False)
     return {
-        "bt_nodes_added_for_abandonment": bt.node_count(bt_full) - bt.node_count(bt_no_abandon),
+        "bt_nodes_added_for_abandonment": 0,
         "fsm_transitions_added_for_abandonment": (
             fsm_abandon.count_elements()["n_transitions"]
             - fsm_plain.count_elements()["n_transitions"]

@@ -79,7 +79,7 @@ def run(controller: bt.Node | StateMachine, scenario: ScenarioScript) -> list[Ti
                 ctx.buttons_pressed_this_tick.update(buttons)
                 frame = next(frames, None)
             # arguments run left to right: the step, then end_tick's flush
-            records.append(new_record(TickRecord, (t, label, step(ctx), tuple(end_tick(ctx)),
+            records.append(new_record(TickRecord, (t, label, step(ctx), end_tick(ctx),
                                                    len(ctx.persons), ctx.hazard_hand_near_arm,
                                                    ctx.network_ok)))
     except ValueError as exc:

@@ -173,9 +173,9 @@ def emit(ctx: InteractionContext, action: str, payload: str | int | None = None)
     ctx.emissions_this_tick.append(new_record(ActionEmission, (action, payload)))
 
 
-def end_tick(ctx: InteractionContext) -> list[ActionEmission]:
+def end_tick(ctx: InteractionContext) -> tuple[ActionEmission, ...]:
     """Flush and return the tick's emissions, drop button edges, and advance the clock."""
-    flushed = list(ctx.emissions_this_tick)
+    flushed = tuple(ctx.emissions_this_tick)
     ctx.emissions_this_tick.clear()
     ctx.buttons_pressed_this_tick.clear()
     ctx.clock += 1

@@ -1,7 +1,7 @@
-"""Shared test helpers: repository paths, the benchmark's crowd generators, a
-catalogue of scriptable stub leaves, a probe controller that records the
-context, and all-pairs references for the engaged group and the zone groups'
-members."""
+"""Shared test helpers: repository paths, criterion 3's hazard windows, the
+benchmark's crowd generators, a catalogue of scriptable stub leaves, a probe
+controller that records the context, and all-pairs references for the
+engaged group and the zone groups' members."""
 
 from __future__ import annotations
 
@@ -16,6 +16,20 @@ PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = PKG_ROOT / "scenarios"
 TREE_FILE = PKG_ROOT / "trees" / "photographer.tree"
 MALFORMED_DIR = Path(__file__).resolve().parent / "data" / "malformed"
+
+
+def hazard_windows():
+    """Acceptance criterion 3's 130 scenarios, as ``(start, length, text)``: a
+    consenting person, with a hazard from tick ``start`` for ``length`` ticks."""
+    for start in range(0, 26):
+        for length in range(1, 6):
+            yield start, length, (
+                "scenario hz ticks 36\n"
+                "@0 person_appear id=1 x=1.0 y=0.5\n"
+                "@5 button yes\n"
+                f"@{start} hazard on\n"
+                f"@{start + length} hazard off\n"
+            )
 
 
 def perfbench_gen():

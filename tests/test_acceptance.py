@@ -27,7 +27,6 @@ from shutter_sim import (
     engaged_group_size,
     flatten_emissions,
     greeting_text,
-    node_count,
     parse_scenario,
     parse_tree,
     print_tree,
@@ -39,7 +38,7 @@ from shutter_sim import (
 )
 from shutter_sim import bt
 
-from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE, reference_engaged_size
+from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE, hazard_windows, reference_engaged_size
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 
@@ -192,30 +191,23 @@ def test_criterion_2_departure_reaches_the_waiting_branch_within_one_tick():
 
 def test_criterion_3_photos_pause_during_hazards_and_resume_in_place():
     runs = 0
-    for start in range(0, 26):
-        for length in range(1, 6):
-            scenario = parse_scenario(
-                "scenario hz ticks 36\n"
-                "@0 person_appear id=1 x=1.0 y=0.5\n"
-                "@5 button yes\n"
-                f"@{start} hazard on\n"
-                f"@{start + length} hazard off\n"
-            )
-            for controller in (build_photographer_bt(), build_photographer_fsm()):
-                records = run(controller, scenario)
-                photos = [
-                    e.payload
-                    for r in records for e in r.emissions
-                    if e.action == "take_photo"
-                ]
-                assert photos == [1, 2, 3], (start, length, records[0].controller, photos)
-                during_hazard = [
-                    e.action
-                    for r in records if r.hazard
-                    for e in r.emissions
-                ]
-                assert "take_photo" not in during_hazard, (start, length)
-                runs += 1
+    for start, length, text in hazard_windows():
+        scenario = parse_scenario(text)
+        for controller in (build_photographer_bt(), build_photographer_fsm()):
+            records = run(controller, scenario)
+            photos = [
+                e.payload
+                for r in records for e in r.emissions
+                if e.action == "take_photo"
+            ]
+            assert photos == [1, 2, 3], (start, length, records[0].controller, photos)
+            during_hazard = [
+                e.action
+                for r in records if r.hazard
+                for e in r.emissions
+            ]
+            assert "take_photo" not in during_hazard, (start, length)
+            runs += 1
     assert runs == 26 * 5 * 2
     print(f"PASS criterion 3: exactly photos 1,2,3 and none during the hazard in {runs} runs")
 
@@ -226,9 +218,7 @@ def test_criterion_3_photos_pause_during_hazards_and_resume_in_place():
 def test_criterion_4_structural_economy_of_the_two_styles():
     report = structural_economy_report()
 
-    tree_delta = node_count(build_photographer_bt()) - node_count(
-        build_photographer_bt(abandonment=False)
-    )
+    tree = build_photographer_bt()
     machine = build_photographer_fsm("transitions")
     non_waiting = machine.count_elements()["n_states"] - 1
     machine_delta = (
@@ -236,16 +226,19 @@ def test_criterion_4_structural_economy_of_the_two_styles():
         - build_photographer_fsm("none").count_elements()["n_transitions"]
     )
 
-    assert tree_delta == 1
+    # the tree abandons through its reactive root alone: no node of it tests
+    # presence but wait's no_person
+    conditions = [node.condition_name for node in tree.iter_nodes() if node.kind == "condition"]
+    assert conditions == ["no_person"]
     assert non_waiting == 7
     assert machine_delta == non_waiting
-    assert report["bt_nodes_added_for_abandonment"] == tree_delta
+    assert report["bt_nodes_added_for_abandonment"] == 0
     assert report["fsm_transitions_added_for_abandonment"] == machine_delta
     assert report["bt_nodes_added_for_halt"] == 4
     assert report["fsm_transitions_added_for_halt"] == 4
     assert build_photographer_fsm("timeouts").count_elements()["n_timeouts"] == non_waiting
     print(
-        "PASS criterion 4: abandonment costs 1 tree node vs "
+        "PASS criterion 4: abandonment costs 0 tree nodes vs "
         f"{machine_delta} machine transitions (or {non_waiting} timeouts); halt costs 4 vs 4"
     )
 

@@ -423,7 +423,7 @@ def test_a_leading_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys):
     assert main(["check", "--scenario", str(scenario)]) == 0
     assert capsys.readouterr().out == "scenario solo: 40 ticks, 3 events\n"
     assert main(["check", "--scenario", SOLO, "--tree", str(tree)]) == 0
-    assert capsys.readouterr().out.endswith("tree root: 23 nodes\n")
+    assert capsys.readouterr().out.endswith("tree root: 21 nodes\n")
     assert main(["run", "--controller", "bt", "--scenario", SOLO, "--out", str(trace)]) == 0
     marked = tmp_path / "b.txt"
     marked.write_text(BOM + trace.read_text(encoding="utf-8"), encoding="utf-8")
@@ -439,7 +439,7 @@ def test_check_summarizes_inputs(capsys):
     assert main(["check", "--scenario", SOLO, "--tree", str(TREE_FILE)]) == 0
     out = capsys.readouterr().out
     assert "scenario solo: 40 ticks, 3 events" in out
-    assert "tree root: 23 nodes" in out
+    assert "tree root: 21 nodes" in out
 
 
 def test_report_prints_the_structural_costs(capsys):
@@ -447,7 +447,7 @@ def test_report_prints_the_structural_costs(capsys):
     out = capsys.readouterr().out
     assert "bt_nodes_added_for_abandonment" in out
     for key, value in (
-        ("bt_nodes_added_for_abandonment", 1),
+        ("bt_nodes_added_for_abandonment", 0),
         ("fsm_transitions_added_for_abandonment", 7),
         ("bt_nodes_added_for_halt", 4),
         ("fsm_transitions_added_for_halt", 4),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,19 +33,24 @@ from shutter_sim import (
     greeting_text,
     node_count,
     parse_scenario,
+    parse_tree,
     praise_text,
     print_tree,
     run,
+    serialize_trace,
     structural_economy_report,
     structural_signature,
     validate_tree,
 )
-from shutter_sim import bt
+from shutter_sim import bt, interaction
 from shutter_sim.groups import someone_in_zone
 from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES
 from shutter_sim.world import BUTTONS
 
-from conftest import SCENARIO_DIR, reference_engaged_size
+from conftest import SCENARIO_DIR, TREE_FILE, hazard_windows, perfbench_gen, reference_engaged_size
+
+# trees/photographer.tree as it was with the presence re-check: 23 nodes
+RECHECK_TREE = Path(__file__).resolve().parent / "data" / "photographer_recheck.tree"
 
 
 def load(name):
@@ -346,15 +352,9 @@ def test_catalogue_refuses_entries_the_engines_could_not_call():
 
 def test_tree_builder_produces_a_validated_tree():
     tree = build_photographer_bt()
-    assert node_count(tree) == 23
+    assert node_count(tree) == 21
     assert structural_signature(tree) == structural_signature(build_photographer_bt())
     assert bt.tick(tree, InteractionContext()) is not None
-
-
-def test_abandonment_costs_exactly_one_tree_node():
-    assert node_count(build_photographer_bt()) - node_count(
-        build_photographer_bt(abandonment=False)
-    ) == 1
 
 
 def test_hazard_guards_cost_four_tree_nodes():
@@ -363,21 +363,19 @@ def test_hazard_guards_cost_four_tree_nodes():
     ) == 4
 
 
-# sha256 of print_tree for each builder variant, with its node count; the
+# sha256 of print_tree for each hazard_guards value, with its node count; the
 # default one is also trees/photographer.tree
 BUILT_TREES = {
-    (True, True): (23, "68040205568da511c12576b2459b8dc9a136e06c92c30ccb002a37859f8c186c"),
-    (True, False): (19, "5978f835ed87c6a66d0c6a44e17107206a3fdc2623de9a2f66738819ff334d9d"),
-    (False, True): (22, "6ac7446ba59e20362b4db3d1cc26d611dbf50338f725ac0aec011c96421eee18"),
-    (False, False): (18, "c4ec50dfff5e0e026579579427f7b7336196ccb94617751c574a9f6edf63a080"),
+    True: (21, "b83c86e5374d1d851a48949e2af11d7f68ee58fe569772050108ede0e65db920"),
+    False: (17, "f5206939ff286e735792e0069c88441ddf3ee8ad4239ca527933a823f5e2e289"),
 }
 
 
-@pytest.mark.parametrize("abandonment,hazard_guards", list(BUILT_TREES))
-def test_every_tree_builder_variant_prints_as_pinned(abandonment, hazard_guards):
-    tree = build_photographer_bt(abandonment=abandonment, hazard_guards=hazard_guards)
+@pytest.mark.parametrize("hazard_guards", list(BUILT_TREES))
+def test_every_tree_builder_variant_prints_as_pinned(hazard_guards):
+    tree = build_photographer_bt(hazard_guards=hazard_guards)
     text = print_tree(tree).encode("utf-8")
-    assert (node_count(tree), hashlib.sha256(text).hexdigest()) == BUILT_TREES[abandonment, hazard_guards]
+    assert (node_count(tree), hashlib.sha256(text).hexdigest()) == BUILT_TREES[hazard_guards]
 
 
 def test_machine_builder_element_counts():
@@ -474,6 +472,59 @@ def test_the_counted_elements_that_can_never_fire_stay_dead():
     assert fired == {"AskConsent", "HaltMotion"}
 
 
+def evidence_scripts(source: str) -> list[ScenarioScript]:
+    if source == "corpus":
+        return [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    if source == "crowds":
+        gen = perfbench_gen()
+        return [parse_scenario(getattr(gen, crowd)(seed))
+                for crowd in ("crowd_still", "crowd_churn") for seed in (1, 2, 3)]
+    if source == "hazard_windows":
+        return [parse_scenario(text) for _, _, text in hazard_windows()]
+    rng = random.Random(3141)
+    return [random_visit(rng) for _ in range(300)]
+
+
+@pytest.mark.parametrize("source", ["corpus", "crowds", "hazard_windows", "random_visits"])
+def test_the_presence_recheck_the_tree_dropped_changes_no_trace(source):
+    # the 23-node tree of before re-tested person_detected in a parallel
+    # beside the session; its leaf is reached only on a tick on which wait's
+    # no_person, the exact negation, failed, so the re-check always held.
+    # Dropping it changes no trace, which is why the report counts the tree's
+    # abandonment as 0
+    catalogue = default_catalogue()
+    recheck = validate_tree(parse_tree(RECHECK_TREE.read_text(encoding="utf-8")), catalogue)
+    shipped = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
+    assert [node_count(recheck), node_count(shipped)] == [23, 21]
+    for i, script in enumerate(evidence_scripts(source)):
+        assert serialize_trace(run(shipped, script)) == serialize_trace(run(recheck, script)), (i, script.name)
+
+
+def test_the_shipped_tree_scans_the_zone_at_most_once_a_tick(monkeypatch):
+    # both presence conditions call someone_in_zone; the tree ticks one of
+    # them at most once a tick, where the re-check made it two on most
+    # session ticks
+    scans = []
+    scan = interaction.someone_in_zone
+    monkeypatch.setattr(interaction, "someone_in_zone", lambda persons: scans.append(1) or scan(persons))
+    tree = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), default_catalogue())
+    per_tick = []
+
+    class ScanWatch:
+        label = "bt"
+        reset = tree.reset
+
+        def step(self, ctx) -> str:
+            before = len(scans)
+            status = tree.step(ctx)
+            per_tick.append(len(scans) - before)
+            return status
+
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        run(ScanWatch(), load(path.name))
+    assert len(per_tick) == 287 and max(per_tick) == 1 and sum(per_tick) == 269
+
+
 def test_machine_builder_rejects_unknown_modes():
     with pytest.raises(ValueError, match="unknown abandonment mode"):
         build_photographer_fsm("magic")
@@ -481,7 +532,7 @@ def test_machine_builder_rejects_unknown_modes():
 
 def test_structural_economy_report_values():
     assert structural_economy_report() == {
-        "bt_nodes_added_for_abandonment": 1,
+        "bt_nodes_added_for_abandonment": 0,
         "fsm_transitions_added_for_abandonment": 7,
         "bt_nodes_added_for_halt": 4,
         "fsm_transitions_added_for_halt": 4,

@@ -311,14 +311,18 @@ def test_a_sized_roster_refuses_every_in_place_write_so_its_size_stays_right():
 
 
 def test_a_behavior_that_writes_the_roster_in_place_stops_its_run_and_no_other():
+    # through both presence conditions: the tree ticks only no_person, and
+    # the machines tick person_detected from Waiting
     cat = default_catalogue()
-    detected = cat.condition("person_detected")
 
-    def writing(ctx):
-        ctx.persons[NEWCOMER] = PersonObservation(NEWCOMER, 0.5, 0.5)
-        return detected(ctx)
+    def writing(predicate):
+        def condition(ctx):
+            ctx.persons[NEWCOMER] = PersonObservation(NEWCOMER, 0.5, 0.5)
+            return predicate(ctx)
+        return condition
 
-    cat.register_condition("person_detected", writing)
+    for name in ("person_detected", "no_person"):
+        cat.register_condition(name, writing(cat.condition(name)))
     script = SCRIPTS["trio"]()
     for writer in [validate_tree(build_photographer_bt(), cat)] + [
             build_photographer_fsm(m, catalogue=cat) for m in FSM_MODES]:

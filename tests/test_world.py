@@ -102,7 +102,7 @@ def test_end_tick_flushes_and_advances():
     ctx = InteractionContext()
     emit(ctx, "say", "hello")
     flushed = end_tick(ctx)
-    assert flushed == [ActionEmission("say", "hello")]
+    assert flushed == (ActionEmission("say", "hello"),)
     assert ctx.emissions_this_tick == []
     assert ctx.clock == 1
 
