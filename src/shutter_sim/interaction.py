@@ -245,20 +245,21 @@ def build_photographer_bt(hazard_guards: bool = True) -> bt.Node:
     The root is a fallback without memory, so ``wait``'s ``no_person`` is
     ticked first on every tick, and its success resets a running session:
     that is how the tree abandons a session, with no node of its own.
-    ``hazard_guards=False`` drops the hold guards around the arm-motion
-    actions.
+    The arm-motion actions, ``announce`` and the ``take_photo``s, sit in one
+    memory sequence behind one ``no_hazard`` guard, which holds the block
+    where it stopped and resumes it there; the hazard cannot change within a
+    tick, so this holds exactly where a guard per action would.
+    ``hazard_guards=False`` puts the four actions in ``main`` unguarded.
     """
-
-    def maybe_guarded(label: str, node: bt.Node) -> bt.Node:
-        return bt.Guard("no_hazard", label, node) if hazard_guards else node
-
     wait = bt.Sequence("wait", [bt.Condition("no_person"), bt.Action("idle")])
     consent = bt.Fallback("consent", [bt.Action("await_consent"), bt.Action("farewell")])
+    motion = [bt.Action("announce"), *(bt.Action("take_photo") for _ in range(PHOTOS_PER_SESSION))]
+    if hazard_guards:
+        motion = [bt.Guard("no_hazard", "motion_guard", bt.Sequence("motion", motion, memory=True))]
     main = bt.Sequence("main", [
         bt.Action("greet"),
         consent,
-        maybe_guarded("announce_guard", bt.Action("announce")),
-        *(maybe_guarded("photo_guard", bt.Action("take_photo")) for _ in range(PHOTOS_PER_SESSION)),
+        *motion,
         *(bt.Action("show_and_praise") for _ in range(PHOTOS_PER_SESSION)),
     ], memory=True)
     root = bt.Fallback("root", [wait, bt.Guard("network_up", "net_guard", main)])
@@ -325,10 +326,12 @@ def structural_economy_report() -> dict[str, int]:
     """How many elements each controller style pays for the two reactive features.
 
     Counts are diffs between built artifacts with a feature on and off: tree
-    nodes for the tree, transitions for the machine.  The one exception is
-    the tree's abandonment, which is 0 and no diff: no tree of this design
-    turns it off, as the root's reactive fallback is what abandons.  A memory
-    root, for one, would also stop ``farewell`` from ending a declined session.
+    nodes for the tree, transitions for the machine.  The tree's hazard hold
+    is 2 nodes: the ``no_hazard`` guard and the memory sequence that gives it
+    the arm-motion block as its one child.  The one exception is the tree's
+    abandonment, which is 0 and no diff: no tree of this design turns it off,
+    as the root's reactive fallback is what abandons.  A memory root, for
+    one, would also stop ``farewell`` from ending a declined session.
     """
     bt_full = build_photographer_bt()
     bt_no_halt = build_photographer_bt(hazard_guards=False)

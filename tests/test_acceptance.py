@@ -234,12 +234,12 @@ def test_criterion_4_structural_economy_of_the_two_styles():
     assert machine_delta == non_waiting
     assert report["bt_nodes_added_for_abandonment"] == 0
     assert report["fsm_transitions_added_for_abandonment"] == machine_delta
-    assert report["bt_nodes_added_for_halt"] == 4
+    assert report["bt_nodes_added_for_halt"] == 2
     assert report["fsm_transitions_added_for_halt"] == 4
     assert build_photographer_fsm("timeouts").count_elements()["n_timeouts"] == non_waiting
     print(
         "PASS criterion 4: abandonment costs 0 tree nodes vs "
-        f"{machine_delta} machine transitions (or {non_waiting} timeouts); halt costs 4 vs 4"
+        f"{machine_delta} machine transitions (or {non_waiting} timeouts); halt costs 2 vs 4"
     )
 
 

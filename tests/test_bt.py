@@ -278,6 +278,12 @@ def test_validation_rejects_nonpositive_durations():
             validate_tree(Sequence("s", [Action("stub_0", duration=duration)]), script.catalogue)
 
 
+def test_a_node_reprs_as_its_class_and_name():
+    assert [repr(node) for node in (Sequence("s", leaves(1)), Guard("always", "g", Action("stub_0")),
+                                    Condition("flag_0"), Action("stub_0"))] == [
+        "<Sequence 's'>", "<Guard 'g'>", "<Condition 'flag_0'>", "<Action 'stub_0'>"]
+
+
 def test_validation_assigns_preorder_node_ids():
     script = LeafScript()
     root = make(script, Sequence("s", [Action("stub_0"), Fallback("f", leaves(2))]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -44,13 +45,15 @@ from shutter_sim import (
 )
 from shutter_sim import bt, interaction
 from shutter_sim.groups import someone_in_zone
-from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES
+from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES, PHOTOS_PER_SESSION
 from shutter_sim.world import BUTTONS
 
 from conftest import SCENARIO_DIR, TREE_FILE, hazard_windows, perfbench_gen, reference_engaged_size
 
 # trees/photographer.tree as it was with the presence re-check: 23 nodes
 RECHECK_TREE = Path(__file__).resolve().parent / "data" / "photographer_recheck.tree"
+# trees/photographer.tree as it was with a hazard guard per arm-motion action: 21 nodes
+PER_ACTION_GUARDS_TREE = Path(__file__).resolve().parent / "data" / "photographer_per_action_guards.tree"
 
 
 def load(name):
@@ -298,6 +301,16 @@ def test_farewell_speaks_once_and_starts_the_cooldown():
     assert len(ctx.emissions_this_tick) == 1
 
 
+def test_catalogue_lists_its_names_sorted():
+    cat = default_catalogue()
+    assert cat.behavior_names() == [
+        "announce", "await_consent", "farewell", "greet", "hold_motion", "idle", "show_and_praise",
+        "take_photo"]
+    assert cat.condition_names() == [
+        "always", "button_no", "button_yes", "hazard", "network_up", "no_hazard", "no_person",
+        "person_detected", "photos_done", "praise_done"]
+
+
 def test_catalogue_rejects_unknowns_and_bad_durations():
     cat = default_catalogue()
     with pytest.raises(ConfigurationError, match="unknown behavior"):
@@ -352,21 +365,29 @@ def test_catalogue_refuses_entries_the_engines_could_not_call():
 
 def test_tree_builder_produces_a_validated_tree():
     tree = build_photographer_bt()
-    assert node_count(tree) == 21
+    assert node_count(tree) == 19
     assert structural_signature(tree) == structural_signature(build_photographer_bt())
+    # README's depth: root, net_guard, main, motion_guard, motion and an arm-motion action
+    assert max(level for level, *_ in structural_signature(tree)) == 6
     assert bt.tick(tree, InteractionContext()) is not None
 
 
-def test_hazard_guards_cost_four_tree_nodes():
-    assert node_count(build_photographer_bt()) - node_count(
-        build_photographer_bt(hazard_guards=False)
-    ) == 4
+def test_hazard_guards_cost_two_tree_nodes():
+    # one no_hazard guard over a memory sequence of the arm-motion actions
+    tree = build_photographer_bt()
+    assert node_count(tree) - node_count(build_photographer_bt(hazard_guards=False)) == 2
+    guards = [node for node in tree.iter_nodes() if getattr(node, "condition_name", None) == "no_hazard"]
+    assert [guard.name for guard in guards] == ["motion_guard"]
+    (motion,) = guards[0].children
+    assert (motion.kind, motion.memory) == ("sequence", True)
+    assert [child.name for child in motion.children] == ["announce"] + ["take_photo"] * PHOTOS_PER_SESSION
+    assert all(child.kind == "action" for child in motion.children)
 
 
 # sha256 of print_tree for each hazard_guards value, with its node count; the
 # default one is also trees/photographer.tree
 BUILT_TREES = {
-    True: (21, "b83c86e5374d1d851a48949e2af11d7f68ee58fe569772050108ede0e65db920"),
+    True: (19, "ac0be0a22e3223cb1f77125346097b59a2720281f557d0f00c0523e3f3eb4764"),
     False: (17, "f5206939ff286e735792e0069c88441ddf3ee8ad4239ca527933a823f5e2e289"),
 }
 
@@ -472,6 +493,26 @@ def test_the_counted_elements_that_can_never_fire_stay_dead():
     assert fired == {"AskConsent", "HaltMotion"}
 
 
+@pytest.mark.parametrize("mode", ABANDONMENT_MODES)
+def test_the_machine_holds_mid_photo_run_in_ten_hazard_windows(mode):
+    # TakePhoto -> HaltMotion and HaltMotion -> TakePhoto fire in no corpus
+    # file or crowd, but they do fire: the machine takes photos 1, 2 and 3 on
+    # ticks 6, 7 and 8 of criterion 3's windows, so a hazard from tick 7 or 8
+    # meets it between photos, and it resumes with the next one
+    hold = {("TakePhoto", "HaltMotion"), ("HaltMotion", "TakePhoto")}
+    held = []
+    for start, length, text in hazard_windows():
+        watch = StepWatch(build_photographer_fsm(mode))
+        records = run(watch, parse_scenario(text))
+        fired = hold & {(before[0], after[0]) for before, _, after in watch.steps}
+        if fired:
+            assert fired == hold, (start, length)
+            photos = [e.payload for r in records for e in r.emissions if e.action == "take_photo"]
+            assert photos == [1, 2, 3], (start, length, photos)
+            held.append(start)
+    assert held == [7] * 5 + [8] * 5
+
+
 def evidence_scripts(source: str) -> list[ScenarioScript]:
     if source == "corpus":
         return [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
@@ -495,9 +536,37 @@ def test_the_presence_recheck_the_tree_dropped_changes_no_trace(source):
     catalogue = default_catalogue()
     recheck = validate_tree(parse_tree(RECHECK_TREE.read_text(encoding="utf-8")), catalogue)
     shipped = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
-    assert [node_count(recheck), node_count(shipped)] == [23, 21]
+    assert [node_count(recheck), node_count(shipped)] == [23, 19]
     for i, script in enumerate(evidence_scripts(source)):
         assert serialize_trace(run(shipped, script)) == serialize_trace(run(recheck, script)), (i, script.name)
+
+
+def motion_catalogue(announce: int, take_photo: int):
+    """The default catalogue with ``announce`` and ``take_photo`` lasting the
+    given number of ticks; ``take_photo`` takes a photo on each of them."""
+    catalogue = default_catalogue()
+    for name, duration in (("announce", announce), ("take_photo", take_photo)):
+        catalogue.register_behavior(dataclasses.replace(catalogue.behavior(name), duration=duration))
+    return catalogue
+
+
+@pytest.mark.parametrize("durations", [(1, 1), (2, 3), (3, 2)], ids=["default", "slow_photos", "slow_announce"])
+@pytest.mark.parametrize("source", ["corpus", "crowds", "hazard_windows", "random_visits"])
+def test_one_guard_over_the_motion_block_holds_where_a_guard_per_action_did(source, durations):
+    # the 21-node tree of before wrapped announce and each take_photo in a
+    # guard(no_hazard) of its own inside the memory main. One guard over a
+    # memory sequence of the four actions is checked at the same ticks: main
+    # resumes at it where it resumed at a per-action guard, and the block
+    # goes on past a finished action within the tick, where the next
+    # per-action guard read the hazard that tick's first check had read. So
+    # it holds, and resumes, exactly where they did, whatever the actions
+    # last; (1, 1) is the default catalogue
+    catalogue = motion_catalogue(*durations)
+    per_action = validate_tree(parse_tree(PER_ACTION_GUARDS_TREE.read_text(encoding="utf-8")), catalogue)
+    shipped = validate_tree(parse_tree(TREE_FILE.read_text(encoding="utf-8")), catalogue)
+    assert [node_count(per_action), node_count(shipped)] == [21, 19]
+    for i, script in enumerate(evidence_scripts(source)):
+        assert serialize_trace(run(shipped, script)) == serialize_trace(run(per_action, script)), (i, script.name)
 
 
 def test_the_shipped_tree_scans_the_zone_at_most_once_a_tick(monkeypatch):
@@ -534,7 +603,7 @@ def test_structural_economy_report_values():
     assert structural_economy_report() == {
         "bt_nodes_added_for_abandonment": 0,
         "fsm_transitions_added_for_abandonment": 7,
-        "bt_nodes_added_for_halt": 4,
+        "bt_nodes_added_for_halt": 2,
         "fsm_transitions_added_for_halt": 4,
     }
 
