@@ -2,8 +2,9 @@
 
 Each step fires at most one transition.  Out-transitions of the current state
 are tried in ascending priority order; if none fires and the state has been
-resident long enough, its timeout fires.  Entering a state runs its on_entry
-behavior; a quiet step runs the current state's on_tick behavior instead.
+resident long enough, its timeout fires.  A state has at most one behavior,
+stepped as a tree action steps it: with step 0 when the state is entered, and
+with the state's ``ticks_in_state`` on each quiet step.
 A machine has a validated ``bt`` root's controller protocol; its snapshot is
 ``(current, ticks_in_state, return_slot)``.
 """
@@ -19,25 +20,23 @@ from .world import InteractionContext, breaks_line
 
 class State(NamedTuple):
     state_id: str
-    on_entry: str | None = None
-    on_tick: str | None = None
+    behavior: str | None = None
 
 
 class Transition(NamedTuple):
     """A guarded edge.  Lower priority numbers are tried first.
 
-    ``record_origin`` stores the source state in the machine's return slot
-    when the transition fires; ``require_origin`` makes the transition
-    eligible only while the return slot holds the given state.  Together they
-    let a high-priority hold state hand control back to wherever it came from.
+    A ``returns`` edge hands control back: it is eligible only while the
+    machine's return slot holds its target, and entering its source stores in
+    that slot the state the machine came from.  So a high-priority hold state
+    hands control back to wherever it was entered from.
     """
 
     source: str
     guard: str
     target: str
     priority: int
-    record_origin: bool = False
-    require_origin: str | None = None
+    returns: bool = False
 
 
 class Timeout(NamedTuple):
@@ -66,9 +65,9 @@ class StateMachine:
 
     def __init__(self, states: list[State], transitions: list[Transition], initial: str,
                  catalogue, timeouts: Sequence[Timeout] = ()):
-        # state id -> [on_entry, on_tick, edges, timeout]: the behavior names,
-        # then their step functions (None where there is none); the (transition,
-        # guard) pairs; the state's Timeout, or None
+        # state id -> [behavior, edges, timeout, returns]: the behavior name,
+        # then its step function (None where there is none); the (transition,
+        # guard) pairs; the state's Timeout, or None; whether an edge returns
         rows: dict[str, list] = {}
         for state in states:
             sid = state.state_id
@@ -80,70 +79,71 @@ class StateMachine:
             if " " in sid or breaks_line(sid):
                 raise ConfigurationError(f"state {sid!r} holds a space or a line break, "
                                          "which a trace line cannot carry")
-            rows[sid] = [state.on_entry, state.on_tick, [], None]
+            rows[sid] = [state.behavior, [], None, False]
         if not _is_state(rows, initial):
             raise ConfigurationError(f"initial state {initial!r} is not a state")
         self.initial = initial
         for row in rows.values():
-            row[:2] = [None if name is None else catalogue.behavior(name).step_fn for name in row[:2]]
+            row[0] = None if row[0] is None else catalogue.behavior(row[0]).step_fn
         for tr in transitions:
             if not _is_state(rows, tr.source):
                 raise ConfigurationError(f"transition from unknown state {tr.source!r}")
             if not _is_state(rows, tr.target):
                 raise ConfigurationError(f"transition to unknown state {tr.target!r}")
-            if tr.require_origin is not None and not _is_state(rows, tr.require_origin):
-                raise ConfigurationError(f"transition requires unknown origin {tr.require_origin!r}")
             if type(tr.priority) is not int:
                 raise ConfigurationError(f"priority {tr.priority!r} on a transition from "
                                          f"{tr.source!r} is not an integer")
-            edges = rows[tr.source][2]
-            if any(t.priority == tr.priority for t, _ in edges):
+            row = rows[tr.source]
+            if any(t.priority == tr.priority for t, _ in row[1]):
                 raise ConfigurationError(f"duplicate priority {tr.priority} "
                                          f"on transitions from {tr.source!r}")
             try:
                 guard = catalogue.condition(tr.guard)
             except ConfigurationError:
                 raise ConfigurationError(f"unknown guard {tr.guard!r}") from None
-            edges.append((tr, guard))
+            row[1].append((tr, guard))
+            if tr.returns:
+                row[3] = True
         for timeout in timeouts:
             if not _is_state(rows, timeout.state):
                 raise ConfigurationError(f"timeout on unknown state {timeout.state!r}")
             if not _is_state(rows, timeout.target):
                 raise ConfigurationError(f"timeout to unknown state {timeout.target!r}")
             row = rows[timeout.state]
-            if row[3] is not None:
+            if row[2] is not None:
                 raise ConfigurationError(f"state {timeout.state!r} already has a timeout")
             _check_duration("timeout after_ticks", timeout.after_ticks)
-            row[3] = timeout
-        for _, _, edges, _ in rows.values():
+            row[2] = timeout
+        for _, edges, _, _ in rows.values():
             edges.sort(key=lambda edge: edge[0].priority)  # lowest priority number first
         self._rows = rows
         self.reset()
 
     def step(self, ctx: InteractionContext) -> str:
-        """Fire the first eligible transition, or else run on_tick; returns the state id."""
+        """Fire the first eligible transition, or else run the state's behavior;
+        returns the state id."""
         current = self.current
-        _, on_tick, edges, timeout = self._rows[current]
+        behavior, edges, timeout, _ = self._rows[current]
         for tr, guard in edges:
-            if tr.require_origin is not None and self.return_slot != tr.require_origin:
+            if tr.returns and self.return_slot != tr.target:
                 continue
             if guard(ctx):
-                if tr.record_origin:
-                    self.return_slot = current
                 return self._enter(tr.target, ctx)
         ticks = self.ticks_in_state = self.ticks_in_state + 1
         if timeout is not None and ticks >= timeout.after_ticks:
             return self._enter(timeout.target, ctx)
-        if on_tick is not None:
-            on_tick(ctx, ticks)
+        if behavior is not None:
+            behavior(ctx, ticks)
         return current
 
     def _enter(self, target: str, ctx: InteractionContext) -> str:
+        behavior, _, _, returns = self._rows[target]
+        if returns:  # a state that hands control back records where it was entered from
+            self.return_slot = self.current
         self.current = target
         self.ticks_in_state = 0
-        on_entry = self._rows[target][0]
-        if on_entry is not None:
-            on_entry(ctx, 0)
+        if behavior is not None:
+            behavior(ctx, 0)
         return target
 
     def reset(self) -> None:
@@ -170,6 +170,6 @@ class StateMachine:
         rows = self._rows.values()
         return {
             "n_states": len(rows),
-            "n_transitions": sum(len(edges) for _, _, edges, _ in rows),
-            "n_timeouts": sum(timeout is not None for _, _, _, timeout in rows),
+            "n_transitions": sum(len(edges) for _, edges, _, _ in rows),
+            "n_timeouts": sum(timeout is not None for _, _, timeout, _ in rows),
         }

@@ -204,9 +204,11 @@ def default_catalogue() -> Catalogue:
             emit(ctx, ACTION_SAY, ANNOUNCE_TEXT)
 
     def do_take_photo(ctx: InteractionContext, step: int) -> None:
-        index = ctx.photos_taken + 1
-        emit(ctx, ACTION_TAKE_PHOTO, index)
-        ctx.photos_taken = index
+        # one photo a step, up to the session's photos however long the action lasts
+        if ctx.photos_taken < PHOTOS_PER_SESSION:
+            index = ctx.photos_taken + 1
+            emit(ctx, ACTION_TAKE_PHOTO, index)
+            ctx.photos_taken = index
 
     def do_show_and_praise(ctx: InteractionContext, step: int) -> None:
         # even steps present the next photo, odd steps praise it
@@ -283,16 +285,16 @@ def build_photographer_fsm(
     cat = catalogue or default_catalogue()
 
     states = [
-        State("Waiting", on_entry="idle", on_tick="idle"),
-        State("Greet", on_entry="greet"),
+        State("Waiting", "idle"),
+        State("Greet", "greet"),
         State("AskConsent"),
-        State("AnnouncePhoto", on_entry="announce"),
-        State("TakePhoto", on_entry="take_photo", on_tick="take_photo"),
-        State("ShowPraise", on_entry="show_and_praise", on_tick="show_and_praise"),
-        State("Farewell", on_entry="farewell"),
+        State("AnnouncePhoto", "announce"),
+        State("TakePhoto", "take_photo"),
+        State("ShowPraise", "show_and_praise"),
+        State("Farewell", "farewell"),
     ]
     if include_halt:
-        states.append(State("HaltMotion", on_entry="hold_motion", on_tick="hold_motion"))
+        states.append(State("HaltMotion", "hold_motion"))
 
     transitions = [
         Transition("Waiting", "person_detected", "Greet", 1),
@@ -308,10 +310,10 @@ def build_photographer_fsm(
     ]
     if include_halt:
         transitions += [
-            Transition("AnnouncePhoto", "hazard", "HaltMotion", 1, record_origin=True),
-            Transition("TakePhoto", "hazard", "HaltMotion", 2, record_origin=True),
-            Transition("HaltMotion", "no_hazard", "AnnouncePhoto", 1, require_origin="AnnouncePhoto"),
-            Transition("HaltMotion", "no_hazard", "TakePhoto", 2, require_origin="TakePhoto"),
+            Transition("AnnouncePhoto", "hazard", "HaltMotion", 1),
+            Transition("TakePhoto", "hazard", "HaltMotion", 2),
+            Transition("HaltMotion", "no_hazard", "AnnouncePhoto", 1, returns=True),
+            Transition("HaltMotion", "no_hazard", "TakePhoto", 2, returns=True),
         ]
     non_waiting = [s.state_id for s in states if s.state_id != "Waiting"]
     timeouts = []

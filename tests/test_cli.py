@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -121,6 +122,19 @@ def test_run_accepts_a_tree_file(capsys):
     ])
     assert code == 0
     assert "say(Would you like me to take your photo?)" in capsys.readouterr().out
+
+
+def test_a_longer_take_photo_action_takes_one_sessions_photos(tmp_path, capsys):
+    # each of the tree's three take_photo actions lasts 3 ticks: the first
+    # takes the session's three photos and the other two take none
+    text = TREE_FILE.read_text(encoding="utf-8").replace("action take_photo\n", "action take_photo dur=3\n")
+    assert text.count("dur=3") == 3
+    tree = tmp_path / "slow_photos.tree"
+    tree.write_text(text, encoding="utf-8")
+    assert main(["run", "--controller", "bt", "--scenario", SOLO, "--tree", str(tree)]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"take_photo\(\d+\)", out) == ["take_photo(1)", "take_photo(2)", "take_photo(3)"]
+    assert re.findall(r"show_photo\(\d+\)", out) == ["show_photo(1)", "show_photo(2)", "show_photo(3)"]
 
 
 def test_run_fsm_mode_flag(capsys):

@@ -31,8 +31,8 @@ def simple(script: LeafScript, timeouts=()):
     return machine(
         script,
         states=[
-            State("A", on_entry="stub_0", on_tick="stub_1"),
-            State("B", on_entry="stub_2", on_tick="stub_3"),
+            State("A", "stub_0"),
+            State("B", "stub_1"),
             State("C"),
         ],
         transitions=[
@@ -57,7 +57,7 @@ def step(script: LeafScript, m, flags=None):
 def test_lowest_priority_number_fires_first():
     script = LeafScript()
     m = simple(script)
-    assert step(script, m, flags=[True, True]) == ("B", [(2, 0)])
+    assert step(script, m, flags=[True, True]) == ("B", [(1, 0)])
 
 
 def test_priority_is_consulted_even_when_the_first_guard_is_false():
@@ -74,26 +74,35 @@ def test_at_most_one_transition_per_step():
     assert step(script, m)[0] == "C"
 
 
-def test_entry_runs_at_step_zero_without_the_tick_behavior():
+def test_a_state_steps_its_behavior_at_zero_on_entry_then_at_its_residency():
+    # as a tree action steps its behavior: step 0 on the step that enters the
+    # state, then ticks_in_state on each quiet step, and once a step either way
     script = LeafScript()
-    m = simple(script)
-    current, calls = step(script, m, flags=[True, False])
-    assert (current, calls) == ("B", [(2, 0)])  # stub_3 (on_tick) did not run
+    m = machine(
+        script,
+        states=[State("A"), State("B", "stub_1")],
+        transitions=[Transition("A", "flag_0", "B", 1), Transition("B", "flag_1", "A", 1)],
+        initial="A",
+    )
+    assert step(script, m, flags=[True, False]) == ("B", [(1, 0)])
+    assert step(script, m, flags=[False, False]) == ("B", [(1, 1)])
+    assert step(script, m) == ("B", [(1, 2)])
+    assert step(script, m, flags=[False, True]) == ("A", [])
 
 
-def test_quiet_steps_run_on_tick_with_residency_step_numbers():
+def test_quiet_steps_run_the_behavior_with_residency_step_numbers():
     script = LeafScript()
     m = simple(script)
-    assert step(script, m, flags=[False, False]) == ("A", [(1, 1)])
-    assert step(script, m) == ("A", [(1, 2)])
-    assert step(script, m) == ("A", [(1, 3)])
+    assert step(script, m, flags=[False, False]) == ("A", [(0, 1)])
+    assert step(script, m) == ("A", [(0, 2)])
+    assert step(script, m) == ("A", [(0, 3)])
 
 
 def test_timeout_fires_after_the_configured_residency():
     script = LeafScript()
     m = machine(
         script,
-        states=[State("T", on_tick="stub_0"), State("Home", on_entry="stub_1")],
+        states=[State("T", "stub_0"), State("Home", "stub_1")],
         transitions=[],
         initial="T",
         timeouts=[Timeout("T", 10, "Home")],
@@ -104,7 +113,7 @@ def test_timeout_fires_after_the_configured_residency():
         m.step(ctx)
         assert (m.current, script.calls) == ("T", [(0, expected_step)])
     script.calls.clear()
-    m.step(ctx)  # the 10th quiet step fires the timeout instead of on_tick
+    m.step(ctx)  # the 10th quiet step fires the timeout instead of the behavior
     assert (m.current, script.calls) == ("Home", [(1, 0)])
 
 
@@ -150,17 +159,58 @@ def test_return_slot_sends_control_back_to_the_interrupted_state():
         script,
         states=[State("A"), State("B"), State("H")],
         transitions=[
-            Transition("A", "flag_0", "H", 1, record_origin=True),
-            Transition("B", "flag_0", "H", 1, record_origin=True),
-            # the lower-numbered return edge must be skipped on an origin mismatch
-            Transition("H", "flag_1", "B", 1, require_origin="B"),
-            Transition("H", "flag_1", "A", 2, require_origin="A"),
+            Transition("A", "flag_0", "H", 1),
+            Transition("B", "flag_0", "H", 1),
+            # the lower-numbered return edge must be skipped on a slot mismatch
+            Transition("H", "flag_1", "B", 1, returns=True),
+            Transition("H", "flag_1", "A", 2, returns=True),
         ],
         initial="A",
     )
     assert step(script, m, flags=[True, False])[0] == "H"
     assert m.return_slot == "A"
     assert step(script, m, flags=[False, True])[0] == "A"
+
+
+def test_a_returning_state_entered_by_a_timeout_records_its_source():
+    script = LeafScript()
+    m = machine(
+        script,
+        states=[State("T"), State("H"), State("Other")],
+        transitions=[
+            Transition("H", "flag_1", "Other", 1, returns=True),
+            Transition("H", "flag_0", "T", 2, returns=True),
+        ],
+        initial="T",
+        timeouts=[Timeout("T", 2, "H")],
+    )
+    step(script, m, flags=[False, False])
+    assert (step(script, m)[0], m.return_slot) == ("H", "T")
+    assert step(script, m, flags=[True, True])[0] == "T"
+
+
+def test_a_state_without_a_returning_edge_never_writes_the_slot():
+    script = LeafScript()
+    m = machine(
+        script,
+        states=[State("A"), State("B"), State("H")],
+        transitions=[
+            Transition("A", "flag_0", "B", 1),
+            Transition("A", "flag_1", "H", 2),
+            Transition("B", "always", "A", 1),
+            Transition("H", "always", "A", 1, returns=True),
+        ],
+        initial="A",
+        timeouts=[Timeout("A", 1, "B")],
+    )
+    slots = []
+    # A -> B by an edge, back, A -> B by the timeout, back, A -> H, back by
+    # the returning edge, A -> B: only entering H writes the slot
+    for flags in ([True, False], None, [False, False], None, [False, True], None, [True, False]):
+        step(script, m, flags=flags)
+        slots.append((m.current, m.return_slot))
+    assert slots == [("B", None), ("A", None), ("B", None), ("A", None), ("H", "A"), ("A", "A"),
+                     ("B", "A")]
 
 
 def test_construction_rejects_bad_wiring():
@@ -174,8 +224,6 @@ def test_construction_rejects_bad_wiring():
         machine(script, [a], [Transition("Z", "always", "A", 1)], "A")
     with pytest.raises(ConfigurationError, match="unknown state"):
         machine(script, [a], [Transition("A", "always", "Z", 1)], "A")
-    with pytest.raises(ConfigurationError, match="unknown origin"):
-        machine(script, [a], [Transition("A", "always", "A", 1, require_origin="Z")], "A")
     with pytest.raises(ConfigurationError, match="duplicate priority"):
         machine(script, [a, b], [
             Transition("A", "always", "B", 1),
@@ -184,7 +232,7 @@ def test_construction_rejects_bad_wiring():
     with pytest.raises(ConfigurationError, match="unknown guard"):
         machine(script, [a], [Transition("A", "ghost", "A", 1)], "A")
     with pytest.raises(ConfigurationError, match="unknown behavior"):
-        machine(script, [State("A", on_entry="ghost")], [], "A")
+        machine(script, [State("A", "ghost")], [], "A")
 
 
 def test_timeout_wiring_is_checked():
@@ -243,7 +291,7 @@ def test_reset_returns_to_the_initial_state():
     m = machine(
         script,
         [State("A"), State("H")],
-        [Transition("A", "flag_0", "H", 1, record_origin=True)],
+        [Transition("A", "flag_0", "H", 1), Transition("H", "never", "A", 1, returns=True)],
         "A",
     )
     step(script, m, flags=[True])
@@ -266,12 +314,12 @@ BAD_TIMEOUT = Timeout("A", 0, "B")
 
 
 @pytest.mark.parametrize("states,transitions,initial,timeouts,message", [
-    ([A, State("B", on_entry="nope"), A], [], "A", [], "duplicate state 'A'"),
-    ([A, State("G", on_entry="nope")], [Transition("A", "nope", "B", 1)], "Z", [BAD_TIMEOUT],
+    ([A, State("B", "nope"), A], [], "A", [], "duplicate state 'A'"),
+    ([A, State("G", "nope")], [Transition("A", "nope", "B", 1)], "Z", [BAD_TIMEOUT],
      "initial state 'Z' is not a state"),
-    ([A, State("B", on_tick="nope")], [Transition("Q", "always", "A", 1)], "A", [],
+    ([A, State("B", "nope")], [Transition("Q", "always", "A", 1)], "A", [],
      "unknown behavior 'nope'"),
-    ([A, B, State("G", on_entry="nope")], [Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT],
+    ([A, B, State("G", "nope")], [Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT],
      "unknown behavior 'nope'"),
     ([A, B], [Transition("A", "always", "Z", 1), Transition("A", "nope", "B", 1)], "A", [BAD_TIMEOUT],
      "transition to unknown state 'Z'"),
@@ -305,7 +353,7 @@ def test_a_state_id_a_trace_line_cannot_carry_is_refused(state_id):
     # so before the initial state and the behaviors
     message = f"state {state_id!r} holds a space or a line break, which a trace line cannot carry"
     with pytest.raises(ConfigurationError) as excinfo:
-        StateMachine([State(state_id, on_tick="ghost")], [], "Z", default_catalogue())
+        StateMachine([State(state_id, "ghost")], [], "Z", default_catalogue())
     assert str(excinfo.value) == message
 
 
@@ -322,11 +370,9 @@ def test_a_state_id_must_be_a_str(state_id):
     ([A], [], ["A"], [], "initial state ['A'] is not a state"),
     ([A], [Transition(["A"], "always", "A", 1)], "A", [], "transition from unknown state ['A']"),
     ([A], [Transition("A", "always", ["A"], 1)], "A", [], "transition to unknown state ['A']"),
-    ([A], [Transition("A", "always", "A", 1, require_origin=["A"])], "A", [],
-     "transition requires unknown origin ['A']"),
     ([A], [], "A", [Timeout(["A"], 1, "A")], "timeout on unknown state ['A']"),
     ([A], [], "A", [Timeout("A", 1, ["A"])], "timeout to unknown state ['A']"),
-], ids=["initial", "source", "target", "require-origin", "timeout-state", "timeout-target"])
+], ids=["initial", "source", "target", "timeout-state", "timeout-target"])
 def test_an_unhashable_state_reference_is_refused_as_an_unknown_state(states, transitions, initial,
                                                                      timeouts, message):
     # every state id is a str, so a list is no state; it is refused with the
@@ -340,7 +386,7 @@ def test_the_shipped_machines_build_and_a_tab_in_a_state_id_round_trips():
     for mode in ABANDONMENT_MODES:
         for include_halt in (True, False):
             build_photographer_fsm(mode, include_halt=include_halt)
-    m = StateMachine([State("Ask\tConsent", on_tick="idle")], [], "Ask\tConsent", default_catalogue())
+    m = StateMachine([State("Ask\tConsent", "idle")], [], "Ask\tConsent", default_catalogue())
     records = run(m, parse_scenario("scenario s ticks 3\n"))
     assert records[0].status == "Ask\tConsent"
     assert parse_trace(serialize_trace(records)) == records

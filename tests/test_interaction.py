@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,7 +51,7 @@ from shutter_sim.groups import someone_in_zone
 from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES, PHOTOS_PER_SESSION
 from shutter_sim.world import BUTTONS
 
-from conftest import SCENARIO_DIR, TREE_FILE, hazard_windows, perfbench_gen, reference_engaged_size
+from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE, hazard_windows, perfbench_gen, reference_engaged_size
 
 # trees/photographer.tree as it was with the presence re-check: 23 nodes
 RECHECK_TREE = Path(__file__).resolve().parent / "data" / "photographer_recheck.tree"
@@ -280,6 +283,15 @@ def test_take_photo_numbers_its_shots():
     assert ctx.photos_taken == 3
 
 
+def test_take_photo_stops_at_the_sessions_photos():
+    # a step past the session's photos, as a longer take_photo action takes,
+    # takes none
+    take_photo = default_catalogue().behavior("take_photo").step_fn
+    ctx = InteractionContext(photos_taken=PHOTOS_PER_SESSION)
+    take_photo(ctx, 1)
+    assert (ctx.emissions_this_tick, ctx.photos_taken) == ([], PHOTOS_PER_SESSION)
+
+
 def test_show_and_praise_alternates_and_tracks_progress():
     cat = default_catalogue()
     ctx = InteractionContext()
@@ -332,7 +344,7 @@ def test_an_unhashable_name_is_an_unknown_name():
     with pytest.raises(ConfigurationError, match=r"^unknown condition \['always'\]$"):
         cat.condition(["always"])
     with pytest.raises(ConfigurationError, match=r"^unknown behavior \['idle'\]$"):
-        StateMachine([State("A", on_entry=["idle"])], [], "A", cat)
+        StateMachine([State("A", behavior=["idle"])], [], "A", cat)
     with pytest.raises(ConfigurationError, match=r"^unknown guard \['always'\]$"):
         StateMachine([State("A")], [Transition("A", ["always"], "A", 1)], "A", cat)
     with pytest.raises(ConfigurationError, match=r"^unresolved names: condition \['always'\]$"):
@@ -513,6 +525,28 @@ def test_the_machine_holds_mid_photo_run_in_ten_hazard_windows(mode):
     assert held == [7] * 5 + [8] * 5
 
 
+# sha256 over every tick's (status, emissions, snapshot after the step) of the
+# six machine builds (each mode, with and without the hold) over the 144
+# scripts of the corpus, the crowds at seeds 1-3 and criterion 3's windows.
+# It was taken from the table that gave a state an entry and a tick behavior
+# and each hold edge the origin it recorded or required, so it shows that one
+# behavior per state and one returns flag per edge step the same machine
+MACHINE_STEPS_SHA256 = "795dfa861b30b78cc55f2fa6c929ceda641a2b417275d62322071d2e202a828b"
+
+
+def test_the_six_machine_builds_step_as_pinned():
+    digest = hashlib.sha256()
+    for source in ("corpus", "crowds", "hazard_windows"):
+        for script in evidence_scripts(source):
+            for mode in ABANDONMENT_MODES:
+                for include_halt in (True, False):
+                    watch = StepWatch(build_photographer_fsm(mode, include_halt=include_halt))
+                    for record, (_, _, after) in zip(run(watch, script), watch.steps):
+                        emissions = [tuple(e) for e in record.emissions]
+                        digest.update(repr((record.status, emissions, after)).encode("utf-8"))
+    assert digest.hexdigest() == MACHINE_STEPS_SHA256
+
+
 def evidence_scripts(source: str) -> list[ScenarioScript]:
     if source == "corpus":
         return [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
@@ -543,7 +577,8 @@ def test_the_presence_recheck_the_tree_dropped_changes_no_trace(source):
 
 def motion_catalogue(announce: int, take_photo: int):
     """The default catalogue with ``announce`` and ``take_photo`` lasting the
-    given number of ticks; ``take_photo`` takes a photo on each of them."""
+    given number of ticks; ``take_photo`` takes a photo on each of them until
+    the session has its ``PHOTOS_PER_SESSION``."""
     catalogue = default_catalogue()
     for name, duration in (("announce", announce), ("take_photo", take_photo)):
         catalogue.register_behavior(dataclasses.replace(catalogue.behavior(name), duration=duration))
@@ -646,6 +681,22 @@ def test_solo_trace_landmarks():
         "Greet", "AskConsent", "AskConsent", "AskConsent", "AskConsent",
         "AnnouncePhoto", "TakePhoto",
     ]
+
+
+def test_readme_library_example_runs_from_the_repo_root():
+    # the python block under README's "## Library": its verdict, then the
+    # tree's solo trace, which is the golden one; development mode reports a
+    # file the example leaves open on stderr
+    readme = (PKG_ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```\n", 1)[0]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PKG_ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "dev", "-c", example], cwd=PKG_ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == ""
+    verdict, trace = done.stdout.split("\n", 1)
+    assert verdict == "True"
+    assert trace == (PKG_ROOT / "tests" / "data" / "golden" / "solo.bt.trace").read_text(encoding="utf-8")
 
 
 def test_decline_scenario_emissions_for_both_controllers():

@@ -202,8 +202,8 @@ RECORDS = [
     (TickRecord, ("tick", "controller", "status", "emissions", "persons", "hazard", "network")),
     (Divergence, ("position", "emission_a", "emission_b")),
     (DivergenceReport, ("equivalent", "first_divergence")),
-    (State, ("state_id", "on_entry", "on_tick")),
-    (Transition, ("source", "guard", "target", "priority", "record_origin", "require_origin")),
+    (State, ("state_id", "behavior")),
+    (Transition, ("source", "guard", "target", "priority", "returns")),
     (Timeout, ("state", "after_ticks", "target")),
 ]
 
