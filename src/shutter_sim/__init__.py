@@ -51,6 +51,7 @@ from .world import (
     Event,
     InteractionContext,
     PersonObservation,
+    emission,
     emit,
     end_tick,
 )
@@ -66,7 +67,7 @@ __all__ = [
     "Sequence", "SimError", "State", "StateMachine", "TickRecord", "Timeout",
     "Transition", "ValidationError",
     "build_photographer_bt", "build_photographer_fsm",
-    "compare", "default_catalogue", "emit", "end_tick",
+    "compare", "default_catalogue", "emission", "emit", "end_tick",
     "engaged_group_size", "flatten_emissions", "greeting_text",
     "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
     "print_tree", "run", "serialize_trace", "someone_in_zone",

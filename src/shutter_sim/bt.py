@@ -14,7 +14,7 @@ Semantics in brief:
 * Composites marked ``memory`` resume at the child that last returned Running
   instead of re-ticking earlier children.
 * A Guard with a false condition returns Running without ticking its child and
-  emits a hold action, freezing the subtree in place.
+  appends the shared hold record ``HOLD``, freezing the subtree in place.
 * Switch rule: a node that returns Success or Failure leaves its subtree as
   ``reset()`` leaves it, so only a child cut off mid-run is reset: a chain's
   last running child when an earlier child breaks the chain before it, and a
@@ -27,7 +27,11 @@ import enum
 from typing import Callable, Iterator
 
 from .errors import ConfigurationError
-from .world import ACTION_HALT, InteractionContext, emit
+from .world import ACTION_HALT, InteractionContext, emission
+
+# The one record a blocked Guard appends, which the catalogue's hold_motion
+# appends too: built and checked once, shared by every hold.
+HOLD = emission(ACTION_HALT)
 
 # Deepest tree level (the root is 1).  Ticks recurse once per level, so
 # validate_tree refuses a deeper tree and parse_tree a deeper file.
@@ -161,7 +165,7 @@ class Parallel(Node):
 class Guard(Node):
     """Decorator that freezes its subtree while a condition is false.
 
-    While blocked it emits a motion-hold action and returns Running; the child
+    While blocked it appends ``HOLD`` and returns Running; the child
     keeps its runtime state untouched and resumes in place once unblocked.
     """
 
@@ -238,8 +242,9 @@ def validate_tree(root: Node, catalogue) -> Node:
     Nodes are visited in preorder, without recursion, and numbered in that
     order.  Raises ConfigurationError on the first node met twice (a shared
     node or a cycle), on the first node nested deeper than
-    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite, guard, leaf
-    (a condition or action with children) or action duration, and then
+    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite (no children,
+    or a chain ``memory`` that is not a ``bool``), guard, leaf (a condition
+    or action with children) or action duration, and then
     listing every unresolved condition/behavior name.
 
     The accepted root alone keeps a runtime: the closure that ticks it, one
@@ -261,6 +266,8 @@ def validate_tree(root: Node, catalogue) -> Node:
         if isinstance(node, (_Chain, Parallel)):
             if not node.children:
                 raise ConfigurationError(f"composite {node.name!r} must have at least one child")
+            if isinstance(node, _Chain) and type(node.memory) is not bool:
+                raise ConfigurationError(f"{node.kind} {node.name!r} memory {node.memory!r} is not a bool")
         elif isinstance(node, (Condition, Action)) and node.children:
             raise ConfigurationError(f"{node.kind} {node.name!r} is a leaf and cannot have children")
         elif isinstance(node, Action):
@@ -351,10 +358,10 @@ def _compile(node: Node, resolved, children: list, bounds: list[int],
 
         return parallel
     if isinstance(node, Guard):
-        def guard(ctx, predicate=resolved, child=children[0]):
+        def guard(ctx, predicate=resolved, child=children[0], hold=HOLD):
             if predicate(ctx):
                 return child(ctx)
-            emit(ctx, ACTION_HALT)
+            ctx.emissions_this_tick.append(hold)
             return RUNNING
 
         return guard

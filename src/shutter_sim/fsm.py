@@ -93,6 +93,9 @@ class StateMachine:
             if type(tr.priority) is not int:
                 raise ConfigurationError(f"priority {tr.priority!r} on a transition from "
                                          f"{tr.source!r} is not an integer")
+            if type(tr.returns) is not bool:
+                raise ConfigurationError(f"returns {tr.returns!r} on a transition from "
+                                         f"{tr.source!r} is not a bool")
             row = rows[tr.source]
             if any(t.priority == tr.priority for t, _ in row[1]):
                 raise ConfigurationError(f"duplicate priority {tr.priority} "

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bt
-from .bt import NodeStatus
+from .bt import HOLD, NodeStatus
 from .errors import ConfigurationError
 from .fsm import State, StateMachine, Timeout, Transition
 from .groups import same_zone_groups, someone_in_zone, zone_groups
 from .world import (
-    ACTION_HALT,
     ACTION_IDLE,
     ACTION_SAY,
     ACTION_SHOW_PHOTO,
@@ -25,6 +24,7 @@ from .world import (
     BUTTON_YES,
     InteractionContext,
     Roster,
+    emission,
     emit,
 )
 
@@ -62,6 +62,29 @@ def praise_text(index: int) -> str:
     if not 1 <= index <= PHOTOS_PER_SESSION:
         raise ValueError(f"photo index {index} out of range")
     return PRAISE_TEXTS[(index - 1) % len(PRAISE_TEXTS)]
+
+
+# Every fixed emission of the catalogue, built and checked once; the photo
+# records are indexed by photo index - 1, for indexes 1..PHOTOS_PER_SESSION.
+_IDLE = emission(ACTION_IDLE)
+_ANNOUNCE = emission(ACTION_SAY, ANNOUNCE_TEXT)
+_FAREWELL = emission(ACTION_SAY, FAREWELL_TEXT)
+_SESSION = range(1, PHOTOS_PER_SESSION + 1)
+_TAKE = tuple(emission(ACTION_TAKE_PHOTO, i) for i in _SESSION)
+_SHOW = tuple(emission(ACTION_SHOW_PHOTO, i) for i in _SESSION)
+_PRAISE = tuple(emission(ACTION_SAY, praise_text(i)) for i in _SESSION)
+
+
+def _emit_photo(ctx: InteractionContext, records: tuple, action: str, index: int,
+                text: Callable[[int], str] | None = None) -> None:
+    """Append ``records``' record of photo ``index``.  An index with none, one
+    outside 1..``PHOTOS_PER_SESSION`` or not an ``int``, goes through ``emit``
+    and its checks, with ``text(index)`` as the payload, or with the index
+    itself when ``text`` is None."""
+    if type(index) is int and 1 <= index <= PHOTOS_PER_SESSION:
+        ctx.emissions_this_tick.append(records[index - 1])
+    else:
+        emit(ctx, action, index if text is None else text(index))
 
 
 @dataclass(frozen=True)
@@ -181,7 +204,7 @@ def default_catalogue() -> Catalogue:
     cat.register_condition("always", lambda ctx: True)
 
     def do_idle(ctx: InteractionContext, step: int) -> None:
-        emit(ctx, ACTION_IDLE)
+        ctx.emissions_this_tick.append(_IDLE)
 
     def do_greet(ctx: InteractionContext, step: int) -> None:
         if step == 0:
@@ -201,31 +224,31 @@ def default_catalogue() -> Catalogue:
 
     def do_announce(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            emit(ctx, ACTION_SAY, ANNOUNCE_TEXT)
+            ctx.emissions_this_tick.append(_ANNOUNCE)
 
     def do_take_photo(ctx: InteractionContext, step: int) -> None:
         # one photo a step, up to the session's photos however long the action lasts
         if ctx.photos_taken < PHOTOS_PER_SESSION:
             index = ctx.photos_taken + 1
-            emit(ctx, ACTION_TAKE_PHOTO, index)
+            _emit_photo(ctx, _TAKE, ACTION_TAKE_PHOTO, index)
             ctx.photos_taken = index
 
     def do_show_and_praise(ctx: InteractionContext, step: int) -> None:
         # even steps present the next photo, odd steps praise it
+        index = ctx.photos_shown + 1
         if step % 2 == 0:
-            emit(ctx, ACTION_SHOW_PHOTO, ctx.photos_shown + 1)
+            _emit_photo(ctx, _SHOW, ACTION_SHOW_PHOTO, index)
         else:
-            index = ctx.photos_shown + 1
-            emit(ctx, ACTION_SAY, praise_text(index))
+            _emit_photo(ctx, _PRAISE, ACTION_SAY, index, praise_text)
             ctx.photos_shown = index
 
     def do_farewell(ctx: InteractionContext, step: int) -> None:
         if step == 0:
-            emit(ctx, ACTION_SAY, FAREWELL_TEXT)
+            ctx.emissions_this_tick.append(_FAREWELL)
             ctx.cooldown_until = ctx.clock + DEFAULT_COOLDOWN_TICKS
 
     def do_hold(ctx: InteractionContext, step: int) -> None:
-        emit(ctx, ACTION_HALT)
+        ctx.emissions_this_tick.append(HOLD)
 
     cat.register_behavior(Behavior("idle", 1, do_idle))
     cat.register_behavior(Behavior("greet", 2, do_greet))

@@ -153,24 +153,40 @@ def breaks_line(text: str) -> bool:
     return text.splitlines() not in ([], [text])
 
 
-def emit(ctx: InteractionContext, action: str, payload: str | int | None = None) -> None:
-    """Record one emission of ``action`` on the current tick.
+def emission(action: str, payload: str | int | None = None) -> ActionEmission:
+    """The checked record of one emission of ``action`` with ``payload``.
 
     The action must be in ``ACTION_PAYLOADS`` and its payload of exactly the
     declared type (a ``bool`` is not an ``int``).  A text payload may hold no
     ``;`` and no line boundary, so that the serialized trace reads back
-    (``sim.parse_trace``).  The ``ActionEmission`` is built with ``new_record``,
-    as this runs once per emission.
+    (``sim.parse_trace``).  Records are immutable, so one built here may be
+    appended on any number of ticks: ``bt`` and ``interaction`` build each
+    fixed emission of theirs once, at import, and append that record, so
+    this runs once per record, not once per emission.
     """
     if action not in ACTION_PAYLOADS:
-        raise ValueError(f"unknown action {action!r} at clock {ctx.clock}")
+        raise ValueError(f"unknown action {action!r}")
     declared = ACTION_PAYLOADS[action]
     if type(payload) is not (type(None) if declared is None else declared):
         wanted = "no payload" if declared is None else f"a {declared.__name__} payload"
         raise ValueError(f"{action} takes {wanted}, got {payload!r}")
     if isinstance(payload, str) and (";" in payload or breaks_line(payload)):
         raise ValueError(f"payload {payload!r} of {action} holds ';' or a line break")
-    ctx.emissions_this_tick.append(new_record(ActionEmission, (action, payload)))
+    return ActionEmission(action, payload)
+
+
+def emit(ctx: InteractionContext, action: str, payload: str | int | None = None) -> None:
+    """Record one emission of ``action`` on the current tick: append the
+    record ``emission`` builds, with its checks, to the tick's emissions.
+
+    An unknown action is refused naming the context's clock.  The catalogue
+    emits through here only what it cannot build at import: the greeting,
+    whose text depends on the group's size, and a photo index with no
+    prebuilt record.
+    """
+    if action not in ACTION_PAYLOADS:
+        raise ValueError(f"unknown action {action!r} at clock {ctx.clock}")
+    ctx.emissions_this_tick.append(emission(action, payload))
 
 
 def end_tick(ctx: InteractionContext) -> tuple[ActionEmission, ...]:

@@ -261,6 +261,17 @@ def test_validation_rejects_childless_composites():
         validate_tree(Sequence("s", [Parallel("p", [])]), script.catalogue)
 
 
+@pytest.mark.parametrize("kind", [Sequence, Fallback])
+@pytest.mark.parametrize("memory", ["no", None, 1, 0.0])
+def test_validation_rejects_a_chain_memory_that_is_not_a_bool(kind, memory):
+    # a truthy "no" would otherwise tick, and print, as a memory chain
+    script = LeafScript()
+    chain = kind("c", [Action("stub_0")], memory=memory)
+    with pytest.raises(ConfigurationError) as excinfo:
+        validate_tree(Sequence("s", [chain]), script.catalogue)
+    assert str(excinfo.value) == f"{chain.kind} 'c' memory {memory!r} is not a bool"
+
+
 def test_validation_rejects_multi_child_guards():
     script = LeafScript()
     guard = Guard("flag_0", "g", Action("stub_0"))

@@ -278,6 +278,16 @@ def test_a_transition_priority_is_an_int(priority):
     assert str(excinfo.value) == f"priority {priority!r} on a transition from 'A' is not an integer"
 
 
+@pytest.mark.parametrize("returns", ["no", None, 1, 0])
+def test_a_transition_returns_flag_is_a_bool(returns):
+    # a truthy "no" would otherwise build a returning edge
+    script = LeafScript()
+    transitions = [Transition("A", "always", "H", 1), Transition("H", "always", "A", 1, returns=returns)]
+    with pytest.raises(ConfigurationError) as excinfo:
+        machine(script, [State("A"), State("H")], transitions, "A")
+    assert str(excinfo.value) == f"returns {returns!r} on a transition from 'H' is not a bool"
+
+
 @pytest.mark.parametrize("priority", [0, -3])
 def test_zero_and_negative_priorities_are_legal_and_fire_first(priority):
     script = LeafScript()

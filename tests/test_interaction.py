@@ -18,6 +18,7 @@ from shutter_sim import (
     FAREWELL_TEXT,
     PRAISE_TEXTS,
     Action,
+    ActionEmission,
     Behavior,
     Condition,
     ConfigurationError,
@@ -33,6 +34,7 @@ from shutter_sim import (
     build_photographer_fsm,
     compare,
     default_catalogue,
+    emit,
     flatten_emissions,
     greeting_text,
     node_count,
@@ -311,6 +313,76 @@ def test_farewell_speaks_once_and_starts_the_cooldown():
     assert [e.payload for e in ctx.emissions_this_tick] == [FAREWELL_TEXT]
     cat.behavior("farewell").step_fn(ctx, 1)
     assert len(ctx.emissions_this_tick) == 1
+
+
+# each record built once at import, with the action and payload emit is given for it
+PREBUILT = [
+    (interaction._IDLE, "idle", None),
+    (bt.HOLD, "halt_motion_hold", None),
+    (interaction._ANNOUNCE, "say", ANNOUNCE_TEXT),
+    (interaction._FAREWELL, "say", FAREWELL_TEXT),
+    *((interaction._TAKE[i - 1], "take_photo", i) for i in range(1, PHOTOS_PER_SESSION + 1)),
+    *((interaction._SHOW[i - 1], "show_photo", i) for i in range(1, PHOTOS_PER_SESSION + 1)),
+    *((interaction._PRAISE[i - 1], "say", praise_text(i)) for i in range(1, PHOTOS_PER_SESSION + 1)),
+]
+
+
+@pytest.mark.parametrize("record,action,payload", PREBUILT,
+                         ids=[f"{action}({payload})" for _, action, payload in PREBUILT])
+def test_each_prebuilt_emission_is_the_record_emit_builds(record, action, payload):
+    ctx = InteractionContext()
+    emit(ctx, action, payload)
+    emitted, = ctx.emissions_this_tick
+    assert type(record) is type(emitted) is ActionEmission
+    assert record == emitted
+    assert [type(field) for field in record] == [type(field) for field in emitted]
+
+
+def test_the_hold_behavior_and_a_blocked_guard_append_one_record():
+    ctx = InteractionContext(hazard_hand_near_arm=True)
+    default_catalogue().behavior("hold_motion").step_fn(ctx, 0)
+    guarded = validate_tree(bt.Guard("no_hazard", "g", Action("idle")), default_catalogue())
+    guarded.step(ctx)
+    assert len(ctx.emissions_this_tick) == 2
+    assert all(record is bt.HOLD for record in ctx.emissions_this_tick)
+
+
+def test_runs_append_the_prebuilt_records_on_every_tick():
+    # across ticks, runs and controllers, each fixed emission is one object;
+    # only the greeting, whose text follows the group, is built as it is emitted
+    prebuilt = {record: record for record, _, _ in PREBUILT}
+    greetings = {greeting_text(n) for n in range(1, 13)}
+    seen = set()
+    for _ in range(2):
+        for controller in (build_photographer_bt(), *map(build_photographer_fsm, ABANDONMENT_MODES)):
+            for path in sorted(SCENARIO_DIR.glob("*.scn")):
+                for record in run(controller, load(path.name)):
+                    for emitted in record.emissions:
+                        if emitted.payload in greetings:
+                            assert emitted not in prebuilt
+                        else:
+                            assert emitted is prebuilt[emitted]
+                            seen.add(emitted)
+    assert seen == set(prebuilt)
+
+
+def test_photo_indexes_outside_the_session_go_through_emit():
+    cat = default_catalogue()
+    take, show = cat.behavior("take_photo").step_fn, cat.behavior("show_and_praise").step_fn
+    ctx = InteractionContext(photos_taken=-1, photos_shown=PHOTOS_PER_SESSION)
+    take(ctx, 0)
+    show(ctx, 0)
+    assert ctx.emissions_this_tick == [ActionEmission("take_photo", 0),
+                                       ActionEmission("show_photo", PHOTOS_PER_SESSION + 1)]
+    with pytest.raises(ValueError, match=f"^photo index {PHOTOS_PER_SESSION + 1} out of range$"):
+        show(ctx, 1)
+    # an index that is not an int meets emit's payload check
+    ctx = InteractionContext(photos_taken=0.5, photos_shown=0.5)
+    with pytest.raises(ValueError, match=r"^take_photo takes a int payload, got 1\.5$"):
+        take(ctx, 0)
+    with pytest.raises(ValueError, match=r"^show_photo takes a int payload, got 1\.5$"):
+        show(ctx, 0)
+    assert ctx.emissions_this_tick == []
 
 
 def test_catalogue_lists_its_names_sorted():

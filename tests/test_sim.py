@@ -124,7 +124,7 @@ def _assert_exact_records(records: list) -> int:
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")))
 def test_runs_and_parsed_traces_build_records_of_their_exact_types(name):
-    # sim.run, emit and parse_trace build their records with tuple.__new__,
+    # sim.run and parse_trace build their records with tuple.__new__,
     # which checks neither the type nor the number of fields
     scenario = parse_scenario((SCENARIO_DIR / f"{name}.scn").read_text(encoding="utf-8"))
     for controller in [build_photographer_bt(), *map(build_photographer_fsm, FSM_MODES)]:

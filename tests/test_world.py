@@ -31,7 +31,7 @@ from shutter_sim import (
     serialize_trace,
 )
 from shutter_sim.groups import zone_groups
-from shutter_sim.world import ACTION_PAYLOADS, Roster, emit, end_tick
+from shutter_sim.world import ACTION_PAYLOADS, Roster, emission, emit, end_tick
 
 from conftest import ContextProbe
 
@@ -124,13 +124,20 @@ def test_emit_rejects_payloads_a_trace_cannot_read_back(payload):
     with pytest.raises(ValueError, match="holds ';' or a line break"):
         emit(ctx, "say", payload)
     assert ctx.emissions_this_tick == []
+    with pytest.raises(ValueError, match="holds ';' or a line break"):
+        emission("say", payload)
 
 
 def test_emit_rejects_actions_outside_the_vocabulary():
-    ctx = InteractionContext()
-    with pytest.raises(ValueError, match="unknown action 'dance' at clock 0"):
+    ctx = InteractionContext(clock=7)
+    with pytest.raises(ValueError) as excinfo:
         emit(ctx, "dance")
+    assert str(excinfo.value) == "unknown action 'dance' at clock 7"
     assert ctx.emissions_this_tick == []
+    # the record builder has no clock to name
+    with pytest.raises(ValueError) as excinfo:
+        emission("dance")
+    assert str(excinfo.value) == "unknown action 'dance'"
 
 
 def _round_trip(emissions):
@@ -156,10 +163,13 @@ def test_emit_builds_an_action_emission_of_its_exact_type(action):
     payload = {str: "hi", int: 3, None: None}[declared]
     ctx = InteractionContext()
     emit(ctx, action, payload)
-    emission, = ctx.emissions_this_tick
-    assert type(emission) is ActionEmission and len(emission) == len(ActionEmission._fields)
-    assert emission == ActionEmission(action, payload)
-    assert emission.action is action and emission.payload is payload
+    emitted, = ctx.emissions_this_tick
+    # emit appends the record emission builds, a fresh one on every call
+    for record in (emitted, emission(action, payload)):
+        assert type(record) is ActionEmission and len(record) == len(ActionEmission._fields)
+        assert record == ActionEmission(action, payload)
+        assert record.action is action and record.payload is payload
+    assert emission(action, payload) is not emission(action, payload)
 
 
 @pytest.mark.parametrize("action,payload", [
@@ -168,9 +178,14 @@ def test_emit_builds_an_action_emission_of_its_exact_type(action):
 ])
 def test_emit_rejects_a_payload_of_the_wrong_type(action, payload):
     ctx = InteractionContext()
-    with pytest.raises(ValueError, match=f"^{action} takes "):
+    with pytest.raises(ValueError, match=f"^{action} takes ") as excinfo:
         emit(ctx, action, payload)
     assert ctx.emissions_this_tick == []
+    wanted = "no payload" if ACTION_PAYLOADS[action] is None else f"a {ACTION_PAYLOADS[action].__name__} payload"
+    assert str(excinfo.value) == f"{action} takes {wanted}, got {payload!r}"
+    with pytest.raises(ValueError) as built:
+        emission(action, payload)
+    assert str(built.value) == str(excinfo.value)
 
 
 def test_every_action_declares_its_payload_type():
