@@ -15,14 +15,13 @@ from .bt import (
     Parallel,
     Sequence,
     node_count,
-    structural_signature,
     tick,
     validate_tree,
 )
 from .dsl import ScenarioScript, parse_scenario, parse_tree, print_tree
 from .errors import ConfigurationError, ParseError, SimError, ValidationError
 from .fsm import State, StateMachine, Timeout, Transition
-from .groups import engaged_group_size, someone_in_zone
+from .groups import someone_in_zone
 from .interaction import (
     ANNOUNCE_TEXT,
     FAREWELL_TEXT,
@@ -68,9 +67,8 @@ __all__ = [
     "Transition", "ValidationError",
     "build_photographer_bt", "build_photographer_fsm",
     "compare", "default_catalogue", "emission", "emit", "end_tick",
-    "engaged_group_size", "flatten_emissions", "greeting_text",
-    "node_count", "parse_scenario", "parse_trace", "parse_tree", "praise_text",
-    "print_tree", "run", "serialize_trace", "someone_in_zone",
-    "structural_economy_report", "structural_signature", "tick",
+    "flatten_emissions", "greeting_text", "node_count", "parse_scenario",
+    "parse_trace", "parse_tree", "praise_text", "print_tree", "run",
+    "serialize_trace", "someone_in_zone", "structural_economy_report", "tick",
     "validate_tree",
 ]

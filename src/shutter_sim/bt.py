@@ -398,11 +398,3 @@ def _check_duration(what: str, duration) -> None:
 
 def node_count(root: Node) -> int:
     return sum(1 for _ in root.iter_nodes())
-
-
-def structural_signature(root: Node) -> tuple:
-    """Shape of a tree minus runtime state and node ids, for equality checks:
-    each node's level, kind, name and settings, in preorder."""
-    return tuple((depth, node.kind, node.name, getattr(node, "memory", False),
-                  getattr(node, "condition_name", None), getattr(node, "duration_override", None))
-                 for node, depth in _preorder(root))

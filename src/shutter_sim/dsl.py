@@ -33,6 +33,7 @@ first offending character; referential problems raise ValidationError.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -51,6 +52,12 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # every run this allows whatever PYTHONINTMAXSTRDIGITS or -X int_max_str_digits
 # sets, and an input gets the same verdict under every interpreter setting.
 _MAX_DIGITS = 640
+# The suffix that makes a quantifier possessive: it keeps what it matched and
+# saves no backtrack point.  The grammars put it only where the next piece can
+# never start with a character the quantifier consumes, so both forms match
+# alike, and the possessive one is faster.  CPython's re reads it from 3.11;
+# 3.10 refuses ``*+`` as a multiple repeat and takes the plain form.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
 
 
 # A coordinate's type is exactly one of these: a bool is not a coordinate, and
@@ -203,7 +210,7 @@ _EVENTS = (
     (("keyword", "network", None), ("word", ("down", "up"), "network switch")),
 )
 _CAPTURED = ("int", "num", "word")
-_SPACING = re.compile(r"[ \t]*")
+_SPACING = re.compile(r"[ \t]*" + _POSSESSIVE)
 _DIGITS = re.compile(r"[0-9]*")
 _NUMBER = re.compile(r"-?([0-9]*)(\.[0-9]*)?")
 _WORD = re.compile(r"\w*")  # \w is str.isalnum() or "_", as an identifier continues
@@ -218,8 +225,8 @@ _WORD = re.compile(r"\w*")  # \w is str.isalnum() or "_", as an identifier conti
 # int.
 _PATTERNS = {
     "sym": re.escape,
-    "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}})",
-    "num": lambda _: r"(-?[0-9]+(?:\.[0-9]+|))",
+    "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}}{_POSSESSIVE})",
+    "num": lambda _: rf"(-?[0-9]+{_POSSESSIVE}(?:\.[0-9]+{_POSSESSIVE}|))",
     "keyword": lambda word: word,
     "word": lambda words: f"({'|'.join(words)})",
 }
@@ -237,8 +244,8 @@ def _spacing(kind: str, then: str) -> str:
     if kind not in ("keyword", "word"):
         return _SPACING.pattern
     if then in ("keyword", "word", "int"):
-        return r"[ \t]+"
-    return r"(?!\w)[ \t]*" if then == "num" else _SPACING.pattern
+        return r"[ \t]+" + _POSSESSIVE
+    return r"(?!\w)" + _SPACING.pattern if then == "num" else _SPACING.pattern
 
 
 def _names(piece: tuple) -> tuple[str, ...]:
@@ -370,7 +377,8 @@ def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
 # succeeds where it starts.  ``\w`` is ``str.isalnum()`` or ``_``, as an
 # identifier continues; a word must also start like one (``_starts_identifier``),
 # so a leading ``²`` or ``½`` is an unexpected character.
-_TREE_TOKEN = re.compile(r"[ \t\r\n]*(?:([{}()*=])|([0-9]+)|(\w+)|([^ \t\r\n])|\Z)")
+_TREE_TOKEN = re.compile(rf"[ \t\r\n]*{_POSSESSIVE}(?:([{{}}()*=])|([0-9]+{_POSSESSIVE})"
+                         rf"|(\w+{_POSSESSIVE})|([^ \t\r\n])|\Z)")
 
 
 def _tokenize_tree(text: str) -> list[tuple[str, str, int]]:
@@ -479,8 +487,12 @@ def parse_tree(text: str) -> bt.Node:
 def print_tree(root: bt.Node) -> str:
     """Canonical rendering: two-space indent, one node per line, reparseable.
 
-    A node name, condition name or behavior name that ``parse_tree`` would not
-    read back as one identifier raises ConfigurationError naming its node.
+    A field that ``parse_tree`` would not read back as the same value raises
+    ConfigurationError naming its node: a node name, condition name or
+    behavior name that is not one identifier, a chain ``memory`` that is not
+    a ``bool``, or an action duration that is neither None nor a
+    non-negative ``int`` of at most ``_MAX_DIGITS`` digits (a ``bool`` is not
+    one).
     """
     lines: list[str] = []
     closing: list[str] = []  # one brace line per open composite or guard
@@ -491,15 +503,27 @@ def print_tree(root: bt.Node) -> str:
         if isinstance(node, bt.Condition):
             lines.append(f"{pad}condition {_tree_word(node, node.condition_name)}")
         elif isinstance(node, bt.Action):
-            suffix = f" dur={node.duration_override}" if node.duration_override is not None else ""
+            duration = node.duration_override
+            suffix = ""
+            if duration is not None:
+                if type(duration) is not int or duration < 0:
+                    raise ConfigurationError(f"action {node.name!r} cannot be printed: duration "
+                                             f"{duration!r} is not a non-negative integer")
+                if duration >= 10 ** _MAX_DIGITS:  # before str(), which may refuse it
+                    raise ConfigurationError(f"action {node.name!r} cannot be printed: duration "
+                                             f"has more than {_MAX_DIGITS} digits")
+                suffix = f" dur={duration}"
             lines.append(f"{pad}action {_tree_word(node, node.behavior_name)}{suffix}")
         else:
             name = _tree_word(node, node.name)
             if isinstance(node, bt.Guard):
                 lines.append(f"{pad}guard({_tree_word(node, node.condition_name)}) {name} {{")
             else:
-                star = "*" if getattr(node, "memory", False) else ""
-                lines.append(f"{pad}{node.kind}{star} {name} {{")
+                memory = getattr(node, "memory", False)
+                if type(memory) is not bool:
+                    raise ConfigurationError(f"{node.kind} {name!r} cannot be printed: "
+                                             f"memory {memory!r} is not a bool")
+                lines.append(f"{pad}{node.kind}{'*' if memory else ''} {name} {{")
             closing.append(f"{pad}}}")
     lines.extend(reversed(closing))
     return "\n".join(lines) + "\n"

@@ -35,22 +35,18 @@ DIST_THRESHOLD = 1.5
 ZONE_RADIUS = 2.5
 
 
-def engaged_group_size(persons: Iterable[PersonObservation]) -> int:
-    """Size of the group engaged with the robot, or 0 when none qualifies.
-
-    A group is a connected component under the link relation above, and it
-    qualifies when it reaches the zone.  Among qualifying groups the one with
-    the nearest member wins; ties break toward the smaller minimum member id.
-    """
-    return zone_groups(persons)[0]
-
-
 def zone_groups(
     persons: Iterable[PersonObservation],
 ) -> tuple[int, list[PersonObservation]]:
-    """The zone-groups record of ``persons``: ``engaged_group_size`` and the
-    members of every group reaching the zone, not only of the winning one,
-    in the order the sweep grows them.  Only those groups are grown."""
+    """The zone-groups record of ``persons``: the engaged group's size and
+    the members of every group reaching the zone, not only of the winning
+    one, in the order the sweep grows them.  Only those groups are grown.
+
+    A group is a connected component under the link relation above, and it
+    engages when it reaches the zone.  Among those groups the one with the
+    nearest member wins; ties break toward the smaller minimum member id.
+    The size is 0 when no group reaches the zone.
+    """
     # locals, not globals, in the loops below
     dist_threshold, zone_radius = DIST_THRESHOLD, ZONE_RADIUS
     people = sorted(persons, key=attrgetter("x"))
@@ -140,7 +136,7 @@ def same_zone_groups(
 def someone_in_zone(persons: Iterable[PersonObservation]) -> bool:
     """Whether anyone stands within ``ZONE_RADIUS`` of the origin.
 
-    Equal to ``engaged_group_size(persons) >= 1``: a person in the zone makes
+    Equal to ``zone_groups(persons)[0] >= 1``: a person in the zone makes
     their own group qualify, and a group qualifies only through such a person.
     No grouping is needed, so the cost does not depend on how the crowd
     stands.  A plain loop, not ``any`` over a generator, so a check costs one

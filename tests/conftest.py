@@ -1,7 +1,7 @@
 """Shared test helpers: repository paths, criterion 3's hazard windows, the
 benchmark's crowd generators, a catalogue of scriptable stub leaves, a probe
-controller that records the context, and all-pairs references for the
-engaged group and the zone groups' members."""
+controller that records the context, a tree's structural signature, and
+all-pairs references for the engaged group and the zone groups' members."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from shutter_sim import Behavior, Catalogue, NodeStatus
+from shutter_sim import Behavior, Catalogue, NodeStatus, bt
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = PKG_ROOT / "scenarios"
@@ -102,6 +102,14 @@ class ContextProbe:
     def step(self, ctx) -> str:
         self.seen.append(WorldView.of(ctx))
         return "Probe"
+
+
+def structural_signature(root: bt.Node) -> tuple:
+    """Shape of a tree minus runtime state and node ids, for equality checks:
+    each node's level, kind, name and settings, in preorder."""
+    return tuple((depth, node.kind, node.name, getattr(node, "memory", False),
+                  getattr(node, "condition_name", None), getattr(node, "duration_override", None))
+                 for node, depth in bt._preorder(root))
 
 
 def reference_components(persons, dist_threshold):

@@ -24,7 +24,6 @@ from shutter_sim import (
     build_photographer_bt,
     build_photographer_fsm,
     compare,
-    engaged_group_size,
     flatten_emissions,
     greeting_text,
     parse_scenario,
@@ -34,11 +33,18 @@ from shutter_sim import (
     serialize_trace,
     someone_in_zone,
     structural_economy_report,
-    structural_signature,
 )
 from shutter_sim import bt
+from shutter_sim.groups import zone_groups
 
-from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE, hazard_windows, reference_engaged_size
+from conftest import (
+    MALFORMED_DIR,
+    SCENARIO_DIR,
+    TREE_FILE,
+    hazard_windows,
+    reference_engaged_size,
+    structural_signature,
+)
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 
@@ -306,7 +312,7 @@ def test_criterion_7_clustering_matches_brute_force():
             for i in ids
         ]
         size = reference_engaged_size(persons)
-        assert engaged_group_size(persons) == size
+        assert zone_groups(persons)[0] == size
         assert someone_in_zone(persons) is (size >= 1)
     print(f"PASS criterion 7: engaged-group size and presence match brute force on {trials} instances")
 

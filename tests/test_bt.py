@@ -33,12 +33,11 @@ from shutter_sim import (
     parse_scenario,
     parse_tree,
     print_tree,
-    structural_signature,
     validate_tree,
 )
 from shutter_sim import bt, sim
 
-from conftest import PKG_ROOT, SCENARIO_DIR, LeafScript
+from conftest import PKG_ROOT, SCENARIO_DIR, LeafScript, structural_signature
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
 

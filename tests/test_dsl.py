@@ -18,11 +18,10 @@ from shutter_sim import (
     parse_scenario,
     parse_tree,
     print_tree,
-    structural_signature,
 )
 from shutter_sim import dsl
 
-from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE
+from conftest import MALFORMED_DIR, SCENARIO_DIR, TREE_FILE, structural_signature
 
 
 # --- scenario format ------------------------------------------------------------
@@ -284,6 +283,36 @@ def test_print_tree_refuses_a_name_that_would_not_reparse(tree, message):
     with pytest.raises(ConfigurationError) as err:
         print_tree(tree)
     assert str(err.value) == message + " is not a tree identifier"
+
+
+@pytest.mark.parametrize("tree,message", [
+    (Sequence("s", [Action("idle", duration=True)], memory="no"),
+     "sequence 's' cannot be printed: memory 'no' is not a bool"),
+    (Fallback("f", [Action("idle")], memory=1), "fallback 'f' cannot be printed: memory 1 is not a bool"),
+    (Sequence("s", [Action("idle", duration=True)]),
+     "action 'idle' cannot be printed: duration True is not a non-negative integer"),
+    (Sequence("s", [Action("idle", duration=2.0)]),
+     "action 'idle' cannot be printed: duration 2.0 is not a non-negative integer"),
+    (Sequence("s", [Action("idle", duration=-1)]),
+     "action 'idle' cannot be printed: duration -1 is not a non-negative integer"),
+    (Sequence("s", [Action("idle", duration=10 ** dsl._MAX_DIGITS)]),
+     f"action 'idle' cannot be printed: duration has more than {dsl._MAX_DIGITS} digits"),
+], ids=["memory-str", "memory-int", "duration-bool", "duration-float", "duration-negative",
+        "duration-too-long"])
+def test_print_tree_refuses_a_field_that_would_not_read_back(tree, message):
+    # memory="no" would print as sequence* and read back as a memory chain, and
+    # each duration would be a syntax error or another value in parse_tree
+    with pytest.raises(ConfigurationError) as err:
+        print_tree(tree)
+    assert str(err.value) == message
+
+
+def test_print_tree_prints_every_duration_parse_tree_reads():
+    durations = [0, 1, 10 ** dsl._MAX_DIGITS - 1]
+    tree = Sequence("s", [Action("idle", duration=d) for d in durations], memory=True)
+    reparsed = parse_tree(print_tree(tree))
+    assert [child.duration_override for child in reparsed.children] == durations
+    assert structural_signature(reparsed) == structural_signature(tree)
 
 
 def test_print_tree_prints_any_identifier_parse_tree_reads():

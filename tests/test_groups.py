@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from shutter_sim import PersonObservation, engaged_group_size, someone_in_zone
+from shutter_sim import PersonObservation, someone_in_zone
 from shutter_sim.groups import same_zone_groups, zone_groups
 
 from conftest import reference_engaged_size, reference_zone_members
@@ -16,36 +16,36 @@ def p(pid, x, y):
 
 
 def test_threshold_is_inclusive():
-    assert engaged_group_size([p(1, 0.0, 0.0), p(2, 1.5, 0.0)]) == 2
-    assert engaged_group_size([p(1, 0.0, 0.0), p(2, 1.5001, 0.0)]) == 1
+    assert zone_groups([p(1, 0.0, 0.0), p(2, 1.5, 0.0)])[0] == 2
+    assert zone_groups([p(1, 0.0, 0.0), p(2, 1.5001, 0.0)])[0] == 1
 
 
 def test_chained_neighbours_form_one_cluster():
     # 1-2 and 2-3 are in range while 1-3 is not: connectivity is transitive
     people = [p(1, 0.0, 0.0), p(2, 1.4, 0.0), p(3, 2.8, 0.0)]
-    assert engaged_group_size(people) == 3
+    assert zone_groups(people)[0] == 3
 
 
 def test_no_persons_means_no_groups():
-    assert engaged_group_size([]) == 0
+    assert zone_groups([])[0] == 0
 
 
 def test_distant_clusters_do_not_qualify():
     people = [p(1, 10.0, 0.0), p(2, 10.5, 0.0)]
-    assert engaged_group_size(people) == 0
+    assert zone_groups(people)[0] == 0
 
 
 def test_nearest_cluster_wins():
     people = [p(1, 2.3, 0.0), p(2, 0.5, 0.0), p(3, 0.7, 0.7)]
     # {1} is 2.3m away, {2,3} is 0.5m away
-    assert engaged_group_size(people) == 2
+    assert zone_groups(people)[0] == 2
 
 
 def test_distance_tie_breaks_toward_smaller_id():
-    assert engaged_group_size([p(1, 2.0, 0.0), p(2, -2.0, 0.0)]) == 1
+    assert zone_groups([p(1, 2.0, 0.0), p(2, -2.0, 0.0)])[0] == 1
     # both groups have a member 2m away; the sizes show which one won
-    assert engaged_group_size([p(1, 2.0, 0.0), p(2, -2.0, 0.0), p(3, -3.0, 0.0)]) == 1
-    assert engaged_group_size([p(3, 2.0, 0.0), p(1, -2.0, 0.0), p(2, -3.0, 0.0)]) == 2
+    assert zone_groups([p(1, 2.0, 0.0), p(2, -2.0, 0.0), p(3, -3.0, 0.0)])[0] == 1
+    assert zone_groups([p(3, 2.0, 0.0), p(1, -2.0, 0.0), p(2, -3.0, 0.0)])[0] == 2
 
 
 # --- exactness of the sorted sweep against all pairs -----------------------------
@@ -75,7 +75,7 @@ def test_pinned_case_that_a_floor_grid_gets_wrong():
     # hypot(-1e-17 - 1.5, 0) rounds to exactly 1.5, so the two persons link,
     # though floor(x / 1.5) puts them two cells apart
     people = [p(1, -1e-17, 0.0), p(2, 1.5, 0.0)]
-    assert engaged_group_size(people) == 2
+    assert zone_groups(people)[0] == 2
 
 
 def packed_coordinate(rng):
@@ -94,7 +94,7 @@ def test_sweep_matches_all_pairs_on_adversarial_rosters():
         # one roster in five stands wholly in the zone, where every group qualifies
         coordinate = packed_coordinate if rng.random() < 0.2 else edge_coordinate
         persons = [p(i, coordinate(rng), coordinate(rng)) for i in ids]
-        engaged = engaged_group_size(persons)
+        engaged = zone_groups(persons)[0]
         assert engaged == reference_engaged_size(persons)
         assert someone_in_zone(persons) is (engaged >= 1)
 

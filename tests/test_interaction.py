@@ -45,7 +45,6 @@ from shutter_sim import (
     run,
     serialize_trace,
     structural_economy_report,
-    structural_signature,
     validate_tree,
 )
 from shutter_sim import bt, interaction
@@ -53,7 +52,15 @@ from shutter_sim.groups import someone_in_zone
 from shutter_sim.interaction import ABANDON_TIMEOUT_TICKS, ABANDONMENT_MODES, PHOTOS_PER_SESSION
 from shutter_sim.world import BUTTONS
 
-from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE, hazard_windows, perfbench_gen, reference_engaged_size
+from conftest import (
+    PKG_ROOT,
+    SCENARIO_DIR,
+    TREE_FILE,
+    hazard_windows,
+    perfbench_gen,
+    reference_engaged_size,
+    structural_signature,
+)
 
 # trees/photographer.tree as it was with the presence re-check: 23 nodes
 RECHECK_TREE = Path(__file__).resolve().parent / "data" / "photographer_recheck.tree"
@@ -818,7 +825,7 @@ EQUIVALENCE = {
     "duo.scn": (None, None, 12),  # timeouts: only AskConsent times out, and the machine greets again
     "duo_decline.scn": (None, None, None),
     "hazard_window.scn": (2, 2, 2),  # the machine announces again on leaving HaltMotion
-    "network_outage.scn": (11, 11, 11),  # the machine has no network hold
+    "network_outage.scn": (11, 11, 11),  # the horizon cuts the machine's praise short
     "solo.scn": (None, None, None),
     "solo_decline.scn": (None, None, None),
     "solo_slow.scn": (None, None, None),
@@ -837,6 +844,28 @@ def test_every_corpus_file_has_its_verdict_pinned_under_every_mode():
             divergence = report.first_divergence
             assert report.equivalent is (position is None), (name, mode, divergence)
             assert (None if divergence is None else divergence.position) == position, (name, mode)
+
+
+def test_network_outage_diverges_where_the_horizon_ends_the_machine_not_at_the_outage():
+    # without its outage the file diverges where it does with it: the tree is
+    # done praising by tick 11 and greets again at 12, while the machine shows
+    # praise until tick 17 and the person leaves at 18, so the machine's
+    # emissions are a prefix of the tree's that the horizon cuts off
+    text = (SCENARIO_DIR / "network_outage.scn").read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines() if not line.startswith(("@2 network down", "@6 network up"))]
+    assert len(kept) == len(text.splitlines()) - 2
+    scenario = parse_scenario("\n".join(kept) + "\n")
+    tree_records = run(build_photographer_bt(), scenario)
+    greeting = ("say", greeting_text(1))
+    assert tree_records[11].status == "Success"
+    assert [(e.action, e.payload) for e in tree_records[12].emissions] == [greeting]
+    for mode in ABANDONMENT_MODES:
+        machine_records = run(build_photographer_fsm(mode), scenario)
+        assert [r.status for r in machine_records[12:19]] == ["ShowPraise"] * 6 + ["Waiting"], mode
+        report = compare(tree_records, machine_records)
+        assert report.first_divergence == (11, greeting, None), mode
+        tree, machine = flatten_emissions(tree_records), flatten_emissions(machine_records)
+        assert tree[:len(machine)] == machine and len(machine) == 11, mode
 
 
 def test_network_outage_holds_the_tree_in_place():

@@ -17,10 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from shutter_sim import ParseError, bt, parse_tree, structural_signature
+from shutter_sim import ParseError, bt, parse_tree
 from shutter_sim.dsl import _MAX_DIGITS, _NODE_WORDS, _tokenize_tree
 
-from conftest import MALFORMED_DIR, TREE_FILE
+from conftest import MALFORMED_DIR, TREE_FILE, structural_signature
 
 # the tree alphabet, the trace alphabet's symbols, other whitespace, and
 # non-ASCII letters and digits: ٣ is a decimal digit, ² a digit, ½ numeric,
