@@ -242,10 +242,9 @@ def validate_tree(root: Node, catalogue) -> Node:
     Nodes are visited in preorder, without recursion, and numbered in that
     order.  Raises ConfigurationError on the first node met twice (a shared
     node or a cycle), on the first node nested deeper than
-    ``_MAX_TREE_DEPTH`` levels, on the first malformed composite (no children,
-    or a chain ``memory`` that is not a ``bool``), guard, leaf (a condition
-    or action with children) or action duration, and then
-    listing every unresolved condition/behavior name.
+    ``_MAX_TREE_DEPTH`` levels, on the first node of a shape ``_check_shape``
+    refuses or with a bad action duration, and then listing every unresolved
+    condition/behavior name.
 
     The accepted root alone keeps a runtime: the closure that ticks it, one
     state list with a slot per node id, the list's initial values, and each
@@ -261,16 +260,10 @@ def validate_tree(root: Node, catalogue) -> Node:
         if depth > _MAX_TREE_DEPTH:
             raise ConfigurationError(
                 f"{node.kind} {node.name!r} is nested deeper than {_MAX_TREE_DEPTH} levels")
+        _check_shape(node)
         node.node_id = node_id
         resolved = None
-        if isinstance(node, (_Chain, Parallel)):
-            if not node.children:
-                raise ConfigurationError(f"composite {node.name!r} must have at least one child")
-            if isinstance(node, _Chain) and type(node.memory) is not bool:
-                raise ConfigurationError(f"{node.kind} {node.name!r} memory {node.memory!r} is not a bool")
-        elif isinstance(node, (Condition, Action)) and node.children:
-            raise ConfigurationError(f"{node.kind} {node.name!r} is a leaf and cannot have children")
-        elif isinstance(node, Action):
+        if isinstance(node, Action):
             try:
                 behavior = catalogue.behavior(node.behavior_name)
             except ConfigurationError:
@@ -282,14 +275,10 @@ def validate_tree(root: Node, catalogue) -> Node:
                 _check_duration(f"action {node.behavior_name!r} duration", duration)
                 resolved = (behavior.step_fn, behavior.status_fn, duration)
         elif isinstance(node, (Guard, Condition)):
-            if isinstance(node, Guard) and len(node.children) != 1:
-                raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
             try:
                 resolved = catalogue.condition(node.condition_name)
             except ConfigurationError:
                 missing.append(f"condition {node.condition_name!r}")
-        else:
-            raise ConfigurationError(f"{node.kind} {node.name!r} is not a node kind the engine ticks")
         order.append((node, resolved))
     if missing:
         raise ConfigurationError("unresolved names: " + ", ".join(sorted(set(missing))))
@@ -309,6 +298,25 @@ def validate_tree(root: Node, catalogue) -> Node:
         node._runtime = None
     root._runtime = (compiled[0], state, initial, limits)
     return root
+
+
+def _check_shape(node: Node) -> None:
+    """Refuse a node of a shape no tree may have: a composite without
+    children or with a chain ``memory`` that is not a ``bool``, a leaf (a
+    condition or action) with children, a guard without exactly one child, or
+    a kind the engine does not tick.  ``validate_tree`` and ``print_tree``
+    check each node with it."""
+    if isinstance(node, (_Chain, Parallel)):
+        if not node.children:
+            raise ConfigurationError(f"composite {node.name!r} must have at least one child")
+        if isinstance(node, _Chain) and type(node.memory) is not bool:
+            raise ConfigurationError(f"{node.kind} {node.name!r} memory {node.memory!r} is not a bool")
+    elif isinstance(node, (Condition, Action)) and node.children:
+        raise ConfigurationError(f"{node.kind} {node.name!r} is a leaf and cannot have children")
+    elif isinstance(node, Guard) and len(node.children) != 1:
+        raise ConfigurationError(f"guard {node.name!r} must have exactly one child")
+    elif not isinstance(node, (Guard, Condition, Action)):
+        raise ConfigurationError(f"{node.kind} {node.name!r} is not a node kind the engine ticks")
 
 
 def _compile(node: Node, resolved, children: list, bounds: list[int],

@@ -33,7 +33,6 @@ first offending character; referential problems raise ValidationError.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -52,12 +51,6 @@ _NODE_WORDS = "sequence|fallback|parallel|guard|condition|action"
 # every run this allows whatever PYTHONINTMAXSTRDIGITS or -X int_max_str_digits
 # sets, and an input gets the same verdict under every interpreter setting.
 _MAX_DIGITS = 640
-# The suffix that makes a quantifier possessive: it keeps what it matched and
-# saves no backtrack point.  The grammars put it only where the next piece can
-# never start with a character the quantifier consumes, so both forms match
-# alike, and the possessive one is faster.  CPython's re reads it from 3.11;
-# 3.10 refuses ``*+`` as a multiple repeat and takes the plain form.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
 
 
 # A coordinate's type is exactly one of these: a bool is not a coordinate, and
@@ -210,23 +203,27 @@ _EVENTS = (
     (("keyword", "network", None), ("word", ("down", "up"), "network switch")),
 )
 _CAPTURED = ("int", "num", "word")
-_SPACING = re.compile(r"[ \t]*" + _POSSESSIVE)
+_SPACING = re.compile(r"[ \t]*+")
 _DIGITS = re.compile(r"[0-9]*")
 _NUMBER = re.compile(r"-?([0-9]*)(\.[0-9]*)?")
 _WORD = re.compile(r"\w*")  # \w is str.isalnum() or "_", as an identifier continues
+# The quantifiers of the event line, like those of ``_TREE_TOKEN``, are
+# possessive (``*+``, ``++``, ``{m,n}+``): each keeps what it matched and saves
+# no backtrack point.  Each sits where the next piece can never start with a
+# character it consumes, so it matches as its plain form would, only faster.
 # Each piece's regex is followed by spacing that depends on the next piece.
 # A keyword or word must be a whole identifier (person_appearid is one), so no
 # ``\w`` may follow it.  Before a keyword, word or int, which start with ``\w``,
-# that takes at least one space or tab: ``[ \t]+``.  Before a sym or the line's
-# end, no ``\w`` can follow, so the spacing stays ``[ \t]*``.  Only before a
+# that takes at least one space or tab: ``[ \t]++``.  Before a sym or the line's
+# end, no ``\w`` can follow, so the spacing stays ``[ \t]*+``.  Only before a
 # num, which may start with ``-``, is the ``(?!\w)`` check kept.  After any
-# other piece the spacing is ``[ \t]*``.  The last piece of a table is taken
+# other piece the spacing is ``[ \t]*+``.  The last piece of a table is taken
 # to end the line: an alternative of ``_EVENTS`` does, and ``_TICK`` ends in an
 # int.
 _PATTERNS = {
     "sym": re.escape,
-    "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}}{_POSSESSIVE})",
-    "num": lambda _: rf"(-?[0-9]+{_POSSESSIVE}(?:\.[0-9]+{_POSSESSIVE}|))",
+    "int": lambda _: rf"([0-9]{{1,{_MAX_DIGITS}}}+)",
+    "num": lambda _: r"(-?[0-9]++(?:\.[0-9]++|))",
     "keyword": lambda word: word,
     "word": lambda words: f"({'|'.join(words)})",
 }
@@ -244,7 +241,7 @@ def _spacing(kind: str, then: str) -> str:
     if kind not in ("keyword", "word"):
         return _SPACING.pattern
     if then in ("keyword", "word", "int"):
-        return r"[ \t]+" + _POSSESSIVE
+        return r"[ \t]++"
     return r"(?!\w)" + _SPACING.pattern if then == "num" else _SPACING.pattern
 
 
@@ -377,8 +374,7 @@ def _walk(text: str, line_no: int, pieces: tuple, pos: int = 0,
 # succeeds where it starts.  ``\w`` is ``str.isalnum()`` or ``_``, as an
 # identifier continues; a word must also start like one (``_starts_identifier``),
 # so a leading ``²`` or ``½`` is an unexpected character.
-_TREE_TOKEN = re.compile(rf"[ \t\r\n]*{_POSSESSIVE}(?:([{{}}()*=])|([0-9]+{_POSSESSIVE})"
-                         rf"|(\w+{_POSSESSIVE})|([^ \t\r\n])|\Z)")
+_TREE_TOKEN = re.compile(r"[ \t\r\n]*+(?:([{}()*=])|([0-9]++)|(\w++)|([^ \t\r\n])|\Z)")
 
 
 def _tokenize_tree(text: str) -> list[tuple[str, str, int]]:
@@ -487,16 +483,17 @@ def parse_tree(text: str) -> bt.Node:
 def print_tree(root: bt.Node) -> str:
     """Canonical rendering: two-space indent, one node per line, reparseable.
 
-    A field that ``parse_tree`` would not read back as the same value raises
-    ConfigurationError naming its node: a node name, condition name or
-    behavior name that is not one identifier, a chain ``memory`` that is not
-    a ``bool``, or an action duration that is neither None nor a
+    A node that ``parse_tree`` could not read back as the same node raises
+    ConfigurationError naming it: one of a shape ``validate_tree`` refuses
+    (``bt._check_shape``), a node name, condition name or behavior name that
+    is not one identifier, or an action duration that is neither None nor a
     non-negative ``int`` of at most ``_MAX_DIGITS`` digits (a ``bool`` is not
     one).
     """
     lines: list[str] = []
     closing: list[str] = []  # one brace line per open composite or guard
     for node, depth in bt._preorder(root):
+        bt._check_shape(node)
         while len(closing) >= depth:
             lines.append(closing.pop())
         pad = "  " * (depth - 1)
@@ -519,11 +516,8 @@ def print_tree(root: bt.Node) -> str:
             if isinstance(node, bt.Guard):
                 lines.append(f"{pad}guard({_tree_word(node, node.condition_name)}) {name} {{")
             else:
-                memory = getattr(node, "memory", False)
-                if type(memory) is not bool:
-                    raise ConfigurationError(f"{node.kind} {name!r} cannot be printed: "
-                                             f"memory {memory!r} is not a bool")
-                lines.append(f"{pad}{node.kind}{'*' if memory else ''} {name} {{")
+                star = "*" if getattr(node, "memory", False) else ""
+                lines.append(f"{pad}{node.kind}{star} {name} {{")
             closing.append(f"{pad}}}")
     lines.extend(reversed(closing))
     return "\n".join(lines) + "\n"

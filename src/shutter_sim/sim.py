@@ -12,7 +12,7 @@ from itertools import zip_longest
 from typing import NamedTuple, NoReturn, Sequence as Seq
 
 from . import bt
-from .dsl import _MAX_DIGITS, _POSSESSIVE, ScenarioScript
+from .dsl import _MAX_DIGITS, ScenarioScript
 from .errors import ValidationError
 from .fsm import StateMachine
 from .world import (
@@ -107,17 +107,17 @@ def serialize_trace(records: Seq[TickRecord]) -> str:
 # end at the line's last ``] ``, as the fields after it hold none; an emission
 # is an action up to its first ``(`` and a payload up to its last ``)``, neither
 # holding ``;``, and only ``_payload`` checks an int payload.  Every
-# quantifier but the payload's is possessive (``dsl._POSSESSIVE``), as the text
-# after it never starts with a character it takes; the payload must give back
+# quantifier but the payload's is possessive (``*+``), as the text after it
+# never starts with a character it takes; the payload must give back
 # characters to end at its item's last ``)``.
 # ``_TRACE_LINE`` and ``_RECORD`` are built from these tables; ``_trace_fault`` reads them.
-_COUNT = rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}{_POSSESSIVE}"
+_COUNT = rf"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}+"
 _FLAG = "[01]"
-_HEAD = (("tick", _COUNT), ("ctl", "[^ ]*" + _POSSESSIVE), ("status", "[^ ]*" + _POSSESSIVE))
+_HEAD = (("tick", _COUNT), ("ctl", "[^ ]*+"), ("status", "[^ ]*+"))
 _TAIL = (("persons", _COUNT), ("hazard", _FLAG), ("net", _FLAG))
 _SHAPES = {_COUNT: "a decimal count", _FLAG: "0 or 1"}  # as a fault names them
 _OPEN, _CLOSE = " emit=[", "] "
-_ACTION = r"[^;(]*" + _POSSESSIVE
+_ACTION = r"[^;(]*+"
 _EMISSION_TEXT = _ACTION + r"\([^;]*\)"
 _EMISSION = re.compile(rf"({_ACTION})\(([^;]*)\)")
 

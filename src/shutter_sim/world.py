@@ -168,7 +168,8 @@ def emission(action: str, payload: str | int | None = None) -> ActionEmission:
         raise ValueError(f"unknown action {action!r}")
     declared = ACTION_PAYLOADS[action]
     if type(payload) is not (type(None) if declared is None else declared):
-        wanted = "no payload" if declared is None else f"a {declared.__name__} payload"
+        wanted = "no payload" if declared is None else (
+            f"{'an' if declared.__name__[0] in 'aeiou' else 'a'} {declared.__name__} payload")
         raise ValueError(f"{action} takes {wanted}, got {payload!r}")
     if isinstance(payload, str) and (";" in payload or breaks_line(payload)):
         raise ValueError(f"payload {payload!r} of {action} holds ';' or a line break")

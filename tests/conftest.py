@@ -1,16 +1,19 @@
 """Shared test helpers: repository paths, criterion 3's hazard windows, the
-benchmark's crowd generators, a catalogue of scriptable stub leaves, a probe
-controller that records the context, a tree's structural signature, and
-all-pairs references for the engaged group and the zone groups' members."""
+benchmark's crowd generators, the evidence scripts and the random visits they
+draw, a catalogue of scriptable stub leaves, a probe controller that records
+the context, a tree's structural signature, and all-pairs references for the
+engaged group and the zone groups' members."""
 
 from __future__ import annotations
 
 import importlib.util
 import math
+import random
 from pathlib import Path
 from typing import NamedTuple
 
-from shutter_sim import Behavior, Catalogue, NodeStatus, bt
+from shutter_sim import Behavior, Catalogue, Event, NodeStatus, ScenarioScript, bt, parse_scenario
+from shutter_sim.world import BUTTONS
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = PKG_ROOT / "scenarios"
@@ -38,6 +41,51 @@ def perfbench_gen():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def load(name: str) -> ScenarioScript:
+    """The scenario file ``name`` of ``scenarios/``, parsed."""
+    return parse_scenario((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
+
+def random_visit(rng: random.Random) -> ScenarioScript:
+    """60 ticks: 1-3 persons who each appear once, move and may leave, and
+    random buttons and hazard and network switches."""
+    def spot():
+        return rng.uniform(-3, 3), rng.uniform(-3, 3)
+
+    events = []
+    for pid in range(1, rng.randint(1, 3) + 1):
+        start = rng.randrange(50)
+        leave = rng.randrange(start + 1, 61)
+        events.append(Event(start, "person_appear", pid, *spot()))
+        moves = rng.sample(range(start + 1, leave), min(leave - start - 1, rng.randint(0, 5)))
+        events += [Event(t, "person_move", pid, *spot()) for t in sorted(moves)]
+        if leave < 60:
+            events.append(Event(leave, "person_leave", pid))
+    events += [Event(rng.randrange(60), "button_press", button=rng.choice(BUTTONS))
+               for _ in range(rng.randint(0, 6))]
+    events += [Event(rng.randrange(60), rng.choice(("hazard_on", "hazard_off", "network_down",
+                                                    "network_up")))
+               for _ in range(rng.randint(0, 3))]
+    events.sort(key=lambda event: event.at_tick)
+    return ScenarioScript("visit", 60, tuple(events))
+
+
+def evidence_scripts(source: str) -> list[ScenarioScript]:
+    """The scripts of one evidence source: the ``scenarios/`` corpus, the
+    benchmark's seed 1-3 crowds, criterion 3's hazard windows, or (any other
+    ``source``) 300 seeded random visits."""
+    if source == "corpus":
+        return [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
+    if source == "crowds":
+        gen = perfbench_gen()
+        return [parse_scenario(getattr(gen, crowd)(seed))
+                for crowd in ("crowd_still", "crowd_churn") for seed in (1, 2, 3)]
+    if source == "hazard_windows":
+        return [parse_scenario(text) for _, _, text in hazard_windows()]
+    rng = random.Random(3141)
+    return [random_visit(rng) for _ in range(300)]
 
 
 class LeafScript:

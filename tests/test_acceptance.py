@@ -42,15 +42,12 @@ from conftest import (
     SCENARIO_DIR,
     TREE_FILE,
     hazard_windows,
+    load,
     reference_engaged_size,
     structural_signature,
 )
 
 S, R, F = NodeStatus.SUCCESS, NodeStatus.RUNNING, NodeStatus.FAILURE
-
-
-def load(name: str):
-    return parse_scenario((SCENARIO_DIR / name).read_text(encoding="utf-8"))
 
 
 # --- 1. tree engine semantics vs an independent recursive evaluator ---------------

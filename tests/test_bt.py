@@ -31,7 +31,6 @@ from shutter_sim import (
     default_catalogue,
     node_count,
     parse_scenario,
-    parse_tree,
     print_tree,
     validate_tree,
 )
@@ -508,13 +507,13 @@ def test_a_run_tree_is_freed_by_reference_counting():
 def test_validation_refuses_a_leaf_with_children(make_leaf):
     leaf = make_leaf()
     leaf.children.append(Action("idle"))
-    root = Sequence("s", [leaf])
-    # the tick would never run the child, and print_tree's text would read it
-    # back as the leaf's sibling, so the tree is refused naming the leaf
-    assert structural_signature(parse_tree(print_tree(root))) != structural_signature(root)
-    with pytest.raises(ConfigurationError,
-                       match=f"^{leaf.kind} '{leaf.name}' is a leaf and cannot have children$"):
-        validate_tree(root, default_catalogue())
+    root = Sequence("s", [leaf, Action("greet")])
+    # the tick would never run the child, and printed text would read it back
+    # as the leaf's sibling, so the tree is refused naming the leaf
+    for refuse in (print_tree, lambda tree: validate_tree(tree, default_catalogue())):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{leaf.kind} '{leaf.name}' is a leaf and cannot have children$"):
+            refuse(root)
 
 
 def _greet_steps(root):

@@ -9,6 +9,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tomllib
 from importlib.metadata import EntryPoint, entry_points
 
 import pytest
@@ -18,18 +19,16 @@ from shutter_sim.dsl import _MAX_DIGITS
 
 from conftest import PKG_ROOT, SCENARIO_DIR, TREE_FILE
 
-if sys.version_info >= (3, 11):
-    import tomllib
-else:
-    import tomli as tomllib
-
 SOLO = str(SCENARIO_DIR / "solo.scn")
 
 
-def _declared_console_script() -> str | None:
+def _project() -> dict:
     with open(PKG_ROOT / "pyproject.toml", "rb") as f:
-        project = tomllib.load(f)["project"]
-    return project.get("scripts", {}).get("shutter-sim")
+        return tomllib.load(f)["project"]
+
+
+def _declared_console_script() -> str | None:
+    return _project().get("scripts", {}).get("shutter-sim")
 
 
 def test_console_script_is_installed():
@@ -42,6 +41,18 @@ def test_console_script_is_installed():
     loaded = entry.load()
     assert loaded is main
     assert loaded(["report"]) == 0
+
+
+def test_ci_runs_every_python_from_the_declared_floor():
+    # the install floor is the one version gate, so CI must test it and each
+    # minor version above it up to the newest it lists
+    floor = _project()["requires-python"]
+    assert re.fullmatch(r">=3\.[0-9]+", floor), floor
+    workflow = (PKG_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"python-version: \[(.*)\]", workflow)
+    minors = [int(re.fullmatch(r'"3\.([0-9]+)"', item.strip())[1]) for item in listed.split(",")]
+    assert f">=3.{min(minors)}" == floor
+    assert sorted(minors) == list(range(min(minors), max(minors) + 1))
 
 
 @pytest.mark.skipif(shutil.which("shutter-sim") is None,
@@ -76,8 +87,7 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
 
 
 def test_the_package_imports_only_the_standard_library():
-    with open(PKG_ROOT / "pyproject.toml", "rb") as f:
-        assert tomllib.load(f)["project"]["dependencies"] == []
+    assert _project()["dependencies"] == []
     allowed = sys.stdlib_module_names | {"shutter_sim"}
     sources = sorted((PKG_ROOT / "src" / "shutter_sim").glob("*.py"))
     assert sources

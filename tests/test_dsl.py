@@ -10,6 +10,7 @@ from shutter_sim import (
     ConfigurationError,
     Fallback,
     Guard,
+    Node,
     ParseError,
     Parallel,
     Sequence,
@@ -285,10 +286,18 @@ def test_print_tree_refuses_a_name_that_would_not_reparse(tree, message):
     assert str(err.value) == message + " is not a tree identifier"
 
 
+def _two_child_guard() -> Guard:
+    guard = Guard("network_up", "g", Action("idle"))
+    guard.children.append(Action("greet"))
+    return guard
+
+
 @pytest.mark.parametrize("tree,message", [
-    (Sequence("s", [Action("idle", duration=True)], memory="no"),
-     "sequence 's' cannot be printed: memory 'no' is not a bool"),
-    (Fallback("f", [Action("idle")], memory=1), "fallback 'f' cannot be printed: memory 1 is not a bool"),
+    (Sequence("s", [Action("idle", duration=True)], memory="no"), "sequence 's' memory 'no' is not a bool"),
+    (Fallback("f", [Action("idle")], memory=1), "fallback 'f' memory 1 is not a bool"),
+    (Sequence("s", [_two_child_guard()]), "guard 'g' must have exactly one child"),
+    (Sequence("s", [Parallel("p", [])]), "composite 'p' must have at least one child"),
+    (Sequence("s", [Node("x", [Action("idle")])]), "node 'x' is not a node kind the engine ticks"),
     (Sequence("s", [Action("idle", duration=True)]),
      "action 'idle' cannot be printed: duration True is not a non-negative integer"),
     (Sequence("s", [Action("idle", duration=2.0)]),
@@ -297,11 +306,13 @@ def test_print_tree_refuses_a_name_that_would_not_reparse(tree, message):
      "action 'idle' cannot be printed: duration -1 is not a non-negative integer"),
     (Sequence("s", [Action("idle", duration=10 ** dsl._MAX_DIGITS)]),
      f"action 'idle' cannot be printed: duration has more than {dsl._MAX_DIGITS} digits"),
-], ids=["memory-str", "memory-int", "duration-bool", "duration-float", "duration-negative",
-        "duration-too-long"])
+], ids=["memory-str", "memory-int", "guard-two-children", "composite-empty", "bare-node",
+        "duration-bool", "duration-float", "duration-negative", "duration-too-long"])
 def test_print_tree_refuses_a_field_that_would_not_read_back(tree, message):
-    # memory="no" would print as sequence* and read back as a memory chain, and
-    # each duration would be a syntax error or another value in parse_tree
+    # memory="no" would print as sequence* and read back as a memory chain, the
+    # guard, empty composite and bare node as text parse_tree refuses, and each
+    # duration as a syntax error or another value; a shape is refused with
+    # validate_tree's message
     with pytest.raises(ConfigurationError) as err:
         print_tree(tree)
     assert str(err.value) == message

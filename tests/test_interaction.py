@@ -22,10 +22,8 @@ from shutter_sim import (
     Behavior,
     Condition,
     ConfigurationError,
-    Event,
     InteractionContext,
     PersonObservation,
-    ScenarioScript,
     Sequence,
     State,
     StateMachine,
@@ -56,8 +54,10 @@ from conftest import (
     PKG_ROOT,
     SCENARIO_DIR,
     TREE_FILE,
+    evidence_scripts,
     hazard_windows,
-    perfbench_gen,
+    load,
+    random_visit,
     reference_engaged_size,
     structural_signature,
 )
@@ -66,10 +66,6 @@ from conftest import (
 RECHECK_TREE = Path(__file__).resolve().parent / "data" / "photographer_recheck.tree"
 # trees/photographer.tree as it was with a hazard guard per arm-motion action: 21 nodes
 PER_ACTION_GUARDS_TREE = Path(__file__).resolve().parent / "data" / "photographer_per_action_guards.tree"
-
-
-def load(name):
-    return parse_scenario((SCENARIO_DIR / name).read_text(encoding="utf-8"))
 
 
 def ctx_with_persons(*positions, clock=0):
@@ -385,10 +381,12 @@ def test_photo_indexes_outside_the_session_go_through_emit():
         show(ctx, 1)
     # an index that is not an int meets emit's payload check
     ctx = InteractionContext(photos_taken=0.5, photos_shown=0.5)
-    with pytest.raises(ValueError, match=r"^take_photo takes a int payload, got 1\.5$"):
+    with pytest.raises(ValueError, match=r"^take_photo takes an int payload, got 1\.5$"):
         take(ctx, 0)
-    with pytest.raises(ValueError, match=r"^show_photo takes a int payload, got 1\.5$"):
+    with pytest.raises(ValueError, match=r"^show_photo takes an int payload, got 1\.5$"):
         show(ctx, 0)
+    with pytest.raises(ValueError, match=r"^say takes a str payload, got 1$"):
+        emit(ctx, "say", 1)
     assert ctx.emissions_this_tick == []
 
 
@@ -527,30 +525,6 @@ class StepWatch:
         return status
 
 
-def random_visit(rng: random.Random) -> ScenarioScript:
-    """60 ticks: 1-3 persons who each appear once, move and may leave, and
-    random buttons and hazard and network switches."""
-    def spot():
-        return rng.uniform(-3, 3), rng.uniform(-3, 3)
-
-    events = []
-    for pid in range(1, rng.randint(1, 3) + 1):
-        start = rng.randrange(50)
-        leave = rng.randrange(start + 1, 61)
-        events.append(Event(start, "person_appear", pid, *spot()))
-        moves = rng.sample(range(start + 1, leave), min(leave - start - 1, rng.randint(0, 5)))
-        events += [Event(t, "person_move", pid, *spot()) for t in sorted(moves)]
-        if leave < 60:
-            events.append(Event(leave, "person_leave", pid))
-    events += [Event(rng.randrange(60), "button_press", button=rng.choice(BUTTONS))
-               for _ in range(rng.randint(0, 6))]
-    events += [Event(rng.randrange(60), rng.choice(("hazard_on", "hazard_off", "network_down",
-                                                    "network_up")))
-               for _ in range(rng.randint(0, 3))]
-    events.sort(key=lambda event: event.at_tick)
-    return ScenarioScript("visit", 60, tuple(events))
-
-
 def watched_steps(mode: str) -> list:
     rng = random.Random(2718)
     scripts = [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
@@ -624,19 +598,6 @@ def test_the_six_machine_builds_step_as_pinned():
                         emissions = [tuple(e) for e in record.emissions]
                         digest.update(repr((record.status, emissions, after)).encode("utf-8"))
     assert digest.hexdigest() == MACHINE_STEPS_SHA256
-
-
-def evidence_scripts(source: str) -> list[ScenarioScript]:
-    if source == "corpus":
-        return [load(path.name) for path in sorted(SCENARIO_DIR.glob("*.scn"))]
-    if source == "crowds":
-        gen = perfbench_gen()
-        return [parse_scenario(getattr(gen, crowd)(seed))
-                for crowd in ("crowd_still", "crowd_churn") for seed in (1, 2, 3)]
-    if source == "hazard_windows":
-        return [parse_scenario(text) for _, _, text in hazard_windows()]
-    rng = random.Random(3141)
-    return [random_visit(rng) for _ in range(300)]
 
 
 @pytest.mark.parametrize("source", ["corpus", "crowds", "hazard_windows", "random_visits"])

@@ -1,23 +1,18 @@
 """The possessive grammars against their plain forms.
 
 The scenario, trace and tree grammars make a quantifier possessive
-(``dsl._POSSESSIVE``) only where the piece after it can never start with a
+(``*+``, ``++``, ``{m,n}+``) only where the piece after it can never start with a
 character it consumes, so giving a character back could never lead to a match.
 Each test here strips the possessive ``+`` from a built pattern and checks
 that the two forms agree on the seeded mutation corpora the grammar tests
 draw, and on digit runs at and around ``_MAX_DIGITS``: the same ``fullmatch``
 and ``match`` results, groups and span, or the same ``finditer`` tokens.
-CPython's ``re`` reads possessive quantifiers from 3.11; on 3.10 the grammars
-are built plain, and there is nothing to compare.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import sys
-
-import pytest
 
 from shutter_sim import dsl, sim
 from shutter_sim.dsl import _MAX_DIGITS
@@ -25,9 +20,6 @@ from shutter_sim.dsl import _MAX_DIGITS
 import test_scenario_lines
 import test_trace_lines
 import test_tree_tokens
-
-pytestmark = pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="re reads possessive quantifiers from Python 3.11; 3.10 builds one form")
 
 # a quantifier (*, + or a bounded {m,n}) followed by the possessive +
 _POSSESSIVE_SUFFIX = re.compile(r"(?<!\\)([*+}])\+")

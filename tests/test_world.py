@@ -181,7 +181,7 @@ def test_emit_rejects_a_payload_of_the_wrong_type(action, payload):
     with pytest.raises(ValueError, match=f"^{action} takes ") as excinfo:
         emit(ctx, action, payload)
     assert ctx.emissions_this_tick == []
-    wanted = "no payload" if ACTION_PAYLOADS[action] is None else f"a {ACTION_PAYLOADS[action].__name__} payload"
+    wanted = {None: "no payload", str: "a str payload", int: "an int payload"}[ACTION_PAYLOADS[action]]
     assert str(excinfo.value) == f"{action} takes {wanted}, got {payload!r}"
     with pytest.raises(ValueError) as built:
         emission(action, payload)
